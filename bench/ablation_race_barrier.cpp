@@ -37,9 +37,9 @@ Trial run_trial(int mutations, std::uint64_t seed) {
   const auto fig = workload::build_figure4(cluster);  // live cycle
 
   // Stale snapshots first (everyone but P1), paper's timeline.
-  cluster.detector(fig.p2).take_snapshot();
-  cluster.detector(fig.p3).take_snapshot();
-  cluster.detector(fig.p4).take_snapshot();
+  cluster.snapshot(fig.p2);
+  cluster.snapshot(fig.p3);
+  cluster.snapshot(fig.p4);
 
   // Mutator burst in the snapshot gap.
   for (int i = 0; i < mutations; ++i) {
@@ -59,7 +59,7 @@ Trial run_trial(int mutations, std::uint64_t seed) {
   for (int i = 0; i < 4; ++i) cluster.step();  // invocation pins expire
 
   cluster.remove_root(fig.p1, fig.x);  // by S1, the cycle LOOKS dead at P1
-  cluster.detector(fig.p1).take_snapshot();
+  cluster.snapshot(fig.p1);
 
   cluster.detector(fig.p2).start_detection(fig.x);
   cluster.detector(fig.p1).start_detection(fig.x);

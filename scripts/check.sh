@@ -11,6 +11,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS=$(nproc 2>/dev/null || echo 4)
+# The build is warning-free; every tree below keeps it that way.
+WERROR=-DCMAKE_CXX_FLAGS=-Werror
 
 run_tree() {
   local dir="$1"
@@ -21,18 +23,18 @@ run_tree() {
 }
 
 echo "== plain build + tests =="
-run_tree build
+run_tree build "$WERROR"
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "== sanitizer build + tests (address,undefined) =="
-  run_tree build-asan -DRGC_SANITIZE=address,undefined
+  run_tree build-asan -DRGC_SANITIZE=address,undefined "$WERROR"
 
   # ThreadSanitizer pass over the parallel GC phases: build the TSan tree
   # and run the determinism suite, which drives the worker pool with
   # threads=8 (full ctest under TSan is slow; the threaded paths all live
-  # behind Cluster::collect_round/snapshot_all, which this suite covers).
+  # behind Cluster::collect_all/snapshot_all, which this suite covers).
   echo "== thread sanitizer build + determinism tests =="
-  cmake -B build-tsan -S . -DRGC_SANITIZE=thread
+  cmake -B build-tsan -S . -DRGC_SANITIZE=thread "$WERROR"
   cmake --build build-tsan -j "$JOBS" --target determinism_test chaos_test recorder_test
   ./build-tsan/tests/determinism_test
 
@@ -53,14 +55,14 @@ if [[ "${1:-}" != "--fast" ]]; then
   # Audit-enabled chaos: the online health auditor runs every step
   # (RGC_CHAOS_AUDIT=1) with the worker pool at 4 threads, under both
   # sanitizer trees.  chaos_test asserts cluster.audit().errors() == 0
-  # after every burst, so any auditor ERROR fails the run.
-  # RGC_CHAOS_FAULTS=1 additionally enables the heavy fault-chaos legs
-  # (crash/restart/partition FaultPlans under message loss — docs/FAULTS.md);
-  # the fault suites are also selectable in any tree with `ctest -L faults`.
-  echo "== chaos under ASan/UBSan, audit every step, threads=4, faults on =="
-  RGC_CHAOS_AUDIT=1 RGC_CHAOS_THREADS=4 RGC_CHAOS_FAULTS=1 ./build-asan/tests/chaos_test
-  echo "== chaos under TSan, audit every step, threads=4, faults on =="
-  RGC_CHAOS_AUDIT=1 RGC_CHAOS_THREADS=4 RGC_CHAOS_FAULTS=1 ./build-tsan/tests/chaos_test
+  # after every burst, so any auditor ERROR fails the run.  The fault-chaos
+  # legs (crash/restart/partition FaultPlans under message loss —
+  # docs/FAULTS.md) always run; the fault suites are also selectable in any
+  # tree with `ctest -L faults`.
+  echo "== chaos under ASan/UBSan, audit every step, threads=4 =="
+  RGC_CHAOS_AUDIT=1 RGC_CHAOS_THREADS=4 ./build-asan/tests/chaos_test
+  echo "== chaos under TSan, audit every step, threads=4 =="
+  RGC_CHAOS_AUDIT=1 RGC_CHAOS_THREADS=4 ./build-tsan/tests/chaos_test
   echo "== recovery suite under ASan/UBSan =="
   ./build-asan/tests/recovery_test
 
@@ -87,14 +89,14 @@ if [[ "${1:-}" != "--fast" ]]; then
   # sanitizers — the termination detector's per-account arithmetic and the
   # daemon's lane maps are exactly where a sanitizer finds the lie — plus
   # the chaos suite re-run with the adaptive daemon explicitly on and off
-  # (RGC_CHAOS_ADAPTIVE; the on-leg also exercises the token-based
-  # run_until_quiescent agreement asserts on every kill/restart/partition).
+  # (RGC_CHAOS_ADAPTIVE; both check the token-based termination verdict
+  # against the transport after runs with kills, restarts and partitions).
   echo "== policy suite under ASan/UBSan + TSan =="
   ctest --test-dir build-asan -L policy --output-on-failure -j "$JOBS"
   cmake --build build-tsan -j "$JOBS" --target policy_test
   ./build-tsan/tests/policy_test
   echo "== chaos under ASan/UBSan, adaptive daemon off (fixed-cadence cross-check) =="
-  RGC_CHAOS_AUDIT=1 RGC_CHAOS_THREADS=4 RGC_CHAOS_FAULTS=1 RGC_CHAOS_ADAPTIVE=0 \
+  RGC_CHAOS_AUDIT=1 RGC_CHAOS_THREADS=4 RGC_CHAOS_ADAPTIVE=0 \
     ./build-asan/tests/chaos_test
 fi
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <set>
 #include <stdexcept>
 
@@ -18,7 +17,7 @@ Cluster::Cluster(ClusterConfig config)
   auditor_ = std::make_unique<obs::HealthAuditor>(
       *this, obs::AuditConfig{config_.audit_interval, config_.audit_deep_every,
                               config_.audit_oracle_assist});
-  net_.set_observer(auditor_.get());
+  net_.add_observer(auditor_.get());
   if (config_.record_capacity > 0) {
     recorder_ = std::make_unique<obs::FlightRecorder>(
         obs::RecorderConfig{config_.record_capacity});
@@ -116,28 +115,26 @@ const rm::Process& Cluster::process(ProcessId id) const {
   return *it->second.process;
 }
 
-gc::CycleDetector& Cluster::detector(ProcessId id) {
+Cluster::Node& Cluster::live_node(ProcessId id) {
   Node& node = nodes_.at(id);
   if (!node.alive) throw std::out_of_range("process is down");
-  return *node.detector;
+  return node;
+}
+
+gc::CycleDetector& Cluster::detector(ProcessId id) {
+  return *live_node(id).detector;
 }
 
 gc::BaselineDetector& Cluster::baseline(ProcessId id) {
-  Node& node = nodes_.at(id);
-  if (!node.alive) throw std::out_of_range("process is down");
-  return *node.baseline;
+  return *live_node(id).baseline;
 }
 
 gc::DistanceHeuristic& Cluster::distance_heuristic(ProcessId id) {
-  Node& node = nodes_.at(id);
-  if (!node.alive) throw std::out_of_range("process is down");
-  return *node.distance;
+  return *live_node(id).distance;
 }
 
 gc::SuspicionAgeTracker& Cluster::suspicion_tracker(ProcessId id) {
-  Node& node = nodes_.at(id);
-  if (!node.alive) throw std::out_of_range("process is down");
-  return *node.suspicion;
+  return *live_node(id).suspicion;
 }
 
 ObjectId Cluster::new_object(ProcessId owner, std::uint32_t payload_bytes) {
@@ -280,26 +277,14 @@ QuiescenceStatus Cluster::run_until_quiescent(std::uint64_t max_steps) {
   // Decentralized termination detection (core/quiescence.h): each loop
   // iteration circulates the weighted token through the per-process
   // send/receive accounts instead of reading the network's global
-  // in-flight count — no "is everyone idle" scan in the non-debug path.
+  // in-flight count — no "is everyone idle" scan.
   while (!termination_->probe() && now() - start < max_steps) {
-#ifndef NDEBUG
-    // Debug cross-check: at a frozen step boundary the token's verdict
-    // must agree with the legacy global idle scan it replaced, and the
-    // summed account deficit must equal the transport's live population
-    // (the conservation argument in core/quiescence.h).
-    assert(!net_.idle());
-    assert(termination_->deficit() == net_.in_flight());
-#endif
     const std::uint64_t budget = max_steps - (now() - start);
     advance_clock(std::min(next_event_delta(), budget));
   }
   const std::uint64_t steps = now() - start;
   const bool quiescent = termination_->quiescent();
   const auto in_flight = static_cast<std::size_t>(termination_->deficit());
-#ifndef NDEBUG
-  assert(quiescent == net_.idle());
-  assert(in_flight == net_.in_flight());
-#endif
   if (!quiescent) {
     // Giving up with traffic still queued means protocol rounds (ADGC
     // hand-shakes, CDM tracks) were cut short — callers used to get no
@@ -327,53 +312,42 @@ util::ThreadPool& Cluster::pool() {
   return *pool_;
 }
 
-gc::LgcResult Cluster::collect(ProcessId id) {
-  Node& node = nodes_.at(id);
-  if (!node.alive) throw std::out_of_range("process is down");
-  rm::Process& proc = *node.process;
-  // Attribute collection-time log/trace output to the collecting process.
-  util::ScopedProcess ctx{id};
-  gc::LgcConfig cfg;
-  cfg.finalizer = &finalizer_;
-  gc::LgcResult result = gc::Lgc::collect(proc, cfg);
-
-  // Candidate heuristics digest every collection regardless of policy —
-  // the distance announcements cost a few bytes on traffic that flows
-  // anyway, and tests/benches can inspect either tracker.  The post-sweep
-  // summary goes through the same dirty-epoch cache as collect_round(),
-  // keeping the two paths metric-for-metric equivalent.
-  node.distance->prune(proc);
-  std::vector<Node*> just_this{&node};
-  std::vector<gc::ProcessSummary> summaries;
-  summarize_all(just_this, summaries, &profile_.histogram("lgc.summarize_us"));
-  const auto announcements =
-      node.distance->after_collection(proc, result, &summaries[0]);
-  node.suspicion->after_collection(proc, result);
-
-  gc::Adgc::after_collection(proc, result, &announcements);
-  return result;
+std::vector<Cluster::Node*> Cluster::live_nodes() {
+  std::vector<Node*> nodes;
+  nodes.reserve(nodes_.size());
+  for (auto& [pid, node] : nodes_) {
+    if (node.alive) nodes.push_back(&node);
+  }
+  return nodes;
 }
 
-std::uint64_t Cluster::collect_round() {
-  // Equivalent to collect() on every process in pid order: each process's
-  // state is private, and cross-process effects travel only through
-  // messages queued on the network (delivered at a later step()), so
-  // reordering *read-only* work across processes cannot change any
+gc::LgcResult Cluster::collect(ProcessId id) {
+  return std::move(collect_nodes({&live_node(id)}).front());
+}
+
+std::uint64_t Cluster::collect_all() {
+  const std::vector<Node*> nodes = live_nodes();
+  std::uint64_t reclaimed = 0;
+  for (const gc::LgcResult& r : collect_nodes(nodes)) {
+    reclaimed += r.reclaimed.size();
+  }
+  if (recorder_) {
+    recorder_->phase(obs::kPhaseCollectRound, reclaimed, nodes.size());
+  }
+  return reclaimed;
+}
+
+std::vector<gc::LgcResult> Cluster::collect_nodes(
+    const std::vector<Node*>& nodes) {
+  // Equivalent to a one-node collect on every node in pid order: each
+  // process's state is private, and cross-process effects travel only
+  // through messages queued on the network (delivered at a later step()),
+  // so reordering *read-only* work across processes cannot change any
   // outcome.  The phases that mutate a process, share the finalizer, emit
   // log/trace output, or send messages run serially in pid order — which
   // makes results, metrics, traffic, and traces identical for any thread
   // count.
-  std::vector<ProcessId> pids;
-  std::vector<Node*> nodes;
-  pids.reserve(nodes_.size());
-  nodes.reserve(nodes_.size());
-  for (auto& [pid, node] : nodes_) {
-    if (!node.alive) continue;
-    pids.push_back(pid);
-    nodes.push_back(&node);
-  }
   const std::size_t n = nodes.size();
-
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
 
@@ -388,46 +362,42 @@ std::uint64_t Cluster::collect_round() {
 
   // Phase 2 — sweep + finalize (mutating, shared finalizer: serial).
   std::vector<gc::LgcResult> results(n);
-  std::uint64_t reclaimed = 0;
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.apply_us")};
     for (std::size_t i = 0; i < n; ++i) {
-      util::ScopedProcess ctx{pids[i]};
-      results[i] = gc::Lgc::apply(*nodes[i]->process, marks[i], cfg);
-      nodes[i]->distance->prune(*nodes[i]->process);
-      reclaimed += results[i].reclaimed.size();
+      rm::Process& proc = *nodes[i]->process;
+      util::ScopedProcess ctx{proc.id()};
+      results[i] = gc::Lgc::apply(proc, marks[i], cfg);
+      nodes[i]->distance->prune(proc);
     }
   }
 
   // Phase 3 — post-sweep summaries for the distance heuristic (read-only,
-  // parallel; this is what made the serial round O(heap) per process even
-  // when nothing was garbage).  Nodes whose mutation epoch is unchanged
-  // since their last summary reuse it outright.
-  std::vector<gc::ProcessSummary> summaries(n);
-  summarize_all(nodes, summaries, &profile_.histogram("lgc.summarize_us"));
+  // parallel).  Nodes whose mutation epoch is unchanged since their last
+  // summary reuse it outright.
+  summarize_all(nodes, &profile_.histogram("lgc.summarize_us"));
 
   // Phase 4 — heuristic digests + ADGC protocol messages (sends traffic:
-  // serial, pid order — exactly the send order of the serial path).
+  // serial, pid order).  Candidate heuristics digest every collection
+  // regardless of policy — the distance announcements cost a few bytes on
+  // traffic that flows anyway, and tests/benches can inspect either
+  // tracker.
   util::ScopedTimerUs timer{&profile_.histogram("adgc.digest_us")};
   for (std::size_t i = 0; i < n; ++i) {
-    util::ScopedProcess ctx{pids[i]};
-    rm::Process& proc = *nodes[i]->process;
+    Node& node = *nodes[i];
+    rm::Process& proc = *node.process;
+    util::ScopedProcess ctx{proc.id()};
     const auto announcements =
-        nodes[i]->distance->after_collection(proc, results[i], &summaries[i]);
-    nodes[i]->suspicion->after_collection(proc, results[i]);
+        node.distance->after_collection(results[i], node.summary_cache);
+    node.suspicion->after_collection(proc, results[i]);
     gc::Adgc::after_collection(proc, results[i], &announcements);
   }
-  if (recorder_) recorder_->phase(obs::kPhaseCollectRound, reclaimed, n);
-  return reclaimed;
+  return results;
 }
 
-void Cluster::collect_all() { collect_round(); }
-
 void Cluster::summarize_all(const std::vector<Node*>& nodes,
-                            std::vector<gc::ProcessSummary>& summaries,
                             util::Histogram* timer_hist) {
   const std::size_t n = nodes.size();
-  summaries.resize(n);
   std::vector<std::uint8_t> reused(n, 0);
   {
     util::ScopedTimerUs timer{timer_hist};
@@ -440,11 +410,9 @@ void Cluster::summarize_all(const std::vector<Node*>& nodes,
         // summary was computed ⇒ a fresh summarize() would reproduce it
         // bit for bit, only with a newer timestamp.
         nd.summary_cache.taken_at = net_.now();
-        summaries[i] = nd.summary_cache;
         reused[i] = 1;
       } else {
-        summaries[i] = gc::summarize(proc);
-        nd.summary_cache = summaries[i];
+        nd.summary_cache = gc::summarize(proc);
         nd.summary_cache_valid = true;
       }
     });
@@ -472,42 +440,34 @@ void Cluster::update_dirty_gauge() {
   net_.metrics().gauge("cycle.summary_dirty_fraction").set(fresh * 100 / live);
 }
 
+void Cluster::snapshot(ProcessId id) { snapshot_nodes({&live_node(id)}); }
+
 void Cluster::snapshot_all() {
   TRACE_SPAN("cluster.snapshot_all");
-  std::vector<ProcessId> pids;
-  std::vector<Node*> nodes;
-  pids.reserve(nodes_.size());
-  nodes.reserve(nodes_.size());
-  for (auto& [pid, node] : nodes_) {
-    if (!node.alive) continue;
-    pids.push_back(pid);
-    nodes.push_back(&node);
-  }
-  const std::size_t n = nodes.size();
+  const std::vector<Node*> nodes = live_nodes();
+  snapshot_nodes(nodes);
+  if (recorder_) recorder_->phase(obs::kPhaseSnapshotAll, nodes.size());
+}
 
+void Cluster::snapshot_nodes(const std::vector<Node*>& nodes) {
   // Summarize concurrently (read-only per process, dirty-epoch reuse for
-  // quiescent ones), install serially so detector bookkeeping, metrics,
-  // and trace spans land in pid order.
-  std::vector<gc::ProcessSummary> summaries(n);
-  summarize_all(nodes, summaries, &profile_.histogram("cycle.summarize_us"));
+  // quiescent ones), install copies serially so detector bookkeeping,
+  // metrics, and trace spans land in pid order.
+  summarize_all(nodes, &profile_.histogram("cycle.summarize_us"));
   util::ScopedTimerUs install_timer{&profile_.histogram("cycle.install_us")};
-  for (std::size_t i = 0; i < n; ++i) {
-    util::ScopedProcess ctx{pids[i]};
+  for (Node* node : nodes) {
+    const ProcessId pid = node->process->id();
+    util::ScopedProcess ctx{pid};
     {
-      TRACE_SPAN("cycle.snapshot", pids[i]);
-      if (config_.mode == DetectorMode::kBaseline) {
-        // The baseline detector keeps its own copy of the same snapshot.
-        nodes[i]->detector->install_snapshot(summaries[i]);
-      } else {
-        nodes[i]->detector->install_snapshot(std::move(summaries[i]));
-      }
+      TRACE_SPAN("cycle.snapshot", pid);
+      node->detector->install_snapshot(node->summary_cache);
     }
     if (config_.mode == DetectorMode::kBaseline) {
-      TRACE_SPAN("baseline.snapshot", pids[i]);
-      nodes[i]->baseline->install_snapshot(std::move(summaries[i]));
+      // The baseline detector keeps its own copy of the same snapshot.
+      TRACE_SPAN("baseline.snapshot", pid);
+      node->baseline->install_snapshot(node->summary_cache);
     }
   }
-  if (recorder_) recorder_->phase(obs::kPhaseSnapshotAll, n);
 }
 
 std::optional<std::uint64_t> Cluster::detect(ProcessId at, ObjectId candidate) {
@@ -541,7 +501,7 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
       util::SpanGuard acyclic{"gc.acyclic_phase"};
       for (std::size_t inner = 0; inner < 4 * nodes_.size() + 8; ++inner) {
         const std::uint64_t signal_before = unlock_signal();
-        const std::uint64_t reclaimed = collect_round();
+        const std::uint64_t reclaimed = collect_all();
         run_until_quiescent();
         reclaimed_this_round += reclaimed;
         if (reclaimed == 0 && unlock_signal() == signal_before) break;

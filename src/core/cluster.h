@@ -284,15 +284,20 @@ class Cluster {
   }
 
   // ---- Garbage collection -------------------------------------------------
-  /// One local collection + acyclic-protocol round on one process.
+  /// One local collection + acyclic-protocol round on one process: the
+  /// phased collect over just `id`.
   gc::LgcResult collect(ProcessId id);
-  /// One collection round over every process, equivalent to collect() on
-  /// each in id order.  With config.threads > 1 the trace phase runs
+  /// The phased collect over every live process, equivalent to collect()
+  /// on each in id order.  With config.threads > 1 the trace phase runs
   /// concurrently across processes; sweeps and protocol messages are
   /// applied serially in pid order, so results are identical to threads=1.
-  void collect_all();
-  /// Snapshot + summarize every process (no coordination — each snapshot
-  /// is independent; this bulk helper is a convenience, not a barrier).
+  /// Returns the number of objects reclaimed.
+  std::uint64_t collect_all();
+  /// Snapshot + summarize one process (§3.5.1) through the dirty-epoch
+  /// summary cache, installing it into the detector(s) the mode uses.
+  void snapshot(ProcessId id);
+  /// snapshot() on every live process (no coordination — each snapshot is
+  /// independent; this bulk helper is a convenience, not a barrier).
   /// Summarization runs on the worker pool when config.threads > 1.
   void snapshot_all();
   /// Starts a detection with `candidate` (owned by `at`) as suspect.
@@ -335,7 +340,7 @@ class Cluster {
     std::unique_ptr<gc::SuspicionAgeTracker> suspicion;
     /// Dirty-epoch snapshot reuse: the last summary computed for this
     /// process (its mutation_epoch field records the epoch it captured).
-    /// summarize_all() hands it out verbatim — only the timestamp moves —
+    /// summarize_all() keeps it verbatim — only the timestamp moves —
     /// while the live process's epoch still matches, so a quiescent
     /// process costs O(1) per snapshot round instead of a summarization.
     gc::ProcessSummary summary_cache;
@@ -360,24 +365,33 @@ class Cluster {
   [[nodiscard]] std::set<ObjectId> pick_suspects(const Node& node,
                                                  const gc::ProcessSummary& s);
 
-  /// The phased collection round behind collect_all()/run_full_gc():
-  /// parallel mark, serial apply, parallel summarize, serial protocol
-  /// digest.  Returns the number of objects reclaimed.
-  std::uint64_t collect_round();
+  /// The node of a live process; throws std::out_of_range for an unknown
+  /// or crashed one.
+  [[nodiscard]] Node& live_node(ProcessId id);
+  /// Live nodes in pid order.
+  [[nodiscard]] std::vector<Node*> live_nodes();
 
-  /// Summarizes every node into `summaries` (parallel when threads > 1),
-  /// reusing each node's cached summary when its process's mutation epoch
-  /// is unchanged.  Serially records "cycle.summarize_reused" per reused
-  /// node and the "cycle.summary_dirty_fraction" gauge (percent of nodes
-  /// that needed a fresh summarization).
+  /// The phased collect behind collect()/collect_all(): parallel mark,
+  /// serial apply, parallel summarize, serial protocol digest.  Returns
+  /// each node's collection result.
+  std::vector<gc::LgcResult> collect_nodes(const std::vector<Node*>& nodes);
+
+  /// The snapshot behind snapshot()/snapshot_all(): parallel summarize
+  /// (cached), serial install in pid order.
+  void snapshot_nodes(const std::vector<Node*>& nodes);
+
+  /// Refreshes every node's summary_cache (parallel when threads > 1),
+  /// re-summarizing only nodes whose process's mutation epoch moved since
+  /// the cached summary.  Serially records "cycle.summarize_reused" per
+  /// reused node and the "cycle.summary_dirty_fraction" gauge (percent of
+  /// nodes that needed a fresh summarization).
   void summarize_all(const std::vector<Node*>& nodes,
-                     std::vector<gc::ProcessSummary>& summaries,
                      util::Histogram* timer_hist);
 
   /// Recomputes the cycle.summary_dirty_fraction gauge (percent of nodes
   /// whose latest summarization ran fresh) from the per-node freshness
-  /// flags — over *all* nodes, so the per-process collect() path and the
-  /// phased collect_round() converge to the same value.
+  /// flags — over *all* nodes, so per-process and bulk rounds converge to
+  /// the same value.
   void update_dirty_gauge();
 
   /// Worker pool for the read-only phases, created on first use.

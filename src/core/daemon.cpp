@@ -54,7 +54,7 @@ std::uint64_t GcDaemon::sweep(ProcessId pid) {
   // persist(); the daemon accounts the bytes itself.
   cluster_.persist(pid);
   snapshot_bytes_.inc(cluster_.image(pid).size());
-  cluster_.detector(pid).take_snapshot();
+  cluster_.snapshot(pid);
   ++sweeps_;
   sweeps_ctr_.inc();
   std::uint64_t started = 0;

@@ -33,9 +33,8 @@
 // sender's account (send or duplicate), every dequeue exactly one -1
 // (delivery on the receiver, refund on the sender for drops and purges) —
 // so the summed deficit equals the transport's in-flight population at
-// every step boundary, without ever asking the transport.  Debug builds
-// assert that agreement on every probe (Cluster::run_until_quiescent);
-// release builds trust the token.
+// every step boundary, without ever asking the transport.  chaos_test and
+// policy_test check that agreement across kills, restarts and partitions.
 #pragma once
 
 #include <cstdint>

@@ -9,11 +9,6 @@ namespace rgc::gc {
 
 BaselineDetector::BaselineDetector(rm::Process& process) : process_(process) {}
 
-void BaselineDetector::take_snapshot() {
-  TRACE_SPAN("baseline.snapshot", process_.id());
-  install_snapshot(summarize(process_));
-}
-
 void BaselineDetector::install_snapshot(ProcessSummary summary) {
   summary_ = std::move(summary);
   seen_entries_.clear();

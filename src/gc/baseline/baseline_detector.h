@@ -38,8 +38,8 @@ class BaselineDetector {
  public:
   explicit BaselineDetector(rm::Process& process);
 
-  void take_snapshot();
-  /// Installs a summary computed elsewhere (see CycleDetector).
+  /// Installs a summary of this process's current state (see
+  /// CycleDetector::install_snapshot).
   void install_snapshot(ProcessSummary summary);
   [[nodiscard]] bool has_snapshot() const noexcept { return summary_.has_value(); }
   [[nodiscard]] const ProcessSummary& summary() const { return *summary_; }

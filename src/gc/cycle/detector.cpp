@@ -42,11 +42,6 @@ CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config)
   steps_hist_ = &m.histogram("cycle.steps_to_detection");
 }
 
-void CycleDetector::take_snapshot() {
-  TRACE_SPAN("cycle.snapshot", process_.id());
-  install_snapshot(summarize(process_));
-}
-
 void CycleDetector::install_snapshot(ProcessSummary summary) {
   summary_ = std::move(summary);
   seen_entries_.clear();

@@ -68,14 +68,9 @@ class CycleDetector {
  public:
   explicit CycleDetector(rm::Process& process, DetectorConfig config = {});
 
-  /// Captures and summarizes the process state (§3.5.1).  Independent per
-  /// process — no coordination.
-  void take_snapshot();
-
-  /// Installs a summary computed elsewhere (the cluster's parallel snapshot
-  /// phase summarizes every process concurrently, then installs serially).
-  /// Same bookkeeping as take_snapshot; the summary must be of this
-  /// process's current state.
+  /// Installs a summary of this process's current state (§3.5.1).
+  /// Cluster::snapshot computes it — independently per process, no
+  /// coordination — and installs it here.
   void install_snapshot(ProcessSummary summary);
 
   /// Adopts a previously-captured (possibly deserialized, possibly

@@ -1,7 +1,6 @@
 #include "gc/cycle/heuristics.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "gc/cycle/summary.h"
 
@@ -15,19 +14,13 @@ constexpr std::uint32_t sat_inc(std::uint32_t d) noexcept {
 }  // namespace
 
 std::map<ProcessId, std::map<ObjectId, std::uint32_t>>
-DistanceHeuristic::after_collection(const rm::Process& process,
-                                    const LgcResult& result,
-                                    const ProcessSummary* precomputed) {
+DistanceHeuristic::after_collection(const LgcResult& result,
+                                    const ProcessSummary& summary) {
   // The stub side needs each stub's incoming context; summarization
-  // already computes exactly that relation.  The cluster summarizes all
-  // processes concurrently after the sweep and hands the result in here;
-  // standalone callers fall back to summarizing inline.
-  std::optional<ProcessSummary> own;
-  if (precomputed == nullptr) own.emplace(summarize(process));
-  const ProcessSummary& s = precomputed != nullptr ? *precomputed : *own;
-
+  // already computes exactly that relation, so the cluster hands in the
+  // post-sweep summary from its parallel phase.
   std::map<ProcessId, std::map<ObjectId, std::uint32_t>> announce;
-  for (const auto& [key, stub] : s.stubs) {
+  for (const auto& [key, stub] : summary.stubs) {
     std::uint32_t d = kInfiniteDistance;
     if (stub.local_reach) {
       d = 1;  // a root path of length 1 ends at this remote reference
@@ -41,7 +34,7 @@ DistanceHeuristic::after_collection(const rm::Process& process,
   // Replicas anchored purely by their propagation entries age locally:
   // no root, no incoming remote reference, only the Union Rule keeps
   // them — a propagation-only cycle never resets this counter.
-  for (const auto& [obj, rep] : s.replicas) {
+  for (const auto& [obj, rep] : summary.replicas) {
     auto it = result.object_reach.find(obj);
     const std::uint8_t mask =
         it == result.object_reach.end() ? 0 : it->second;

@@ -62,12 +62,10 @@ class DistanceHeuristic {
   /// the reachability classification and ages prop-only replicas.
   /// Returns the per-anchor estimates to enclose in the next NewSetStubs
   /// round (anchor -> distance), keyed by peer process.
-  /// `precomputed` is a post-sweep summary of `process` to use instead of
-  /// summarizing here; the cluster passes one computed during its parallel
-  /// phase so this (serial) digest stays cheap.
+  /// `summary` is the process's post-sweep summary (the cluster computes
+  /// it during its parallel phase, so this serial digest stays cheap).
   [[nodiscard]] std::map<ProcessId, std::map<ObjectId, std::uint32_t>>
-  after_collection(const rm::Process& process, const LgcResult& result,
-                   const ProcessSummary* precomputed = nullptr);
+  after_collection(const LgcResult& result, const ProcessSummary& summary);
 
   /// Applies the estimates a peer announced for our scions.
   void apply_remote_estimates(

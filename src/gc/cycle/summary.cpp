@@ -238,8 +238,7 @@ bool any_word(const std::uint64_t* bits, std::size_t words) {
 
 // NOTE: no TRACE_SPAN here — summarize() runs on worker threads during the
 // cluster's parallel snapshot phase and the trace sink is a global; the
-// serial install path (CycleDetector::take_snapshot / install_snapshot)
-// records the span instead.
+// serial install loop (Cluster::snapshot_nodes) records the span instead.
 ProcessSummary summarize(const rm::Process& process) {
   ProcessSummary s;
   s.process = process.id();

@@ -42,36 +42,26 @@ void Network::detach(ProcessId process) {
 
 void Network::add_observer(Observer* observer) {
   if (observer == nullptr) return;
-  if (std::find(extra_observers_.begin(), extra_observers_.end(), observer) ==
-      extra_observers_.end()) {
-    extra_observers_.push_back(observer);
+  if (std::find(observers_.begin(), observers_.end(), observer) ==
+      observers_.end()) {
+    observers_.push_back(observer);
   }
 }
 
-void Network::remove_observer(Observer* observer) {
-  extra_observers_.erase(std::remove(extra_observers_.begin(),
-                                     extra_observers_.end(), observer),
-                         extra_observers_.end());
-}
-
 void Network::emit_send(const Envelope& env) {
-  if (observer_ != nullptr) observer_->on_send(env);
-  for (Observer* o : extra_observers_) o->on_send(env);
+  for (Observer* o : observers_) o->on_send(env);
 }
 
 void Network::emit_deliver(const Envelope& env) {
-  if (observer_ != nullptr) observer_->on_deliver(env);
-  for (Observer* o : extra_observers_) o->on_deliver(env);
+  for (Observer* o : observers_) o->on_deliver(env);
 }
 
 void Network::emit_drop(const Envelope& env) {
-  if (observer_ != nullptr) observer_->on_drop(env);
-  for (Observer* o : extra_observers_) o->on_drop(env);
+  for (Observer* o : observers_) o->on_drop(env);
 }
 
 void Network::emit_duplicate(const Envelope& env) {
-  if (observer_ != nullptr) observer_->on_duplicate(env);
-  for (Observer* o : extra_observers_) o->on_duplicate(env);
+  for (Observer* o : observers_) o->on_duplicate(env);
 }
 
 std::uint32_t Network::group_of(ProcessId p) const {
@@ -252,7 +242,6 @@ bool Network::step() {
                 to_string(m.dst));
       const Envelope env{m.src, m.dst, m.seq, m.sent_at, m.msg.get()};
       emit_deliver(env);
-      if (tap_) tap_(env);
       it->second(env);
     }
   }
@@ -269,19 +258,6 @@ void Network::skip_to(std::uint64_t target) {
   assert(in_flight_.empty() || in_flight_.begin()->first > target);
   now_ = target;
   util::Trace::set_sim_now(now_);
-}
-
-std::uint64_t Network::run_until_quiescent(std::uint64_t max_steps) {
-  const std::uint64_t start = now_;
-  while (in_flight_count_ != 0 && now_ - start < max_steps) {
-    // Jump to just before the next delivery (clamped to the step budget so
-    // a far-future due date cannot overshoot it), then execute that step.
-    const std::uint64_t due = in_flight_.begin()->first;
-    const std::uint64_t limit = start + max_steps;
-    if (due > now_ + 1) skip_to(std::min(due, limit) - 1);
-    step();
-  }
-  return now_ - start;
 }
 
 std::uint64_t Network::sent_at_step(const std::string& kind,

@@ -115,20 +115,10 @@ class Network {
   /// endpoints alive and on the same side of any partition mask.
   [[nodiscard]] bool reachable(ProcessId src, ProcessId dst) const;
 
-  /// Observer invoked for every delivery, before the destination handler —
-  /// a wire tap for tests and protocol tracing.  Not part of any protocol.
-  void set_tap(Handler tap) { tap_ = std::move(tap); }
-
-  /// Installs (or clears, with nullptr) the primary transport-event
-  /// observer.  The observer is borrowed, not owned; it must outlive the
-  /// network or be detached first.
-  void set_observer(Observer* observer) { observer_ = observer; }
-
-  /// Registers an additional observer; all observers see every event, the
-  /// primary first and then the extras in registration order (a fixed,
-  /// deterministic sequence).  Same borrowing rules as set_observer.
+  /// Registers a transport-event observer.  Observers are borrowed, not
+  /// owned — each must outlive the network — and see every event in
+  /// registration order (a fixed, deterministic sequence).
   void add_observer(Observer* observer);
-  void remove_observer(Observer* observer);
 
   /// Queues a message; it is deliverable no earlier than the next step.
   /// Returns the per-(src,dst)-link sequence number assigned to it (the
@@ -153,14 +143,6 @@ class Network {
   /// silent, so the jump is observationally identical to stepping through
   /// it — same deliveries at the same virtual steps.
   void skip_to(std::uint64_t target);
-
-  /// Drains the network by discrete-event stepping: jumps virtual time to
-  /// each next due step instead of executing empty steps one by one, until
-  /// no messages are in flight or max_steps of virtual time elapsed.
-  /// Returns the virtual steps advanced — identical to the step count the
-  /// old step-by-step loop reported, at O(deliveries) cost instead of
-  /// O(virtual time).
-  std::uint64_t run_until_quiescent(std::uint64_t max_steps = 100000);
 
   /// Virtual time (number of completed steps).
   [[nodiscard]] std::uint64_t now() const noexcept { return now_; }
@@ -229,7 +211,7 @@ class Network {
   /// Returns the number purged.
   std::size_t purge_in_flight(const std::function<bool(const InFlight&)>& pred);
 
-  /// Fan an event out to the primary observer, then the extras.
+  /// Fan an event out to every observer, in registration order.
   void emit_send(const Envelope& env);
   void emit_deliver(const Envelope& env);
   void emit_drop(const Envelope& env);
@@ -251,10 +233,8 @@ class Network {
   std::set<ProcessId> dead_;
   /// Active partition mask (empty = fully connected).  Absent pid = group 0.
   std::map<ProcessId, std::uint32_t> partition_group_;
-  Handler tap_;
-  Observer* observer_{nullptr};
-  /// Secondary observers (add_observer), notified after observer_.
-  std::vector<Observer*> extra_observers_;
+  /// Transport-event observers, in registration order.
+  std::vector<Observer*> observers_;
   std::map<std::pair<ProcessId, ProcessId>, std::uint64_t> link_seq_;
   /// Latest due-step handed to a reliable message per link; later reliable
   /// sends are clamped to at least this value to guarantee per-link FIFO.

@@ -124,14 +124,12 @@ Ledger::Ledger(LedgerConfig config) : config_(config) {
   // Touch the decomposition histograms so the family set is fixed from the
   // start — report/Prometheus output then has identical shape whether or
   // not a run proved any cycle yet.
-  metrics_.histogram("ledger.e2e_steps");
-  metrics_.histogram("ledger.detect_steps");
-  metrics_.histogram("ledger.wait_steps");
-  metrics_.histogram("ledger.transit_steps");
-  metrics_.histogram("ledger.digest_steps");
-  metrics_.histogram("ledger.cut_steps");
-  metrics_.histogram("ledger.sweep_wait_steps");
-  metrics_.histogram("ledger.critical_hops");
+  for (const char* name :
+       {"ledger.e2e_steps", "ledger.detect_steps", "ledger.wait_steps",
+        "ledger.transit_steps", "ledger.digest_steps", "ledger.cut_steps",
+        "ledger.sweep_wait_steps", "ledger.critical_hops"}) {
+    static_cast<void>(metrics_.histogram(name));
+  }
 }
 
 std::uint64_t Ledger::clock(std::uint64_t fallback) const noexcept {

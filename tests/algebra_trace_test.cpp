@@ -1,5 +1,5 @@
 // Wire-level verification of the paper's worked algebra traces (§3.3,
-// §3.4): a network tap records every CDM in flight and the tests assert
+// §3.4): a network observer records every CDM in flight and the tests assert
 // the algebra's evolution hop by hop.
 #include <gtest/gtest.h>
 
@@ -21,25 +21,31 @@ struct Hop {
   Cdm cdm;
 };
 
-std::vector<Hop> tap_detection(Cluster& cluster, ProcessId at,
-                               ObjectId candidate) {
+/// Records every CDM as it is delivered, before the receiving handler
+/// runs.  Declared before the Cluster it observes, so it outlives it.
+struct CdmTap final : net::Network::Observer {
   std::vector<Hop> hops;
-  cluster.network().set_tap([&hops](const net::Envelope& env) {
+  void on_deliver(const net::Envelope& env) override {
     if (const auto* m = dynamic_cast<const CdmMsg*>(env.msg)) {
       hops.push_back(Hop{env.src, env.dst, m->entry, m->via, m->cdm});
     }
-  });
+  }
+};
+
+std::vector<Hop> tap_detection(Cluster& cluster, CdmTap& tap, ProcessId at,
+                               ObjectId candidate) {
+  cluster.network().add_observer(&tap);
   cluster.snapshot_all();
   EXPECT_TRUE(cluster.detect(at, candidate).has_value());
   cluster.run_until_quiescent();
-  cluster.network().set_tap(nullptr);
-  return hops;
+  return tap.hops;
 }
 
 TEST(AlgebraTrace, Figure2HopSequenceMatchesThePaper) {
+  CdmTap tap;
   Cluster cluster;
   const auto f = workload::build_figure2(cluster);
-  const auto hops = tap_detection(cluster, f.p1, f.x);
+  const auto hops = tap_detection(cluster, tap, f.p1, f.x);
 
   // §3.3's steps 4/11/17/23: P1 -> P2 -> P4 -> P3 -> P1.
   ASSERT_EQ(hops.size(), 4u);
@@ -65,9 +71,10 @@ TEST(AlgebraTrace, Figure2HopSequenceMatchesThePaper) {
 }
 
 TEST(AlgebraTrace, Figure2AlgebraEvolvesLikeThePaper) {
+  CdmTap tap;
   Cluster cluster;
   const auto f = workload::build_figure2(cluster);
-  const auto hops = tap_detection(cluster, f.p1, f.x);
+  const auto hops = tap_detection(cluster, tap, f.p1, f.x);
   ASSERT_EQ(hops.size(), 4u);
 
   const Element xp1 = Element::make(Replica{f.x, f.p1});
@@ -110,9 +117,10 @@ TEST(AlgebraTrace, Figure2AlgebraEvolvesLikeThePaper) {
 }
 
 TEST(AlgebraTrace, Figure3ForksAtP2LikeThePaper) {
+  CdmTap tap;
   Cluster cluster;
   const auto f = workload::build_figure3(cluster);
-  const auto hops = tap_detection(cluster, f.p1, f.c);
+  const auto hops = tap_detection(cluster, tap, f.p1, f.c);
 
   // §3.4 steps 6/7: two CDMs leave P2 in the same step — one toward E@P3,
   // one toward I@P5 — carrying the same algebra.
@@ -144,9 +152,10 @@ TEST(AlgebraTrace, Figure3TrackBResolvesItsReplicaDependencyInline) {
   // snapshot, so the CDM leaving P5 toward I'@P4 already carries F''_P5
   // both as a dependency and as a visited target — track b does not have
   // to die on it.
+  CdmTap tap;
   Cluster cluster;
   const auto f = workload::build_figure3(cluster);
-  const auto hops = tap_detection(cluster, f.p1, f.c);
+  const auto hops = tap_detection(cluster, tap, f.p1, f.c);
   const Element f_at_p5 = Element::make(Replica{f.f, f.p5});
   bool dep_recorded = false;
   for (const Hop& hop : hops) {

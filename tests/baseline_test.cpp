@@ -68,13 +68,13 @@ TEST(Baseline, RefusesLiveCandidates) {
 TEST(Baseline, RaceBarrierAlsoProtectsTheBaseline) {
   Cluster cluster{baseline_config()};
   const auto f = workload::build_figure4(cluster);
-  cluster.baseline(f.p2).take_snapshot();
-  cluster.baseline(f.p3).take_snapshot();
-  cluster.baseline(f.p4).take_snapshot();
+  cluster.snapshot(f.p2);
+  cluster.snapshot(f.p3);
+  cluster.snapshot(f.p4);
   cluster.propagate(f.x, f.p1, f.p2);
   cluster.run_until_quiescent();
   cluster.remove_root(f.p1, f.x);
-  cluster.baseline(f.p1).take_snapshot();
+  cluster.snapshot(f.p1);
   cluster.baseline(f.p2).start_detection(f.x);
   cluster.run_until_quiescent();
   EXPECT_TRUE(cluster.cycles_found().empty());

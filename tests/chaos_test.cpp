@@ -4,13 +4,12 @@
 //
 // The FaultChaos suite layers the crash/recovery fault model on top
 // (docs/FAULTS.md): seeded FaultPlans drive kills, restarts-from-snapshot,
-// partitions and heals through the same workload.  The acceptance test
-// always runs; the heavier legs are gated behind RGC_CHAOS_FAULTS=1.
+// partitions and heals through the same workload, the acceptance test and
+// the lossy FaultChaosLegs alike.
 //
-// scripts/check.sh re-runs these with RGC_CHAOS_AUDIT=1 (audit every step),
-// RGC_CHAOS_THREADS=4 and RGC_CHAOS_FAULTS=1 so the online health auditor
-// and the fault layer ride along under both sanitizers; any auditor ERROR
-// fails the run.
+// scripts/check.sh re-runs these with RGC_CHAOS_AUDIT=1 (audit every step)
+// and RGC_CHAOS_THREADS=4 so the online health auditor and the fault layer
+// ride along under both sanitizers; any auditor ERROR fails the run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -168,8 +167,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Fault chaos: crashes, restarts, partitions under full load ----------
 
-bool fault_legs_enabled() { return env_u64("RGC_CHAOS_FAULTS", 0) != 0; }
-
 /// Everything a fault-chaos run observed, comparable across runs of the
 /// same seed for the reproducibility guarantee.
 struct FaultRunOutcome {
@@ -304,15 +301,12 @@ TEST(FaultChaos, AcceptanceRunIsSeedReproducible) {
       << "different seeds produced byte-identical outcomes";
 }
 
-// Heavier gated legs: the fault layer combined with message loss,
-// duplication and jitter.  RGC_CHAOS_FAULTS=1 turns them on (CI runs them
-// under ASan and TSan via scripts/check.sh).
+// The fault layer combined with message loss, duplication and jitter.  Each
+// leg also checks, once its kills, restarts and partition have run, that the
+// termination detector's verdict agrees with the transport.
 class FaultChaosLegs : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(FaultChaosLegs, SafeAndCompleteUnderLossyChaos) {
-  if (!fault_legs_enabled()) {
-    GTEST_SKIP() << "set RGC_CHAOS_FAULTS=1 to run the heavy fault legs";
-  }
   const ChaosCase param = GetParam();
   const auto out =
       run_fault_chaos(param.seed, param.processes, param.drop, param.dup,

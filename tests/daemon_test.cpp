@@ -35,6 +35,59 @@ TEST(Daemon, ReclaimsTheFigure2CycleInTheBackground) {
   EXPECT_GE(daemon.detections_started(), 1u);
 }
 
+TEST(Daemon, BaselineModeReclaimsTheFigure2CycleInTheBackground) {
+  // The daemon's sweep installs the snapshot the configured detector
+  // reads; in baseline mode that is the baseline detector's.
+  ClusterConfig cfg;
+  cfg.mode = DetectorMode::kBaseline;
+  Cluster cluster{cfg};
+  workload::build_figure2(cluster);
+  GcDaemon daemon{cluster};
+  daemon.run(300);
+  EXPECT_EQ(cluster.total_objects(), 0u);
+  EXPECT_GE(daemon.detections_started(), 1u);
+}
+
+TEST(Daemon, RunsTheClusterPhasedCollectAndSnapshot) {
+  Cluster cluster;
+  for (int i = 0; i < 3; ++i) cluster.add_process();
+  workload::MutatorSpec spec;
+  spec.seed = 99;
+  spec.w_collect = 0;  // the daemon is the only collector
+  spec.w_step = 0;     // the daemon drives time
+  workload::RandomMutator mutator{cluster, spec};
+  GcDaemon daemon{cluster};
+  for (int burst = 0; burst < 10; ++burst) {
+    mutator.run(20);
+    daemon.run(20);
+  }
+  ASSERT_GT(daemon.collections(), 0u);
+  ASSERT_GT(daemon.sweeps(), 0u);
+  for (const char* name : {"lgc.mark_us", "lgc.apply_us", "adgc.digest_us",
+                           "cycle.summarize_us", "cycle.install_us"}) {
+    const util::Histogram* h = cluster.profile().find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_GT(h->count(), 0u) << name;
+  }
+}
+
+TEST(Daemon, SweepAfterCollectionReusesTheCachedSummary) {
+  Cluster cluster;
+  const ProcessId p = cluster.add_process();
+  cluster.add_root(p, cluster.new_object(p));
+  cluster.new_object(p);  // garbage for the collection to sweep
+  DaemonConfig cfg;
+  cfg.collect_period = 16;
+  cfg.snapshot_period = 16;
+  cfg.adaptive.enabled = false;
+  GcDaemon daemon{cluster, cfg};
+  daemon.run(16);  // step 16: one collection, then one sweep, no mutation
+  ASSERT_EQ(daemon.collections(), 1u);
+  ASSERT_EQ(daemon.sweeps(), 1u);
+  EXPECT_EQ(cluster.total_objects(), 1u);
+  EXPECT_EQ(cluster.process(p).metrics().get("cycle.summarize_reused"), 1u);
+}
+
 TEST(Daemon, NeverHarmsLiveDataWhileMutatorRuns) {
   Cluster cluster;
   for (int i = 0; i < 4; ++i) cluster.add_process();

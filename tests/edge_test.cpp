@@ -108,7 +108,7 @@ TEST(LgcEdge, KeepDeadStubsWhenConfigured) {
   p1.create_object(ObjectId{2});
   p1.add_ref(ObjectId{1}, ObjectId{2});
   p1.propagate(ObjectId{1}, ProcessId{2});
-  net.run_until_quiescent();
+  while (!net.idle()) net.step();
   p2.remove_ref(ObjectId{1}, ObjectId{2});  // the stub's holder lets go
 
   gc::LgcConfig cfg;

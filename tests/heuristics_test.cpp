@@ -3,6 +3,8 @@
 // tracker — plus run_full_gc under each candidate policy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/cluster.h"
 #include "core/oracle.h"
 #include "gc/cycle/heuristics.h"
@@ -132,10 +134,17 @@ TEST(Distance, PropOnlyReplicasAgeLocally) {
 
 // ---- run_full_gc under each policy ----------------------------------------
 
+// gtest prints a parameter's raw bytes into each test's name, so the
+// bytes between `policy` and `name` are spelled out and zeroed: left as
+// padding they held stack garbage and the names changed from build to
+// build.
 struct PolicyCase {
   CandidatePolicy policy;
+  std::uint32_t zero = 0;
   const char* name;
 };
+static_assert(sizeof(PolicyCase) ==
+              sizeof(CandidatePolicy) + sizeof(std::uint32_t) + sizeof(const char*));
 
 class PolicyDriven : public ::testing::TestWithParam<PolicyCase> {};
 
@@ -164,9 +173,10 @@ TEST_P(PolicyDriven, NeverTouchesLiveData) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, PolicyDriven,
-    ::testing::Values(PolicyCase{CandidatePolicy::kExhaustive, "exhaustive"},
-                      PolicyCase{CandidatePolicy::kDistance, "distance"},
-                      PolicyCase{CandidatePolicy::kSuspicionAge, "suspicion"}),
+    ::testing::Values(
+        PolicyCase{.policy = CandidatePolicy::kExhaustive, .name = "exhaustive"},
+        PolicyCase{.policy = CandidatePolicy::kDistance, .name = "distance"},
+        PolicyCase{.policy = CandidatePolicy::kSuspicionAge, .name = "suspicion"}),
     [](const ::testing::TestParamInfo<PolicyCase>& info) {
       return info.param.name;
     });

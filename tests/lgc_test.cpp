@@ -27,7 +27,9 @@ struct LgcFixture : ::testing::Test {
     }
   }
 
-  void quiesce() { net.run_until_quiescent(); }
+  void quiesce() {
+    while (!net.idle()) net.step();
+  }
 };
 
 TEST_F(LgcFixture, RootedObjectsSurvive) {

@@ -29,6 +29,11 @@ std::unique_ptr<TestMsg> make(int value, bool reliable = false) {
   return m;
 }
 
+/// Steps until nothing is in flight.
+void drain(Network& net) {
+  while (!net.idle()) net.step();
+}
+
 struct Recorder {
   std::vector<int> values;
   std::vector<std::uint64_t> seqs;
@@ -71,7 +76,7 @@ TEST(Network, SeqNumbersArePerLinkAndMonotonic) {
   EXPECT_EQ(net.send(a, b, make(1)), 1u);
   EXPECT_EQ(net.send(a, b, make(2)), 2u);
   EXPECT_EQ(net.send(a, c, make(3)), 1u);  // independent link counter
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(rb.seqs, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(rc.seqs, (std::vector<std::uint64_t>{1}));
 }
@@ -98,21 +103,9 @@ TEST(Network, HandlerSendsAreDeliveredNextStep) {
     if (env.seq == 1) net.send(b, a, make(99));
   });
   net.send(a, b, make(1));
-  net.run_until_quiescent();
+  drain(net);
   ASSERT_EQ(arrival_steps.size(), 2u);
   EXPECT_EQ(arrival_steps[0] + 1, arrival_steps[1]);
-}
-
-TEST(Network, RunUntilQuiescentCountsSteps) {
-  Network net;
-  const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [](const Envelope&) {});
-  net.send(a, b, make(1));
-  EXPECT_FALSE(net.idle());
-  const auto steps = net.run_until_quiescent();
-  EXPECT_EQ(steps, 1u);
-  EXPECT_TRUE(net.idle());
 }
 
 TEST(Network, MetricsCountSentAndDelivered) {
@@ -122,7 +115,7 @@ TEST(Network, MetricsCountSentAndDelivered) {
   net.attach(b, [](const Envelope&) {});
   net.send(a, b, make(1));
   net.send(a, b, make(2));
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(net.metrics().get("net.sent.Test"), 2u);
   EXPECT_EQ(net.metrics().get("net.delivered.Test"), 2u);
   EXPECT_EQ(net.total_sent("Test"), 2u);
@@ -134,7 +127,7 @@ TEST(Network, PerStepSendAccounting) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, [&](const Envelope&) { net.send(b, a, make(7)); });
   net.send(a, b, make(1));  // sent at step 0
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(net.sent_at_step("Test", 0), 1u);
   EXPECT_EQ(net.sent_at_step("Test", 1), 1u);  // the reply
   EXPECT_EQ(net.sent_at_step("Test", 99), 0u);
@@ -150,7 +143,7 @@ TEST(Network, DropInjectionLosesUnreliableMessages) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, [&](const Envelope&) { ++delivered; });
   net.send(a, b, make(1));
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(net.metrics().get("net.dropped"), 1u);
 }
@@ -165,7 +158,7 @@ TEST(Network, ReliableMessagesSurviveDropInjection) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, [&](const Envelope&) { ++delivered; });
   net.send(a, b, make(1, /*reliable=*/true));
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(delivered, 1);
 }
 
@@ -179,7 +172,7 @@ TEST(Network, DuplicateInjectionDeliversTwice) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, [&](const Envelope&) { ++delivered; });
   net.send(a, b, make(1));
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(delivered, 2);
 }
 
@@ -193,7 +186,7 @@ TEST(Network, ReliableNeverDuplicated) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, [&](const Envelope&) { ++delivered; });
   net.send(a, b, make(1, /*reliable=*/true));
-  net.run_until_quiescent();
+  drain(net);
   EXPECT_EQ(delivered, 1);
 }
 
@@ -208,7 +201,7 @@ TEST(Network, ReliableFifoUnderJitter) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, std::ref(rec));
   for (int i = 0; i < 20; ++i) net.send(a, b, make(i, /*reliable=*/true));
-  net.run_until_quiescent();
+  drain(net);
   ASSERT_EQ(rec.values.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(rec.values[i], i);
 }
@@ -224,7 +217,7 @@ TEST(Network, JitterCanReorderUnreliableMessages) {
   net.attach(a, [](const Envelope&) {});
   net.attach(b, std::ref(rec));
   for (int i = 0; i < 30; ++i) net.send(a, b, make(i));
-  net.run_until_quiescent();
+  drain(net);
   ASSERT_EQ(rec.values.size(), 30u);
   bool reordered = false;
   for (std::size_t i = 1; i < rec.values.size(); ++i) {
@@ -253,7 +246,7 @@ TEST(Network, DeterministicAcrossRunsWithSameSeed) {
     net.attach(a, [](const Envelope&) {});
     net.attach(b, std::ref(rec));
     for (int i = 0; i < 25; ++i) net.send(a, b, make(i));
-    net.run_until_quiescent();
+    drain(net);
     return rec.values;
   };
   EXPECT_EQ(run(99), run(99));

@@ -25,9 +25,9 @@ TEST_F(RaceFixture, PaperTimelineAbortsDetection) {
   // then updates X (P1 -> P2), bumping the prop link's UC; P1 finally
   // snapshots (S1).  The CDM pairing outProp(X)@S1 with inProp(X)@S2 sees
   // α+1 vs α and must abort.
-  cluster.detector(f.p2).take_snapshot();  // S2
-  cluster.detector(f.p3).take_snapshot();  // S3
-  cluster.detector(f.p4).take_snapshot();  // S4
+  cluster.snapshot(f.p2);  // S2
+  cluster.snapshot(f.p3);  // S3
+  cluster.snapshot(f.p4);  // S4
 
   // "...the coherence engine issues an update" along the X prop link, and
   // a remote invocation creates-then-drops a transient root; afterwards
@@ -39,7 +39,7 @@ TEST_F(RaceFixture, PaperTimelineAbortsDetection) {
   cluster.step();                  // the invocation's pins expire
   cluster.step();
   cluster.remove_root(f.p1, f.x);
-  cluster.detector(f.p1).take_snapshot();  // S1 — newest view
+  cluster.snapshot(f.p1);  // S1 — newest view
 
   // Detection starts at P2 (the timeline's origin).
   ASSERT_TRUE(cluster.detector(f.p2).start_detection(f.x).has_value());
@@ -56,19 +56,19 @@ TEST_F(RaceFixture, PaperTimelineAbortsDetection) {
 
 TEST_F(RaceFixture, InvocationAloneTripsTheBarrier) {
   // Only an invocation (IC bump) divides the snapshots.
-  cluster.detector(f.p2).take_snapshot();
-  cluster.detector(f.p4).take_snapshot();
-  cluster.detector(f.p3).take_snapshot();
+  cluster.snapshot(f.p2);
+  cluster.snapshot(f.p4);
+  cluster.snapshot(f.p3);
 
   cluster.invoke(f.p2, f.y);  // bumps stub IC at P2 / scion IC at P4
   cluster.run_until_quiescent();
   for (int i = 0; i < 4; ++i) cluster.step();  // pins expire
   cluster.remove_root(f.p1, f.x);
-  cluster.detector(f.p1).take_snapshot();
+  cluster.snapshot(f.p1);
 
   // P2's snapshot predates the invocation, P4's too... retake P4's so the
   // two ends of the invoked link disagree (stub old, scion new).
-  cluster.detector(f.p4).take_snapshot();
+  cluster.snapshot(f.p4);
 
   ASSERT_TRUE(cluster.detector(f.p2).start_detection(f.x).has_value());
   cluster.run_until_quiescent();
@@ -104,7 +104,7 @@ TEST_F(RaceFixture, DetectionAgainstSnapshotOlderThanTheGraphIsDropped) {
   const ObjectId b = young.new_object(q2);
   young.add_root(q1, a);
   young.add_root(q2, b);
-  young.detector(q2).take_snapshot();  // too early: b has no scion yet
+  young.snapshot(q2);  // too early: b has no scion yet
 
   young.propagate(a, q1, q2);
   young.run_until_quiescent();
@@ -114,7 +114,7 @@ TEST_F(RaceFixture, DetectionAgainstSnapshotOlderThanTheGraphIsDropped) {
   young.remove_root(q2, b);
   workload::settle(young);
 
-  young.detector(q1).take_snapshot();  // q1 is current, q2 is stale
+  young.snapshot(q1);  // q1 is current, q2 is stale
   ASSERT_TRUE(young.detector(q1).start_detection(a).has_value());
   young.run_until_quiescent();
   EXPECT_TRUE(young.cycles_found().empty());
@@ -126,13 +126,13 @@ TEST_F(RaceFixture, DetectionAgainstSnapshotOlderThanTheGraphIsDropped) {
 TEST_F(RaceFixture, RetryAfterAbortSucceedsOnceQuiet) {
   // An aborted detection is merely wasted work: fresh snapshots later
   // find the (by then genuinely dead) cycle.
-  cluster.detector(f.p2).take_snapshot();
-  cluster.detector(f.p3).take_snapshot();
-  cluster.detector(f.p4).take_snapshot();
+  cluster.snapshot(f.p2);
+  cluster.snapshot(f.p3);
+  cluster.snapshot(f.p4);
   cluster.propagate(f.x, f.p1, f.p2);
   cluster.run_until_quiescent();
   cluster.remove_root(f.p1, f.x);
-  cluster.detector(f.p1).take_snapshot();
+  cluster.snapshot(f.p1);
   cluster.detector(f.p2).start_detection(f.x);
   cluster.run_until_quiescent();
   ASSERT_TRUE(cluster.cycles_found().empty());
