@@ -48,7 +48,12 @@ class RunRecord {
     return raw(key, value ? "true" : "false");
   }
   RunRecord& field(const std::string& key, const std::string& value) {
-    return raw(key, "\"" + util::json_escape(value) + "\"");
+    // Appended, not `"\"" + ...`: that form trips GCC 12's -Wrestrict false
+    // positive in optimized builds.
+    std::string quoted(1, '"');
+    quoted += util::json_escape(value);
+    quoted += '"';
+    return raw(key, quoted);
   }
   RunRecord& field(const std::string& key, const char* value) {
     return field(key, std::string(value));

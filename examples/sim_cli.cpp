@@ -6,10 +6,10 @@
 //
 // Builds the §5.2 triangle-mesh ring, runs one cycle detection (ours,
 // baseline, or both), prints steps/CDM totals, and optionally a full
-// cluster state report.  With --trace-out / --trace-jsonl the run records
-// its full event timeline (spans, CDM lineage, counters — see
-// docs/OBSERVABILITY.md); with --mode both the files hold the *last* run
-// (the timeline is cleared between runs so lineage ids stay unambiguous).
+// cluster state report.  With --trace-out / --trace-jsonl the run writes
+// the timeline view of its flight recording (CDM lineage, transport, GC
+// phases, queue depth — see docs/OBSERVABILITY.md); with --mode both the
+// files hold the *last* run.
 #include <unistd.h>
 
 #include <chrono>
@@ -30,7 +30,7 @@
 #include "obs/prom.h"
 #include "obs/recorder.h"
 #include "obs/replay.h"
-#include "util/trace.h"
+#include "obs/timeline.h"
 #include "workload/mesh.h"
 
 using namespace rgc;
@@ -339,12 +339,11 @@ int run_bisect(const Options& opt) {
   return outcome.identical ? 0 : 4;
 }
 
-int run_one(const Options& opt, core::DetectorMode mode, const char* name,
-            util::Timeline* timeline) {
-  if (timeline != nullptr) timeline->clear();
+int run_one(const Options& opt, core::DetectorMode mode, const char* name) {
   core::ClusterConfig cfg;
   cfg.mode = mode;
   cfg.net.seed = opt.seed;
+  cfg.record_capacity = opt.record_capacity;
   if (opt.policy == "distance") {
     cfg.candidates = core::CandidatePolicy::kDistance;
   } else if (opt.policy == "suspicion") {
@@ -446,17 +445,26 @@ int run_one(const Options& opt, core::DetectorMode mode, const char* name,
       }
     }
   }
-  if (timeline != nullptr) {
+  if (!opt.trace_out.empty() || !opt.trace_jsonl.empty()) {
+    // The same decode path a post-mortem .rgcrec takes (--record-capacity 0
+    // leaves no recorder and an empty timeline).
+    obs::RecordedRun run;
+    if (const obs::FlightRecorder* rec = cluster.recorder()) {
+      run = obs::FlightRecorder::decode(rec->encode(cluster.recorder_stamp()))
+                .value();
+    }
     if (!opt.trace_out.empty() &&
-        !write_file(opt.trace_out,
-                    [&](std::ostream& os) { timeline->write_chrome_trace(os); },
-                    "Chrome trace")) {
+        !write_file(
+            opt.trace_out,
+            [&](std::ostream& os) { obs::write_timeline_chrome(run, os); },
+            "Chrome trace")) {
       rc = 1;
     }
     if (!opt.trace_jsonl.empty() &&
-        !write_file(opt.trace_jsonl,
-                    [&](std::ostream& os) { timeline->write_jsonl(os); },
-                    "JSONL trace")) {
+        !write_file(
+            opt.trace_jsonl,
+            [&](std::ostream& os) { obs::write_timeline_jsonl(run, os); },
+            "JSONL trace")) {
       rc = 1;
     }
   }
@@ -519,21 +527,15 @@ int main(int argc, char** argv) {
   if (!opt.replay_in.empty()) return run_replay(opt);
   if (!opt.bisect_files.empty()) return run_bisect(opt);
   if (opt.watch) return run_watch(opt);
-  util::Timeline timeline;
-  const bool tracing = !opt.trace_out.empty() || !opt.trace_jsonl.empty();
-  if (tracing) util::Trace::instance().set_sink(&timeline);
 
   std::printf("mesh: %zu processes, %zu dependencies, %zu extra replicas\n",
               opt.processes, opt.deps, opt.extra_replicas);
   int rc = 0;
   if (opt.mode == "ours" || opt.mode == "both") {
-    rc |= run_one(opt, core::DetectorMode::kReplicationAware, "ours",
-                  tracing ? &timeline : nullptr);
+    rc |= run_one(opt, core::DetectorMode::kReplicationAware, "ours");
   }
   if (opt.mode == "baseline" || opt.mode == "both") {
-    rc |= run_one(opt, core::DetectorMode::kBaseline, "baseline",
-                  tracing ? &timeline : nullptr);
+    rc |= run_one(opt, core::DetectorMode::kBaseline, "baseline");
   }
-  if (tracing) util::Trace::instance().set_sink(nullptr);
   return rc;
 }

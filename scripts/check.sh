@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus a sanitizer pass.
+# Tier-1 verify plus Release and sanitizer passes.
 #
-#   scripts/check.sh            # plain build + ctest, then ASan/UBSan build + ctest
+#   scripts/check.sh            # plain build + ctest, then Release, ASan/UBSan, ...
 #   scripts/check.sh --fast     # plain build + ctest only
 #
 # The sanitizer pass uses the RGC_SANITIZE CMake option (see top-level
@@ -26,6 +26,11 @@ echo "== plain build + tests =="
 run_tree build "$WERROR"
 
 if [[ "${1:-}" != "--fast" ]]; then
+  # Optimized builds see warnings the default RelWithDebInfo tree does not
+  # (GCC 12's -Wrestrict on inlined string concatenation); keep them out.
+  echo "== Release build + tests =="
+  run_tree build-release -DCMAKE_BUILD_TYPE=Release "$WERROR"
+
   echo "== sanitizer build + tests (address,undefined) =="
   run_tree build-asan -DRGC_SANITIZE=address,undefined "$WERROR"
 

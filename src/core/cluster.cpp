@@ -344,9 +344,9 @@ std::vector<gc::LgcResult> Cluster::collect_nodes(
   // through messages queued on the network (delivered at a later step()),
   // so reordering *read-only* work across processes cannot change any
   // outcome.  The phases that mutate a process, share the finalizer, emit
-  // log/trace output, or send messages run serially in pid order — which
-  // makes results, metrics, traffic, and traces identical for any thread
-  // count.
+  // log output or recorder events, or send messages run serially in pid
+  // order — which makes results, metrics, traffic, and recordings identical
+  // for any thread count.
   const std::size_t n = nodes.size();
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
@@ -443,7 +443,6 @@ void Cluster::update_dirty_gauge() {
 void Cluster::snapshot(ProcessId id) { snapshot_nodes({&live_node(id)}); }
 
 void Cluster::snapshot_all() {
-  TRACE_SPAN("cluster.snapshot_all");
   const std::vector<Node*> nodes = live_nodes();
   snapshot_nodes(nodes);
   if (recorder_) recorder_->phase(obs::kPhaseSnapshotAll, nodes.size());
@@ -451,20 +450,16 @@ void Cluster::snapshot_all() {
 
 void Cluster::snapshot_nodes(const std::vector<Node*>& nodes) {
   // Summarize concurrently (read-only per process, dirty-epoch reuse for
-  // quiescent ones), install copies serially so detector bookkeeping,
-  // metrics, and trace spans land in pid order.
+  // quiescent ones), install copies serially so detector bookkeeping and
+  // metrics land in pid order.
   summarize_all(nodes, &profile_.histogram("cycle.summarize_us"));
   util::ScopedTimerUs install_timer{&profile_.histogram("cycle.install_us")};
   for (Node* node : nodes) {
     const ProcessId pid = node->process->id();
     util::ScopedProcess ctx{pid};
-    {
-      TRACE_SPAN("cycle.snapshot", pid);
-      node->detector->install_snapshot(node->summary_cache);
-    }
+    node->detector->install_snapshot(node->summary_cache);
     if (config_.mode == DetectorMode::kBaseline) {
       // The baseline detector keeps its own copy of the same snapshot.
-      TRACE_SPAN("baseline.snapshot", pid);
       node->baseline->install_snapshot(node->summary_cache);
     }
   }
@@ -497,23 +492,17 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
              metric_total("gc.lease_expirations");
     };
     std::uint64_t reclaimed_this_round = 0;
-    {
-      util::SpanGuard acyclic{"gc.acyclic_phase"};
-      for (std::size_t inner = 0; inner < 4 * nodes_.size() + 8; ++inner) {
-        const std::uint64_t signal_before = unlock_signal();
-        const std::uint64_t reclaimed = collect_all();
-        run_until_quiescent();
-        reclaimed_this_round += reclaimed;
-        if (reclaimed == 0 && unlock_signal() == signal_before) break;
-      }
-      acyclic.arg("round", stats.rounds);
-      acyclic.arg("reclaimed", reclaimed_this_round);
+    for (std::size_t inner = 0; inner < 4 * nodes_.size() + 8; ++inner) {
+      const std::uint64_t signal_before = unlock_signal();
+      const std::uint64_t reclaimed = collect_all();
+      run_until_quiescent();
+      reclaimed_this_round += reclaimed;
+      if (reclaimed == 0 && unlock_signal() == signal_before) break;
     }
     stats.reclaimed_objects += reclaimed_this_round;
 
     // Cyclic phase: fresh snapshots, then one detection per suspect under
     // the configured candidate policy.
-    util::SpanGuard cyclic{"gc.cyclic_phase"};
     snapshot_all();
     std::uint64_t started = 0;
     for (auto& [pid, node] : nodes_) {
@@ -528,8 +517,6 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     }
     stats.detections_started += started;
     run_until_quiescent();
-    cyclic.arg("round", stats.rounds);
-    cyclic.arg("detections", started);
 
     const std::uint64_t new_cycles = cycles_found_.size() - cycles_before;
     stats.cycles_found += new_cycles;
@@ -612,12 +599,6 @@ void Cluster::dispatch(ProcessId pid, const net::Envelope& env) {
     // (Cluster::restart sends Recover first), so the reset cannot race it.
     RGC_DEBUG("cluster: ", to_string(pid), " sees ", to_string(env.src),
               " recovering (incarnation ", p->incarnation, ")");
-    auto& trace = util::Trace::instance();
-    if (trace.enabled()) {
-      trace.instant("rm.recover", pid, 0, false,
-                    {util::TraceArg::num("from", raw(env.src)),
-                     util::TraceArg::num("incarnation", p->incarnation)});
-    }
     node.process->newsetstubs_epochs()[env.src] = 0;
     node.process->metrics().add("rm.recover_received");
     send_reconciliation(*node.process, env.src);
@@ -889,6 +870,11 @@ void Cluster::send_reconciliation(rm::Process& from, ProcessId peer) {
 
 void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {
   cycles_found_.push_back(cdm);
+  // Before the Cut send, which the timeline parents on this verdict.
+  if (recorder_) {
+    recorder_->detection(obs::RecKind::kVerdict, at, cdm.detection_id,
+                         cdm.candidate.object);
+  }
   if (ledger_ != nullptr) {
     // The verdict fires on the serial dispatch (or detect) path, so the
     // ledger hook is deterministic.  Before sending the Cut, so zero-hop

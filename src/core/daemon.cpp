@@ -11,19 +11,8 @@ GcDaemon::GcDaemon(Cluster& cluster, DaemonConfig config)
     : cluster_(cluster), config_(config) {
   if (config_.collect_period == 0) config_.collect_period = 1;
   if (config_.snapshot_period == 0) config_.snapshot_period = 1;
-  // Derive the deferral ceilings from the fixed periods when unset, and
-  // never let a ceiling fall below its floor.
-  auto& ad = config_.adaptive;
-  if (ad.collect_max_deferred == 0) {
-    ad.collect_max_deferred = 4 * config_.collect_period;
-  }
-  ad.collect_max_deferred =
-      std::max(ad.collect_max_deferred, config_.collect_period);
-  if (ad.sweep_max_deferred == 0) {
-    ad.sweep_max_deferred = 8 * config_.snapshot_period;
-  }
-  ad.sweep_max_deferred =
-      std::max(ad.sweep_max_deferred, config_.snapshot_period);
+  collect_max_deferred_ = kCollectCeiling * config_.collect_period;
+  sweep_max_deferred_ = kSweepCeiling * config_.snapshot_period;
   util::Metrics& registry = cluster_.network().metrics();
   collections_ctr_ = registry.counter("daemon.collections");
   sweeps_ctr_ = registry.counter("daemon.sweeps");
@@ -46,7 +35,6 @@ void GcDaemon::step() {
 }
 
 std::uint64_t GcDaemon::sweep(ProcessId pid) {
-  util::SpanGuard sweep{"daemon.sweep", pid};
   util::ScopedProcess ctx{pid};
   // The same cadence that snapshots for detection persists the process
   // image (§3.5.1 "periodically … stores a snapshot on disk") — what a
@@ -85,15 +73,14 @@ std::uint64_t GcDaemon::sweep(ProcessId pid) {
   }
   detections_ += started;
   detections_ctr_.inc(started);
-  sweep.arg("detections", started);
   return started;
 }
 
 void GcDaemon::step_fixed(std::uint64_t now) {
   for (ProcessId pid : cluster_.process_ids()) {
-    const std::uint64_t phase = now + raw(pid) * config_.stagger;
+    // Staggered by id, so processes never line up cluster-wide.
+    const std::uint64_t phase = now + raw(pid);
     if (phase % config_.collect_period == 0) {
-      TRACE_SPAN("daemon.collect", pid);
       cluster_.collect(pid);
       ++collections_;
       collections_ctr_.inc();
@@ -109,9 +96,9 @@ GcDaemon::Lane& GcDaemon::lane(ProcessId pid, std::uint64_t now) {
     // Stagger first due-points by id, like the fixed schedule, so lanes
     // never line up cluster-wide.
     ln.collect_backoff = config_.collect_period;
-    ln.collect_due = now + (raw(pid) * config_.stagger) % config_.collect_period;
+    ln.collect_due = now + raw(pid) % config_.collect_period;
     ln.sweep_backoff = config_.snapshot_period;
-    ln.sweep_due = now + (raw(pid) * config_.stagger) % config_.snapshot_period;
+    ln.sweep_due = now + raw(pid) % config_.snapshot_period;
     ln.last_sweep_at = now;
   }
   return ln;
@@ -148,7 +135,7 @@ void GcDaemon::step_adaptive(std::uint64_t now) {
     if (now >= ln.collect_due) {
       const std::uint64_t epoch = cluster_.process(pid).mutation_epoch();
       const bool untouched = ln.has_collected && epoch == ln.last_collect_epoch;
-      const bool at_max = ln.collect_backoff >= ad.collect_max_deferred;
+      const bool at_max = ln.collect_backoff >= collect_max_deferred_;
       if (untouched && !at_max) {
         // Untouched since the last collection — it cannot have produced
         // new local garbage.  Defer, but never past the ceiling: the
@@ -157,9 +144,8 @@ void GcDaemon::step_adaptive(std::uint64_t now) {
         // so a lane at max backoff always collects when due.
         skipped_collections_.inc();
         ln.collect_backoff =
-            std::min(ln.collect_backoff * 2, ad.collect_max_deferred);
+            std::min(ln.collect_backoff * 2, collect_max_deferred_);
       } else {
-        TRACE_SPAN("daemon.collect", pid);
         cluster_.collect(pid);
         ++collections_;
         collections_ctr_.inc();
@@ -169,7 +155,7 @@ void GcDaemon::step_adaptive(std::uint64_t now) {
         // Mutations since last time reset the deferral (Pony's
         // productivity rule); a ceiling-forced round on a quiet heap
         // stays amortized at the ceiling.
-        ln.collect_backoff = untouched ? ad.collect_max_deferred : collect_min;
+        ln.collect_backoff = untouched ? collect_max_deferred_ : collect_min;
       }
       ln.collect_due = now + ln.collect_backoff;
     }
@@ -191,13 +177,12 @@ void GcDaemon::step_adaptive(std::uint64_t now) {
       // changed, the snapshot would be byte-identical to the last one.
       // Both defer; neither can defer past the ceiling (a due lane at max
       // backoff always sweeps — the completeness bound).
-      const bool hot = ad.hot_mutation_pct != 0 &&
-                       delta * 100 >= elapsed * ad.hot_mutation_pct;
+      const bool hot = delta * 100 >= elapsed * kHotMutationPct;
       const bool idle = delta == 0;
-      const bool at_max = ln.sweep_backoff >= ad.sweep_max_deferred;
+      const bool at_max = ln.sweep_backoff >= sweep_max_deferred_;
       if (!forced && ln.has_swept && !at_max && (hot || idle)) {
         skipped_sweeps_.inc();
-        ln.sweep_backoff = std::min(ln.sweep_backoff * 2, ad.sweep_max_deferred);
+        ln.sweep_backoff = std::min(ln.sweep_backoff * 2, sweep_max_deferred_);
       } else {
         if (forced && !due) forced_sweeps_.inc();
         const std::size_t cycles_before = cluster_.cycles_found().size();
@@ -213,7 +198,7 @@ void GcDaemon::step_adaptive(std::uint64_t now) {
         ln.sweep_backoff =
             productive ? sweep_min
                        : std::min(std::max(ln.sweep_backoff, sweep_min) * 2,
-                                  ad.sweep_max_deferred);
+                                  sweep_max_deferred_);
       }
       ln.sweep_due = now + ln.sweep_backoff;
     }

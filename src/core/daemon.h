@@ -63,23 +63,13 @@ struct DaemonConfig {
   /// Steps between snapshot + detection sweeps per process (adaptive: the
   /// minimum sweep deferral).
   std::uint64_t snapshot_period{24};
-  /// Offset each process's schedule by id * stagger steps.
-  std::uint64_t stagger{1};
 
-  /// Pony-style adaptive deferred detection (header comment).  All
-  /// deferral bounds of 0 derive from the fixed periods above.
+  /// Pony-style adaptive deferred detection (header comment).  Deferral
+  /// doubles per unproductive due-point, up to kCollectCeiling x
+  /// collect_period for collections and kSweepCeiling x snapshot_period
+  /// for sweeps.
   struct Adaptive {
     bool enabled{true};
-    /// Collection deferral grows 2x per unproductive due-point, bounded
-    /// here (0 -> 4 * collect_period).
-    std::uint64_t collect_max_deferred{0};
-    /// Sweep deferral bound (0 -> 8 * snapshot_period).
-    std::uint64_t sweep_max_deferred{0};
-    /// A process is "hot" when its mutation-epoch delta per elapsed step,
-    /// in percent, reaches this (100 = one mutation per step).  Hot lanes
-    /// defer sweeps — their summaries would be dirty again immediately.
-    /// 0 disables the hot signal.
-    std::uint32_t hot_mutation_pct{50};
     /// Max detections started per sweep, oldest suspects first (0 = no
     /// budget — every due suspect, the pre-adaptive behavior).
     std::size_t detect_budget{8};
@@ -92,6 +82,14 @@ struct DaemonConfig {
 
 class GcDaemon {
  public:
+  /// Deferral ceilings, as multiples of the fixed periods.
+  static constexpr std::uint64_t kCollectCeiling = 4;
+  static constexpr std::uint64_t kSweepCeiling = 8;
+  /// A process is "hot" when its mutation-epoch delta per elapsed step, in
+  /// percent, reaches this (100 = one mutation per step).  Hot lanes defer
+  /// sweeps — their summaries would be dirty again immediately.
+  static constexpr std::uint64_t kHotMutationPct = 50;
+
   GcDaemon(Cluster& cluster, DaemonConfig config = {});
 
   /// Advances the cluster one step and runs whatever GC work is due.
@@ -137,6 +135,8 @@ class GcDaemon {
 
   Cluster& cluster_;
   DaemonConfig config_;
+  std::uint64_t collect_max_deferred_;
+  std::uint64_t sweep_max_deferred_;
   std::uint64_t collections_{0};
   std::uint64_t sweeps_{0};
   std::uint64_t detections_{0};

@@ -6,7 +6,6 @@
 
 #include "obs/recorder.h"
 #include "util/log.h"
-#include "util/trace.h"
 
 namespace rgc::gc {
 namespace {
@@ -24,10 +23,8 @@ bool locally_anchored(const LgcResult& result, ObjectId obj) {
 void Adgc::after_collection(
     rm::Process& process, const LgcResult& result,
     const std::map<ProcessId, std::map<ObjectId, std::uint32_t>>* distances) {
-  TRACE_SPAN("adgc.after_collection", process.id());
   auto& net = process.network();
   const ProcessId self = process.id();
-  auto& trace = util::Trace::instance();
 
   // ---- NewSetStubs to every peer we may have scions at ------------------
   std::map<ProcessId, std::vector<ObjectId>> per_peer;
@@ -51,16 +48,8 @@ void Adgc::after_collection(
         msg->distances.assign(it->second.begin(), it->second.end());
       }
     }
-    const bool final_set = msg->final_set;
-    const std::size_t anchors = msg->stub_anchors.size();
     net.send(self, peer, std::move(msg));
     process.metrics().add("adgc.newsetstubs_sent");
-    if (trace.enabled()) {
-      trace.instant("adgc.newsetstubs", self, 0, false,
-                    {util::TraceArg::num("peer", raw(peer)),
-                     util::TraceArg::num("anchors", anchors),
-                     util::TraceArg::num("final", final_set ? 1 : 0)});
-    }
   }
   for (ProcessId peer : done_peers) process.stub_peers().erase(peer);
 
@@ -95,11 +84,6 @@ void Adgc::after_collection(
       e.sent_umess = true;
       process.note_mutation();
       process.metrics().add("adgc.unreachable_sent");
-      if (trace.enabled()) {
-        trace.instant("adgc.unreachable", self, 0, false,
-                      {util::TraceArg::str("object", rgc::to_string(obj)),
-                       util::TraceArg::num("parent_proc", raw(e.process))});
-      }
       RGC_DEBUG("adgc: ", to_string(self), " reports ", to_string(obj),
                 " unreachable to ", to_string(e.process));
     }
@@ -117,11 +101,6 @@ void Adgc::after_collection(
         msg->object = obj;
         net.send(self, child, std::move(msg));
         process.metrics().add("adgc.reclaim_sent");
-        if (trace.enabled()) {
-          trace.instant("adgc.reclaim", self, 0, false,
-                        {util::TraceArg::str("object", rgc::to_string(obj)),
-                         util::TraceArg::num("child", raw(child))});
-        }
       }
       auto& outs = process.out_props();
       outs.erase(std::remove_if(outs.begin(), outs.end(),
@@ -158,12 +137,6 @@ void Adgc::on_new_set_stubs(rm::Process& process, const net::Envelope& env,
     if (from_sender && !protected_by_horizon &&
         !anchors.contains(it->first.anchor)) {
       process.metrics().add("adgc.scions_deleted");
-      if (auto& trace = util::Trace::instance(); trace.enabled()) {
-        trace.instant(
-            "adgc.scion_drop", process.id(), 0, false,
-            {util::TraceArg::str("anchor", rgc::to_string(it->first.anchor)),
-             util::TraceArg::num("from", raw(env.src))});
-      }
       RGC_DEBUG("adgc: ", to_string(process.id()), " drops scion for ",
                 to_string(it->first.anchor), " from ", to_string(env.src));
       it = scions.erase(it);
@@ -253,7 +226,6 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
   for (const auto& e : process.out_props()) peers.insert(e.process);
 
   std::uint64_t expired_scions = 0;
-  auto& trace = util::Trace::instance();
   for (const ProcessId peer : peers) {
     if (peer == process.id()) continue;
     const std::uint64_t heard = process.last_heard(peer);
@@ -271,13 +243,6 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
       }
       process.metrics().add("adgc.scions_deleted");
       process.metrics().add("gc.lease_expirations");
-      if (trace.enabled()) {
-        trace.instant(
-            "adgc.scion_drop", process.id(), 0, false,
-            {util::TraceArg::str("anchor", rgc::to_string(it->first.anchor)),
-             util::TraceArg::num("from", raw(peer)),
-             util::TraceArg::num("lease", 1)});
-      }
       RGC_DEBUG("adgc: ", to_string(process.id()), " lease-expires scion for ",
                 to_string(it->first.anchor), " owned by ", to_string(peer));
       it = scions.erase(it);

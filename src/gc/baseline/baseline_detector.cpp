@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/recorder.h"
 #include "util/log.h"
-#include "util/trace.h"
 
 namespace rgc::gc {
 
@@ -46,12 +46,6 @@ std::optional<std::uint64_t> BaselineDetector::start_detection(
       (static_cast<std::uint64_t>(raw(self)) << 32) | ++next_serial_;
   cdm.candidate = Replica{candidate, self};
   cdm.started_step = process_.network().now();
-  if (auto& trace = util::Trace::instance(); trace.enabled()) {
-    cdm.trace_id = trace.instant(
-        "baseline.cdm.start", self, /*parent=*/0, /*with_id=*/true,
-        {util::TraceArg::num("detection", cdm.detection_id),
-         util::TraceArg::str("candidate", to_string(cdm.candidate))});
-  }
   cdm.ref_deps.insert(Element::make(cdm.candidate));
 
   std::vector<Hop> out;
@@ -59,6 +53,10 @@ std::optional<std::uint64_t> BaselineDetector::start_detection(
     return std::nullopt;
   }
   process_.metrics().add("baseline.detections_started");
+  if (obs::FlightRecorder* rec = process_.recorder()) {
+    rec->detection(obs::RecKind::kDetectStart, self, cdm.detection_id,
+                   candidate);
+  }
   conclude(cdm, std::move(out));
   return cdm.detection_id;
 }
@@ -76,12 +74,6 @@ void BaselineDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
   }
   Cdm cdm = msg.cdm;
   ++cdm.hops;
-  if (auto& trace = util::Trace::instance(); trace.enabled()) {
-    cdm.trace_id = trace.instant(
-        "baseline.cdm.recv", process_.id(), msg.cdm.trace_id, /*with_id=*/true,
-        {util::TraceArg::num("detection", cdm.detection_id),
-         util::TraceArg::str("entry", rgc::to_string(msg.entry))});
-  }
   std::vector<Hop> out;
   const Visit v = examine(cdm, msg.entry, /*as_start=*/false, out);
   if (v != Visit::kOk) {
@@ -211,17 +203,9 @@ BaselineDetector::Visit BaselineDetector::examine(Cdm& cdm, ObjectId obj,
 
 void BaselineDetector::conclude(Cdm& cdm, std::vector<Hop> out) {
   const ProcessId self = process_.id();
-  auto& trace = util::Trace::instance();
   if (cdm.flat_complete()) {
     process_.metrics().add("baseline.cycles_found");
     process_.metrics().histogram("baseline.cdm.hops").record(cdm.hops);
-    if (trace.enabled()) {
-      trace.instant("baseline.cycle.detected", self, cdm.trace_id,
-                    /*with_id=*/true,
-                    {util::TraceArg::num("detection", cdm.detection_id),
-                     util::TraceArg::str("candidate", to_string(cdm.candidate)),
-                     util::TraceArg::num("hops", cdm.hops)});
-    }
     RGC_INFO("baseline: ", to_string(self), " proved garbage cycle headed by ",
              to_string(cdm.candidate));
     if (on_cycle_found) on_cycle_found(cdm);
@@ -239,13 +223,6 @@ void BaselineDetector::conclude(Cdm& cdm, std::vector<Hop> out) {
     msg->cdm = cdm;
     msg->entry = hop.entry;
     msg->via = EntryVia::kRef;
-    if (trace.enabled()) {
-      msg->cdm.trace_id = trace.instant(
-          "baseline.cdm.send", self, cdm.trace_id, /*with_id=*/true,
-          {util::TraceArg::num("detection", cdm.detection_id),
-           util::TraceArg::str("to", rgc::to_string(hop.entry)),
-           util::TraceArg::num("dst", raw(hop.to))});
-    }
     process_.network().send(self, hop.to, std::move(msg));
     process_.metrics().add("baseline.cdms_sent");
     sent = true;

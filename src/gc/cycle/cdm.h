@@ -67,11 +67,6 @@ struct Cdm {
   /// The suspect the detection started from.
   Replica candidate;
 
-  /// Causal lineage (observability, not protocol state): the trace-event
-  /// id of the latest event on this track.  Every CDM event records its
-  /// predecessor as parent, so a detection replays as a cross-process
-  /// message tree.  0 while tracing is disabled.
-  std::uint64_t trace_id{0};
   /// Deliveries this track has accumulated (the cdm.hops histogram).
   std::uint64_t hops{0};
   /// Simulation step the detection started at (cycle.steps_to_detection).

@@ -4,20 +4,10 @@
 #include <stdexcept>
 
 #include "obs/ledger.h"
+#include "obs/recorder.h"
 #include "util/log.h"
-#include "util/trace.h"
 
 namespace rgc::gc {
-namespace {
-
-std::vector<util::TraceArg> cdm_args(const Cdm& cdm) {
-  return {util::TraceArg::num("detection", cdm.detection_id),
-          util::TraceArg::str("candidate", to_string(cdm.candidate)),
-          util::TraceArg::num("targets", cdm.targets.size()),
-          util::TraceArg::num("hops", cdm.hops)};
-}
-
-}  // namespace
 
 CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config)
     : process_(process), config_(config) {
@@ -85,11 +75,6 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
   cdm.detection_id = (static_cast<std::uint64_t>(raw(self)) << 32) | ++next_serial_;
   cdm.candidate = Replica{candidate, self};
   cdm.started_step = process_.network().now();
-  // Lineage root: every later event of this detection chains back here.
-  if (auto& trace = util::Trace::instance(); trace.enabled()) {
-    cdm.trace_id = trace.instant("cdm.start", self, /*parent=*/0,
-                                 /*with_id=*/true, cdm_args(cdm));
-  }
   // The candidate seeds the reference-dependency set (the paper's Alg0:
   // {{}, {X_P1}} -> {}); it enters the target set only when the detection
   // returns to it, which is what closes the loop.
@@ -98,10 +83,15 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
   std::vector<rm::StubKey> remote_out;
   const Visit v = examine(cdm, candidate, /*as_start=*/true, remote_out);
   if (v != Visit::kOk) {
-    record_abort(v, cdm.trace_id);
+    record_abort(v);
     return std::nullopt;
   }
   counters_.detections_started.inc();
+  // Lineage root: every later event of this detection chains back here.
+  if (obs::FlightRecorder* rec = process_.recorder()) {
+    rec->detection(obs::RecKind::kDetectStart, self, cdm.detection_id,
+                   candidate);
+  }
   conclude(cdm, remote_out);
   return cdm.detection_id;
 }
@@ -109,24 +99,15 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
 void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
   const util::ScopedTimerUs profile{profile_us_};
   counters_.cdms_received.inc();
-  auto& trace = util::Trace::instance();
   if (!summary_.has_value()) {
     // Safety rule 1 (§3.5.2): our snapshot is not current enough to pair
     // with the sender's — ignore the CDM.
     counters_.drops_no_snapshot.inc();
-    if (trace.enabled()) {
-      trace.instant("cdm.drop", process_.id(), msg.cdm.trace_id, false,
-                    {util::TraceArg::str("reason", "no_snapshot")});
-    }
     return;
   }
   (void)env;
   if (subsumed(msg.cdm.detection_id, msg.entry, msg.cdm.targets)) {
     counters_.drops_subsumed.inc();
-    if (trace.enabled()) {
-      trace.instant("cdm.drop", process_.id(), msg.cdm.trace_id, false,
-                    {util::TraceArg::str("reason", "subsumed")});
-    }
     return;
   }
   RGC_DEBUG("cycle: ", to_string(process_.id()), " <- CDM",
@@ -136,18 +117,10 @@ void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
             msg.cdm.to_string());
   Cdm cdm = msg.cdm;
   ++cdm.hops;
-  if (trace.enabled()) {
-    auto args = cdm_args(cdm);
-    args.push_back(util::TraceArg::str("entry", to_string(msg.entry)));
-    args.push_back(util::TraceArg::str(
-        "via", msg.via == EntryVia::kProp ? "prop" : "ref"));
-    cdm.trace_id = trace.instant("cdm.recv", process_.id(), msg.cdm.trace_id,
-                                 /*with_id=*/true, std::move(args));
-  }
   std::vector<rm::StubKey> remote_out;
   const Visit v = examine(cdm, msg.entry, /*as_start=*/false, remote_out);
   if (v != Visit::kOk) {
-    record_abort(v, cdm.trace_id);
+    record_abort(v);
     return;
   }
   conclude(cdm, remote_out);
@@ -318,11 +291,6 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
     viable.push_back(next);
   }
   if (viable.size() == 1) {
-    if (auto& trace = util::Trace::instance(); trace.enabled()) {
-      trace.instant("cdm.merge", self, cdm.trace_id, false,
-                    {util::TraceArg::str(
-                        "into", to_string(Replica{viable.front(), self}))});
-    }
     const Visit v = examine(cdm, viable.front(), /*as_start=*/false, remote_out);
     if (v != Visit::kOk && v != Visit::kUnknownEntity) return v;
   } else {
@@ -332,14 +300,9 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
       Cdm branch = cdm;
       std::vector<rm::StubKey> branch_out;
       counters_.local_forks.inc();
-      if (auto& trace = util::Trace::instance(); trace.enabled()) {
-        branch.trace_id = trace.instant(
-            "cdm.fork", self, cdm.trace_id, /*with_id=*/true,
-            {util::TraceArg::str("branch", to_string(Replica{next, self}))});
-      }
       const Visit v = examine(branch, next, /*as_start=*/false, branch_out);
       if (v == Visit::kAbortRace) {
-        record_abort(v, branch.trace_id);
+        record_abort(v);
         continue;  // this branch dies; its siblings live on
       }
       if (v == Visit::kOk) conclude(branch, branch_out);
@@ -394,7 +357,6 @@ CycleDetector::Visit CycleDetector::examine_stub(
 
 void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out) {
   const ProcessId self = process_.id();
-  auto& trace = util::Trace::instance();
 
   if (cdm.cycle_complete()) {
     counters_.cycles_found.inc();
@@ -403,14 +365,6 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
         now >= cdm.started_step ? now - cdm.started_step : 0;
     steps_hist_->record(steps);
     hops_hist_->record(cdm.hops);
-    if (trace.enabled()) {
-      // The verdict names the closing CDM: its parent is the lineage id of
-      // the last CDM event on the completing track.
-      auto args = cdm_args(cdm);
-      args.push_back(util::TraceArg::num("steps", steps));
-      trace.instant("cycle.detected", self, cdm.trace_id, /*with_id=*/true,
-                    std::move(args));
-    }
     RGC_INFO("cycle: ", to_string(self), " proved garbage cycle headed by ",
              to_string(cdm.candidate), " :: ", cdm.to_string());
     if (on_cycle_found) on_cycle_found(cdm);
@@ -441,12 +395,6 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     msg->entry = dest.object;
     msg->via = EntryVia::kProp;
     msg->forwarded = true;
-    if (trace.enabled()) {
-      msg->cdm.trace_id = trace.instant(
-          "cdm.forward", self, cdm.trace_id, /*with_id=*/true,
-          {util::TraceArg::num("detection", cdm.detection_id),
-           util::TraceArg::str("to", to_string(dest))});
-    }
     process_.network().send(self, dest.process, std::move(msg));
     counters_.cdms_sent.inc();
     counters_.forwards.inc();
@@ -468,12 +416,6 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
       msg->cdm = cdm;
       msg->entry = target.object;
       msg->via = EntryVia::kRef;
-      if (trace.enabled()) {
-        msg->cdm.trace_id = trace.instant(
-            "cdm.send", self, cdm.trace_id, /*with_id=*/true,
-            {util::TraceArg::num("detection", cdm.detection_id),
-             util::TraceArg::str("to", to_string(target))});
-      }
       process_.network().send(self, target.process, std::move(msg));
       counters_.cdms_sent.inc();
     }
@@ -512,11 +454,6 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
 
   counters_.tracks_ended.inc();
   hops_hist_->record(cdm.hops);
-  if (trace.enabled()) {
-    trace.instant("cdm.track_end", self, cdm.trace_id, false,
-                  {util::TraceArg::num("detection", cdm.detection_id),
-                   util::TraceArg::num("unresolved", cdm.unresolved().size())});
-  }
   RGC_DEBUG("cycle: ", to_string(self), " track ended for ",
             to_string(cdm.candidate), ", unresolved ",
             util::detail::concat([&] {
@@ -562,11 +499,6 @@ CutMsg CycleDetector::make_cut(const Cdm& cdm) {
 
 void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
   (void)env;
-  if (auto& trace = util::Trace::instance(); trace.enabled()) {
-    trace.instant("cycle.cut", process_.id(), 0, false,
-                  {util::TraceArg::num("detection", msg.detection_id),
-                   util::TraceArg::str("candidate", rgc::to_string(msg.candidate))});
-  }
   std::uint64_t scions_cut = 0;
   std::uint64_t props_cut = 0;
   std::uint64_t stale = 0;
@@ -629,27 +561,19 @@ void CycleDetector::on_prop_cut(const net::Envelope& env, const PropCutMsg& msg)
   process_.metrics().add("cycle.outprops_cut");
 }
 
-void CycleDetector::record_abort(Visit v, std::uint64_t parent) {
-  const char* reason = nullptr;
+void CycleDetector::record_abort(Visit v) {
   switch (v) {
     case Visit::kAbortLive:
       counters_.aborts_live.inc();
-      reason = "live";
       break;
     case Visit::kAbortRace:
       counters_.aborts_race.inc();
-      reason = "race";
       break;
     case Visit::kUnknownEntity:
       counters_.drops_unknown_entity.inc();
-      reason = "unknown_entity";
       break;
     case Visit::kOk:
-      return;
-  }
-  if (auto& trace = util::Trace::instance(); trace.enabled()) {
-    trace.instant("cdm.abort", process_.id(), parent, false,
-                  {util::TraceArg::str("reason", reason)});
+      break;
   }
 }
 

@@ -128,9 +128,8 @@ class CycleDetector {
   /// Post-examination: verdict, flood, forward, or end of track.
   void conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out);
 
-  /// Counts the abort and emits a lineage-terminating trace event chained
-  /// to `parent` (the track's latest CDM event).
-  void record_abort(Visit v, std::uint64_t parent);
+  /// Counts the abort under its reason.
+  void record_abort(Visit v);
 
   /// Per-(detection, entry) subsumption filter: an arriving CDM whose
   /// target set is a subset of one already processed here for the same

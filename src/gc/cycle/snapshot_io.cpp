@@ -1,7 +1,9 @@
 #include "gc/cycle/snapshot_io.h"
 
-#include <cstring>
 #include <fstream>
+#include <string_view>
+
+#include "util/bytes.h"
 
 namespace rgc::gc {
 namespace {
@@ -9,21 +11,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x52474353;  // "RGCS"
 constexpr std::uint32_t kVersion = 3;  // v3: + mutation_epoch after taken_at
 
-// ---- encoding --------------------------------------------------------------
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void put_bool(std::string& out, bool b) { out.push_back(b ? 1 : 0); }
+using util::put_bool;
+using util::put_u32;
+using util::put_u64;
 
 void put_object(std::string& out, ObjectId o) { put_u64(out, raw(o)); }
 void put_process(std::string& out, ProcessId p) { put_u32(out, raw(p)); }
@@ -44,38 +34,8 @@ void put_set(std::string& out, const util::FlatSet<T>& set, Put put) {
   for (const T& x : set) put(out, x);
 }
 
-// ---- decoding --------------------------------------------------------------
-
-struct Reader {
-  const std::string& bytes;
-  std::size_t at{0};
-  bool ok{true};
-
-  bool need(std::size_t n) {
-    if (!ok || at + n > bytes.size()) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v;
-    std::memcpy(&v, bytes.data() + at, 4);
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v;
-    std::memcpy(&v, bytes.data() + at, 8);
-    at += 8;
-    return v;
-  }
-  bool boolean() {
-    if (!need(1)) return false;
-    return bytes[at++] != 0;
-  }
+/// util::ByteReader plus the id and key shapes both formats share.
+struct Reader : util::ByteReader {
   ObjectId object() { return ObjectId{u64()}; }
   ProcessId process() { return ProcessId{u32()}; }
   rm::ScionKey scion_key() {
@@ -87,18 +47,6 @@ struct Reader {
     const ObjectId o = object();
     const ProcessId p = process();
     return rm::StubKey{o, p};
-  }
-  /// A count field, bounded by what the remaining bytes could possibly
-  /// hold (each element is at least `min_bytes`), so corrupt lengths
-  /// cannot cause pathological allocation.
-  std::uint32_t count(std::size_t min_bytes) {
-    const std::uint32_t n = u32();
-    if (!ok) return 0;
-    if (min_bytes > 0 && n > (bytes.size() - at) / min_bytes) {
-      ok = false;
-      return 0;
-    }
-    return n;
   }
 };
 
@@ -155,7 +103,7 @@ std::string encode_summary(const ProcessSummary& s) {
 }
 
 std::optional<ProcessSummary> decode_summary(const std::string& bytes) {
-  Reader r{bytes};
+  Reader r{{bytes}};
   if (r.u32() != kMagic || r.u32() != kVersion) return std::nullopt;
 
   ProcessSummary s;
@@ -256,15 +204,6 @@ constexpr std::uint32_t kImageVersion = 1;
 constexpr std::size_t kImageHeader = 8;   // magic + version
 constexpr std::size_t kImageTrailer = 8;  // FNV-1a checksum
 
-std::uint64_t fnv1a(const char* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::string to_string(ImageStatus status) {
@@ -352,7 +291,7 @@ std::string encode_image(const rm::ProcessImage& image) {
     put_u64(out, e);
   }
 
-  put_u64(out, fnv1a(out.data(), out.size()));
+  put_u64(out, util::fnv1a(out));
   return out;
 }
 
@@ -360,12 +299,12 @@ ImageStatus validate_image(const std::string& bytes) {
   if (bytes.size() < kImageHeader + kImageTrailer) {
     return ImageStatus::kTruncated;
   }
-  Reader r{bytes};
+  Reader r{{bytes}};
   if (r.u32() != kImageMagic) return ImageStatus::kBadMagic;
   if (r.u32() != kImageVersion) return ImageStatus::kBadVersion;
-  std::uint64_t stored;
-  std::memcpy(&stored, bytes.data() + bytes.size() - kImageTrailer, 8);
-  if (stored != fnv1a(bytes.data(), bytes.size() - kImageTrailer)) {
+  const std::string_view body{bytes.data(), bytes.size() - kImageTrailer};
+  util::ByteReader trailer{std::string_view{bytes}.substr(body.size())};
+  if (trailer.u64() != util::fnv1a(body)) {
     return ImageStatus::kChecksumMismatch;
   }
   return ImageStatus::kOk;
@@ -373,7 +312,7 @@ ImageStatus validate_image(const std::string& bytes) {
 
 std::optional<rm::ProcessImage> decode_image(const std::string& bytes) {
   if (validate_image(bytes) != ImageStatus::kOk) return std::nullopt;
-  Reader r{bytes};
+  Reader r{{bytes}};
   r.u32();  // magic, validated above
   r.u32();  // version
 

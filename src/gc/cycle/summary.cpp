@@ -236,9 +236,9 @@ bool any_word(const std::uint64_t* bits, std::size_t words) {
 
 }  // namespace
 
-// NOTE: no TRACE_SPAN here — summarize() runs on worker threads during the
-// cluster's parallel snapshot phase and the trace sink is a global; the
-// serial install loop (Cluster::snapshot_nodes) records the span instead.
+// summarize() runs on worker threads during the cluster's parallel snapshot
+// phase, so it must not touch shared sinks such as the recorder or the
+// ledger; the serial install loop (Cluster::snapshot_nodes) may.
 ProcessSummary summarize(const rm::Process& process) {
   ProcessSummary s;
   s.process = process.id();

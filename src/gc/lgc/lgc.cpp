@@ -3,7 +3,6 @@
 #include "obs/ledger.h"
 #include "obs/recorder.h"
 #include "util/log.h"
-#include "util/trace.h"
 
 namespace rgc::gc {
 
@@ -117,7 +116,6 @@ LgcMark Lgc::mark(const rm::Process& process, const LgcConfig& config) {
 
 LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
                      const LgcConfig& config) {
-  util::SpanGuard span{"lgc.collect", process.id()};
   const std::uint64_t epoch = marked.epoch;
   LgcResult result;
   result.traced = marked.traced;
@@ -181,9 +179,6 @@ LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
   process.metrics().histogram("lgc.reclaimed_per_collection")
       .record(result.reclaimed.size());
   process.metrics().histogram("lgc.traced_per_collection").record(result.traced);
-  span.arg("reclaimed", result.reclaimed.size());
-  span.arg("traced", result.traced);
-  span.arg("live_stubs", result.live_stubs.size());
   // Sweeps run in the serial phase, so the recorder's global event order
   // (and hence the .rgcrec bytes) is thread-count independent.
   if (obs::FlightRecorder* rec = process.recorder()) {

@@ -23,8 +23,8 @@
 //    so it allocates nothing at steady state and is safe to run for
 //    different processes on different threads concurrently.
 //  - apply() — sweep, finalization, stub-set regeneration, metrics, and
-//    tracing.  Mutates the process and touches shared sinks (Trace,
-//    Finalizer), so the cluster runs it serially in pid order.
+//    recording.  Mutates the process and touches shared sinks (recorder,
+//    ledger, Finalizer), so the cluster runs it serially in pid order.
 // collect() == mark() + apply() and is what single-process callers use.
 #pragma once
 

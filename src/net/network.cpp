@@ -93,7 +93,6 @@ void Network::clear_partition() { partition_group_.clear(); }
 std::size_t Network::purge_in_flight(
     const std::function<bool(const InFlight&)>& pred) {
   std::size_t purged = 0;
-  auto& trace = util::Trace::instance();
   for (auto bucket = in_flight_.begin(); bucket != in_flight_.end();) {
     auto& queue = bucket->second;
     for (auto it = queue.begin(); it != queue.end();) {
@@ -107,7 +106,6 @@ std::size_t Network::purge_in_flight(
       --kc.in_flight;
       --in_flight_count_;
       ++purged;
-      trace.instant("net.purge", it->src, 0, false);
       emit_drop(Envelope{it->src, it->dst, it->seq, it->sent_at, it->msg.get()});
       it = queue.erase(it);
     }
@@ -143,14 +141,6 @@ std::uint64_t Network::send(ProcessId src, ProcessId dst, MessagePtr msg) {
   ++at_step[counters.id];
 
   const std::uint64_t seq = ++link_seq_[{src, dst}];
-  auto& trace = util::Trace::instance();
-  if (trace.enabled()) {
-    trace.instant("net.send", src, /*parent=*/0, /*with_id=*/false,
-                  {util::TraceArg::str("kind", kind),
-                   util::TraceArg::num("dst", raw(dst)),
-                   util::TraceArg::num("seq", seq),
-                   util::TraceArg::num("weight", msg->weight())});
-  }
   emit_send(Envelope{src, dst, seq, now_, msg.get()});
   // Fault model: a dead destination or a partition cut loses the message at
   // the source, reliable or not — "reliable" means the transport never loses
@@ -159,14 +149,12 @@ std::uint64_t Network::send(ProcessId src, ProcessId dst, MessagePtr msg) {
       (!partition_group_.empty() && group_of(src) != group_of(dst))) {
     dropped_.inc();
     counters.dropped.inc();
-    trace.instant("net.drop", src, 0, false);
     emit_drop(Envelope{src, dst, seq, now_, msg.get()});
     return seq;
   }
   if (!msg->reliable() && rng_.chance(config_.drop_probability)) {
     dropped_.inc();
     counters.dropped.inc();
-    trace.instant("net.drop", src, 0, false);
     emit_drop(Envelope{src, dst, seq, now_, msg.get()});
     return seq;
   }
@@ -206,8 +194,7 @@ void Network::enqueue(ProcessId src, ProcessId dst, MessagePtr msg,
 
 bool Network::step() {
   ++now_;
-  util::Trace::set_sim_now(now_);
-  auto& trace = util::Trace::instance();
+  util::set_sim_now(now_);
   // Drain every due bucket (normally exactly one: delays are >= 1, so no
   // bucket can age past its step unnoticed).  Delivery order matches the
   // old full sort: due step ascending (map order), then link, then send
@@ -229,15 +216,9 @@ bool Network::step() {
       KindCounters& kc = counters_for(m.msg->kind());
       kc.delivered.inc();
       --kc.in_flight;
-      // Handler runs in the destination's context: RGC_LOG lines and trace
-      // events it emits are attributed to (step, dst).
+      // Handler runs in the destination's context: RGC_LOG lines it emits
+      // are attributed to (step, dst).
       const util::ScopedProcess ctx{m.dst};
-      if (trace.enabled()) {
-        trace.instant("net.deliver", m.dst, 0, false,
-                      {util::TraceArg::str("kind", m.msg->kind()),
-                       util::TraceArg::num("src", raw(m.src)),
-                       util::TraceArg::num("latency", now_ - m.sent_at)});
-      }
       RGC_TRACE("net: deliver ", m.msg->kind(), " ", to_string(m.src), "->",
                 to_string(m.dst));
       const Envelope env{m.src, m.dst, m.seq, m.sent_at, m.msg.get()};
@@ -249,7 +230,6 @@ bool Network::step() {
   const std::uint64_t depth = in_flight_count_;
   queue_depth_.set(depth);
   queue_depth_hist_->record(depth);
-  trace.counter("net.queue_depth", kNoProcess, depth);
   return in_flight_count_ != 0;
 }
 
@@ -257,7 +237,7 @@ void Network::skip_to(std::uint64_t target) {
   if (target <= now_) return;
   assert(in_flight_.empty() || in_flight_.begin()->first > target);
   now_ = target;
-  util::Trace::set_sim_now(now_);
+  util::set_sim_now(now_);
 }
 
 std::uint64_t Network::sent_at_step(const std::string& kind,

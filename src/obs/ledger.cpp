@@ -99,7 +99,7 @@ Ledger::Ledger(LedgerConfig config) : config_(config) {
   if (config_.capacity == 0) config_.capacity = 1;
   if (config_.max_live == 0) config_.max_live = 1;
   live_.resize(config_.max_live);
-  for (LiveRec& rec : live_) rec.hops.reserve(config_.max_hops);
+  for (LiveRec& rec : live_) rec.hops.reserve(kLedgerMaxHops);
   done_.reserve(config_.capacity);
   tracked_ = metrics_.counter("ledger.detections_tracked");
   proven_ = metrics_.counter("ledger.cycles_proven");
@@ -220,7 +220,7 @@ void Ledger::cdm_send(const net::Envelope& env, const gc::CdmMsg& msg) {
   rec.entry.cdm_weight += weight;
   cdm_msgs_.inc();
   cdm_weight_.inc(weight);
-  if (rec.hops.size() >= config_.max_hops) {
+  if (rec.hops.size() >= kLedgerMaxHops) {
     if (!rec.hop_overflow) {
       rec.hop_overflow = true;
       hop_overflows_.inc();
@@ -445,7 +445,7 @@ void Ledger::cycle_proven(ProcessId at, const gc::Cdm& cdm,
   // Track the cycle's members for reclaim completion and for attributing
   // ADGC/coherence traffic that names them during the cut→sweep window.
   const auto track = [&](ObjectId obj) {
-    if (e.members >= config_.max_members) return;
+    if (e.members >= kLedgerMaxMembers) return;
     if (awaiting_.emplace(obj, static_cast<std::uint32_t>(slot)).second) {
       ++e.members;
     }

@@ -35,8 +35,9 @@
 // *included* in the cluster report.
 //
 // Allocation bounds: at most `max_live` concurrently tracked detections
-// (oldest unproven evicted first), `max_hops` hop records per detection and
-// `capacity` retained completed entries; overflow is counted, never grown.
+// (oldest unproven evicted first), kLedgerMaxHops hop records per detection
+// and `capacity` retained completed entries; overflow is counted, never
+// grown.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +58,12 @@ struct LedgerConfig {
   std::size_t capacity{256};
   /// Concurrently tracked live detections.
   std::size_t max_live{64};
-  /// Hop records per detection (the CDM tree, not just the chain).
-  std::size_t max_hops{256};
-  /// Cycle members tracked for reclaim/traffic attribution per entry.
-  std::size_t max_members{64};
 };
+
+/// Hop records per detection (the CDM tree, not just the chain).
+inline constexpr std::size_t kLedgerMaxHops = 256;
+/// Cycle members tracked for reclaim/traffic attribution per entry.
+inline constexpr std::size_t kLedgerMaxMembers = 64;
 
 /// One hop of the causal critical path (start -> ... -> verdict CDM).
 struct LedgerHop {

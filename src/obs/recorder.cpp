@@ -3,128 +3,42 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string_view>
 #include <utility>
 
 #include "gc/cycle/cdm.h"
+#include "util/bytes.h"
 #include "util/log.h"
 
 namespace rgc::obs {
 
 namespace {
 
-// `.rgcrec` framing, in the style of gc/cycle/snapshot_io: little-endian
-// fixed-width fields, a magic+version header, and a trailing FNV-1a
-// checksum over everything before it.
+// `.rgcrec` framing: util/bytes.h fields, a magic+version header, and a
+// trailing FNV-1a checksum over everything before it.
 constexpr std::uint32_t kRecMagic = 0x52474352;  // "RCGR"
-constexpr std::uint32_t kRecVersion = 1;
+constexpr std::uint32_t kRecVersion = 2;  // v2: + kDetectStart, kVerdict
 constexpr std::size_t kEventBytes = 44;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  char b[2];
-  std::memcpy(b, &v, 2);
-  out.append(b, 2);
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
+
+RecEvent read_event(util::ByteReader& r) {
+  RecEvent e;
+  e.seq = r.u64();
+  e.step = r.u64();
+  e.a = r.u64();
+  e.b = r.u64();
+  e.pid = r.u32();
+  e.peer = r.u32();
+  e.detail = r.u16();
+  e.kind = r.u8();
+  e.pad = r.u8();
+  return e;
 }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-void put_event(std::string& out, const RecEvent& e) {
-  put_u64(out, e.seq);
-  put_u64(out, e.step);
-  put_u64(out, e.a);
-  put_u64(out, e.b);
-  put_u32(out, e.pid);
-  put_u32(out, e.peer);
-  put_u16(out, e.detail);
-  out.push_back(static_cast<char>(e.kind));
-  out.push_back(static_cast<char>(e.pad));
-}
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Bounds-checked little-endian reader (mirrors snapshot_io's): any
-/// overrun or oversized count poisons `ok` and every later read is a no-op.
-struct Reader {
-  std::string_view bytes;
-  std::size_t at{0};
-  bool ok{true};
-
-  bool need(std::size_t n) {
-    if (!ok || bytes.size() - at < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v;
-    std::memcpy(&v, bytes.data() + at, 2);
-    at += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v;
-    std::memcpy(&v, bytes.data() + at, 4);
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v;
-    std::memcpy(&v, bytes.data() + at, 8);
-    at += 8;
-    return v;
-  }
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return static_cast<std::uint8_t>(bytes[at++]);
-  }
-  /// A count that claims more than the remaining bytes could hold is
-  /// corruption, not a huge allocation.
-  std::uint32_t count(std::size_t min_bytes_each) {
-    const std::uint32_t n = u32();
-    if (ok && min_bytes_each != 0 &&
-        n > (bytes.size() - at) / min_bytes_each) {
-      ok = false;
-      return 0;
-    }
-    return n;
-  }
-  RecEvent event() {
-    RecEvent e;
-    e.seq = u64();
-    e.step = u64();
-    e.a = u64();
-    e.b = u64();
-    e.pid = u32();
-    e.peer = u32();
-    e.detail = u16();
-    e.kind = u8();
-    e.pad = u8();
-    return e;
-  }
-};
 
 }  // namespace
 
@@ -144,6 +58,8 @@ const char* to_string(RecKind kind) {
     case RecKind::kPartition: return "partition";
     case RecKind::kHeal: return "heal";
     case RecKind::kAuditError: return "audit_error";
+    case RecKind::kDetectStart: return "detect_start";
+    case RecKind::kVerdict: return "verdict";
   }
   return "?";
 }
@@ -282,6 +198,24 @@ void FlightRecorder::audit_error(std::uint64_t errors) {
          clock(0));
 }
 
+void FlightRecorder::detection(RecKind kind, ProcessId pid,
+                               std::uint64_t detection_id, ObjectId candidate) {
+  record(kind, raw(pid), raw(kNoProcess), 0, raw(candidate), detection_id,
+         clock(0));
+}
+
+void encode_event(std::string& out, const RecEvent& e) {
+  put_u64(out, e.seq);
+  put_u64(out, e.step);
+  put_u64(out, e.a);
+  put_u64(out, e.b);
+  put_u32(out, e.pid);
+  put_u32(out, e.peer);
+  put_u16(out, e.detail);
+  put_u8(out, e.kind);
+  put_u8(out, e.pad);
+}
+
 std::string FlightRecorder::encode(const RecStamp& stamp) const {
   std::string out;
   out.reserve(64 + retained_ * kEventBytes);
@@ -314,21 +248,20 @@ std::string FlightRecorder::encode(const RecStamp& stamp) const {
                                     ? ring.count % capacity_
                                     : 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-      put_event(out, ring.buf[(start + i) % capacity_]);
+      encode_event(out, ring.buf[(start + i) % capacity_]);
     }
   }
-  put_u64(out, fnv1a(out));
+  put_u64(out, util::fnv1a(out));
   return out;
 }
 
 std::optional<RecordedRun> FlightRecorder::decode(const std::string& bytes) {
   if (bytes.size() < 12 + 8) return std::nullopt;
   const std::string_view body{bytes.data(), bytes.size() - 8};
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
-  if (fnv1a(body) != stored) return std::nullopt;
+  util::ByteReader trailer{std::string_view{bytes}.substr(body.size())};
+  if (util::fnv1a(body) != trailer.u64()) return std::nullopt;
 
-  Reader r{body};
+  util::ByteReader r{body};
   if (r.u32() != kRecMagic) return std::nullopt;
   if (r.u32() != kRecVersion) return std::nullopt;
   RecordedRun run;
@@ -346,9 +279,8 @@ std::optional<RecordedRun> FlightRecorder::decode(const std::string& bytes) {
   const std::uint32_t nkinds = r.count(4);
   for (std::uint32_t i = 0; i < nkinds && r.ok; ++i) {
     const std::uint32_t len = r.count(1);
-    if (!r.need(len)) break;
-    run.kinds.emplace_back(r.bytes.substr(r.at, len));
-    r.at += len;
+    const std::string_view kind = r.take(len);
+    if (r.ok) run.kinds.emplace_back(kind);
   }
   const std::uint32_t nrings = r.count(4 + 8 + 4);
   std::size_t total = 0;
@@ -359,7 +291,7 @@ std::optional<RecordedRun> FlightRecorder::decode(const std::string& bytes) {
     const std::uint32_t n = r.count(kEventBytes);
     ring.events.reserve(n);
     for (std::uint32_t j = 0; j < n && r.ok; ++j) {
-      ring.events.push_back(r.event());
+      ring.events.push_back(read_event(r));
     }
     total += ring.events.size();
     run.rings.push_back(std::move(ring));
@@ -383,7 +315,7 @@ std::string describe(const RecEvent& event,
                     " step=" + std::to_string(event.step) + " ";
   const auto pid_str = [](std::uint32_t pid) {
     return pid == raw(kNoProcess) ? std::string{"cluster"}
-                                  : "P" + std::to_string(pid);
+                                  : to_string(ProcessId{pid});
   };
   out += pid_str(event.pid);
   out += ' ';
@@ -433,6 +365,11 @@ std::string describe(const RecEvent& event,
       break;
     case RecKind::kAuditError:
       out += " errors=" + std::to_string(event.a);
+      break;
+    case RecKind::kDetectStart:
+    case RecKind::kVerdict:
+      out += " detection=" + std::to_string(event.b) +
+             " candidate=" + std::to_string(event.a);
       break;
     case RecKind::kKill:
     case RecKind::kHeal:

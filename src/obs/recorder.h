@@ -3,13 +3,15 @@
 //
 // Every transport event (send/deliver/drop/duplicate, via the
 // net::Network::Observer hooks), GC phase transition, sweep, reclaim
-// decision, lease expiry, and fault (kill/restart/persist/partition/heal)
-// lands in a per-process binary ring of fixed-layout RecEvents.  Appends are
-// O(1) and allocation-free in steady state (each ring is preallocated the
-// first time its pid appears), so the recorder can stay on for every run
-// like the HealthAuditor.  When something goes wrong — an audit ERROR, or
-// SIGABRT — the rings dump to a versioned, checksummed `.rgcrec` file that
-// obs::replay (replay.h) re-executes and diffs event-for-event.
+// decision, lease expiry, fault (kill/restart/persist/partition/heal), and
+// detection start and verdict lands in a per-process binary ring of
+// fixed-layout RecEvents.  Appends are O(1) and allocation-free in steady
+// state (each ring is preallocated the first time its pid appears), so the
+// recorder can stay on for every run like the HealthAuditor.  When
+// something goes wrong — an audit ERROR, or SIGABRT — the rings dump to a
+// versioned, checksummed `.rgcrec` file that obs::replay (replay.h)
+// re-executes and diffs event-for-event.  The same stream, live or
+// post-mortem, renders as a lineage timeline (obs/timeline.h).
 //
 // Determinism contract: the recorder is only fed from the simulation's
 // serial phases (network step/send, serial sweep/digest, cluster fault
@@ -34,8 +36,9 @@ namespace rgc::obs {
 /// Typed event classes.  Values are part of the `.rgcrec` format — append
 /// only, never renumber.
 enum class RecKind : std::uint8_t {
-  kSend = 1,       // pid=src, peer=dst, detail=msg kind, a=link seq, b=lineage
-  kDeliver = 2,    // pid=dst, peer=src, detail=msg kind, a=link seq, b=lineage
+  // Transport events: b = detection id of a CDM or Cut message, else 0.
+  kSend = 1,       // pid=src, peer=dst, detail=msg kind, a=link seq, b
+  kDeliver = 2,    // pid=dst, peer=src, detail=msg kind, a=link seq, b
   kDrop = 3,       // pid=src, peer=dst, detail=msg kind, a=link seq
   kDuplicate = 4,  // pid=src, peer=dst, detail=msg kind, a=link seq
   kPhase = 5,      // global; detail=RecPhase, a/b=phase payload
@@ -48,6 +51,8 @@ enum class RecKind : std::uint8_t {
   kPartition = 12, // global, a=group count
   kHeal = 13,      // global
   kAuditError = 14,  // global, a=total audit errors so far
+  kDetectStart = 15,  // pid=initiator, a=candidate object, b=detection id
+  kVerdict = 16,      // pid=proving process, a=candidate object, b=detection id
 };
 
 /// kPhase detail codes.
@@ -158,6 +163,10 @@ class FlightRecorder final : public net::Network::Observer {
   void fault(RecKind kind, ProcessId pid, std::uint64_t a = 0,
              std::uint64_t b = 0);
   void audit_error(std::uint64_t errors);
+  /// kDetectStart (a detector accepted a candidate) or kVerdict (a cycle
+  /// was proven): the roots and leaves of a detection's CDM lineage.
+  void detection(RecKind kind, ProcessId pid, std::uint64_t detection_id,
+                 ObjectId candidate);
 
   // ---- Serialization ----------------------------------------------------
   /// Encodes every ring into the versioned `.rgcrec` byte format
@@ -228,6 +237,9 @@ class FlightRecorder final : public net::Network::Observer {
   util::Gauge appended_gauge_;
   util::Gauge dropped_gauge_;
 };
+
+/// Appends the fixed 44-byte wire layout of `event`.
+void encode_event(std::string& out, const RecEvent& event);
 
 /// Human-readable one-liner for an event ("seq=91 step=40 P3 deliver CDM
 /// from P1 link=17 lineage=5"); `kinds` is the recording's intern table.

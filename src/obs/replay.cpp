@@ -1,12 +1,11 @@
 #include "obs/replay.h"
 
 #include <bit>
-#include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "core/cluster.h"
 #include "core/daemon.h"
+#include "util/bytes.h"
 #include "util/log.h"
 #include "workload/fault_plan.h"
 #include "workload/random_mutator.h"
@@ -14,33 +13,6 @@
 namespace rgc::obs {
 
 namespace {
-
-std::uint64_t fnv1a_step(std::uint64_t h, std::string_view bytes) {
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t hash_event(std::uint64_t h, const RecEvent& e) {
-  char buf[44];
-  std::size_t at = 0;
-  const auto put = [&](const void* p, std::size_t n) {
-    std::memcpy(buf + at, p, n);
-    at += n;
-  };
-  put(&e.seq, 8);
-  put(&e.step, 8);
-  put(&e.a, 8);
-  put(&e.b, 8);
-  put(&e.pid, 4);
-  put(&e.peer, 4);
-  put(&e.detail, 2);
-  put(&e.kind, 1);
-  put(&e.pad, 1);
-  return fnv1a_step(h, std::string_view{buf, at});
-}
 
 /// Runs the canonical chaos workload (the shape of chaos_test's
 /// run_fault_chaos, minus the oracle/GC-until-dry tail) with recording on.
@@ -197,10 +169,16 @@ BisectOutcome bisect_divergence(const RecordedRun& a, const RecordedRun& b) {
   // Prefix hashes: prefix[i] covers events [0, i).  One O(n) pass buys
   // O(1) "do the first i events match?" probes for the binary search.
   std::vector<std::uint64_t> pa(n + 1), pb(n + 1);
-  pa[0] = pb[0] = 1469598103934665603ULL;
+  pa[0] = pb[0] = util::kFnvOffset;
+  std::string buf;
+  const auto hash = [&buf](std::uint64_t h, const RecEvent& e) {
+    buf.clear();
+    encode_event(buf, e);
+    return util::fnv1a(buf, h);
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    pa[i + 1] = hash_event(pa[i], a.events[i]);
-    pb[i + 1] = hash_event(pb[i], b.events[i]);
+    pa[i + 1] = hash(pa[i], a.events[i]);
+    pb[i + 1] = hash(pb[i], b.events[i]);
   }
 
   if (pa[n] == pb[n]) {

@@ -7,7 +7,6 @@
 
 #include "rm/process.h"
 #include "util/log.h"
-#include "util/trace.h"
 
 namespace rgc::rm {
 
@@ -207,15 +206,6 @@ void Process::on_invoke(const net::Envelope& env, const InvokeMsg& msg) {
 
 void Process::on_rebind(const net::Envelope& env, const RebindMsg& msg) {
   note_heard(env.src, network_->now());
-  // Reconciliation handshakes as typed instants, so --trace-out timelines
-  // show the recovery protocol instead of opaque gaps (docs/FAULTS.md §4).
-  auto& trace = util::Trace::instance();
-  if (trace.enabled()) {
-    trace.instant("rm.rebind", id_, 0, false,
-                  {util::TraceArg::str("anchor", rgc::to_string(msg.anchor)),
-                   util::TraceArg::num("from", raw(env.src)),
-                   util::TraceArg::num("ic", msg.ic)});
-  }
   if (!knows(msg.anchor)) {
     // The anchor died with whatever state this process lost; tell the
     // holder its stub dangles so it can sever the chain.
@@ -248,23 +238,11 @@ void Process::on_rebind(const net::Envelope& env, const RebindMsg& msg) {
 void Process::on_rebind_nack(const net::Envelope& env,
                              const RebindNackMsg& msg) {
   note_heard(env.src, network_->now());
-  auto& trace = util::Trace::instance();
-  if (trace.enabled()) {
-    trace.instant("rm.rebind_nack", id_, 0, false,
-                  {util::TraceArg::str("anchor", rgc::to_string(msg.anchor)),
-                   util::TraceArg::num("from", raw(env.src))});
-  }
   sever_stub(StubKey{msg.anchor, env.src});
 }
 
 void Process::on_prop_sync(const net::Envelope& env, const PropSyncMsg& msg) {
   note_heard(env.src, network_->now());
-  auto& trace = util::Trace::instance();
-  if (trace.enabled()) {
-    trace.instant("rm.prop_sync", id_, 0, false,
-                  {util::TraceArg::num("from", raw(env.src)),
-                   util::TraceArg::num("objects", msg.objects.size())});
-  }
   // msg.objects is sorted by the sender (reconciliation emits it that way).
   std::uint64_t dropped = 0;
   for (auto it = in_props_.begin(); it != in_props_.end();) {

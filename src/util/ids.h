@@ -37,9 +37,19 @@ struct Replica {
   friend constexpr auto operator<=>(const Replica&, const Replica&) = default;
 };
 
-/// Human-readable forms used by logs, traces and test diagnostics.
-inline std::string to_string(ProcessId p) { return "P" + std::to_string(raw(p)); }
-inline std::string to_string(ObjectId o) { return "o" + std::to_string(raw(o)); }
+/// Human-readable forms used by logs, reports and test diagnostics.  Built
+/// by appending: `"P" + std::to_string(...)` trips GCC 12's -Wrestrict false
+/// positive in optimized builds.
+inline std::string to_string(ProcessId p) {
+  std::string s(1, 'P');
+  s += std::to_string(raw(p));
+  return s;
+}
+inline std::string to_string(ObjectId o) {
+  std::string s(1, 'o');
+  s += std::to_string(raw(o));
+  return s;
+}
 inline std::string to_string(const Replica& r) {
   return to_string(r.object) + "@" + to_string(r.process);
 }

@@ -29,14 +29,14 @@ void log_line(LogLevel level, const std::string& msg) {
   // Attribution context (set by the cluster/network step loop): sim step
   // and the process whose handler is running, so interleaved protocol
   // logs can be told apart.
-  const ProcessId pid = Trace::current_process();
+  const ProcessId pid = current_process();
   if (pid == kNoProcess) {
     std::fprintf(stderr, "[%s][step %llu] %s\n", tag(level),
-                 static_cast<unsigned long long>(Trace::sim_now()),
+                 static_cast<unsigned long long>(sim_now()),
                  msg.c_str());
   } else {
     std::fprintf(stderr, "[%s][step %llu][P%u] %s\n", tag(level),
-                 static_cast<unsigned long long>(Trace::sim_now()), raw(pid),
+                 static_cast<unsigned long long>(sim_now()), raw(pid),
                  msg.c_str());
   }
 }

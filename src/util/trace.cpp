@@ -1,50 +1,12 @@
 #include "util/trace.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <map>
-#include <ostream>
 
 namespace rgc::util {
 namespace {
 
 thread_local std::uint64_t t_sim_now = 0;
 thread_local ProcessId t_current_process = kNoProcess;
-
-/// Category = name up to the first dot ("cdm.forward" -> "cdm").
-std::string_view category_of(const char* name) {
-  const std::string_view n{name};
-  const auto dot = n.find('.');
-  return dot == std::string_view::npos ? n : n.substr(0, dot);
-}
-
-/// Chrome trace timestamps: sim time scaled so one step is 1000 ticks —
-/// wide enough that several protocol instants within a step stay readable.
-constexpr std::uint64_t kTicksPerStep = 1000;
-
-/// Synthetic Chrome pid for cluster-global events (no process context).
-constexpr std::uint32_t kGlobalPid = 1000000;
-
-std::uint32_t chrome_pid(const TraceEvent& ev) {
-  return ev.process == kNoTraceProcess ? kGlobalPid : ev.process;
-}
-
-void write_args_object(std::ostream& os, const TraceEvent& ev) {
-  os << "{";
-  bool first = true;
-  for (const TraceArg& a : ev.args) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(a.key) << "\":";
-    if (a.numeric) {
-      os << a.value;
-    } else {
-      os << "\"" << json_escape(a.value) << "\"";
-    }
-  }
-  os << "}";
-}
 
 }  // namespace
 
@@ -71,176 +33,9 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-Trace& Trace::instance() noexcept {
-  static Trace trace;
-  return trace;
-}
-
-void Trace::set_sim_now(std::uint64_t step) noexcept { t_sim_now = step; }
-std::uint64_t Trace::sim_now() noexcept { return t_sim_now; }
-void Trace::set_current_process(ProcessId pid) noexcept {
-  t_current_process = pid;
-}
-void Trace::clear_current_process() noexcept { t_current_process = kNoProcess; }
-ProcessId Trace::current_process() noexcept { return t_current_process; }
-
-std::uint64_t Trace::wall_us() noexcept {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point start = clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                            start)
-          .count());
-}
-
-std::uint64_t Trace::instant(const char* name, ProcessId pid,
-                             std::uint64_t parent, bool with_id,
-                             std::vector<TraceArg> args) {
-  if (sink_ == nullptr) return 0;
-  TraceEvent ev;
-  ev.type = TraceEventType::kInstant;
-  ev.name = name;
-  ev.sim_step = sim_now();
-  ev.wall_us = wall_us();
-  ev.process = pid == kNoProcess ? kNoTraceProcess : raw(pid);
-  ev.parent = parent;
-  if (with_id) ev.id = next_id();
-  ev.args = std::move(args);
-  const std::uint64_t id = ev.id;
-  sink_->push(std::move(ev));
-  return id;
-}
-
-void Trace::counter(const char* name, ProcessId pid, std::uint64_t value) {
-  if (sink_ == nullptr) return;
-  TraceEvent ev;
-  ev.type = TraceEventType::kCounter;
-  ev.name = name;
-  ev.sim_step = sim_now();
-  ev.wall_us = wall_us();
-  ev.process = pid == kNoProcess ? kNoTraceProcess : raw(pid);
-  ev.value = value;
-  sink_->push(std::move(ev));
-}
-
-void Trace::span(const char* name, ProcessId pid, std::uint64_t begin_step,
-                 std::uint64_t begin_us, std::vector<TraceArg> args) {
-  if (sink_ == nullptr) return;
-  TraceEvent ev;
-  ev.type = TraceEventType::kSpan;
-  ev.name = name;
-  ev.sim_step = begin_step;
-  ev.wall_us = begin_us;
-  ev.process = pid == kNoProcess ? kNoTraceProcess : raw(pid);
-  const std::uint64_t end_step = sim_now();
-  const std::uint64_t end_us = wall_us();
-  ev.dur_steps = end_step >= begin_step ? end_step - begin_step : 0;
-  ev.dur_us = end_us >= begin_us ? end_us - begin_us : 0;
-  ev.args = std::move(args);
-  sink_->push(std::move(ev));
-}
-
-void Timeline::write_jsonl(std::ostream& os) const {
-  for (const TraceEvent& ev : events_) {
-    const char* type = ev.type == TraceEventType::kSpan      ? "span"
-                       : ev.type == TraceEventType::kCounter ? "counter"
-                                                             : "instant";
-    os << "{\"type\":\"" << type << "\",\"name\":\"" << json_escape(ev.name)
-       << "\",\"step\":" << ev.sim_step << ",\"wall_us\":" << ev.wall_us;
-    if (ev.process != kNoTraceProcess) os << ",\"proc\":" << ev.process;
-    if (ev.id != 0) os << ",\"id\":" << ev.id;
-    if (ev.parent != 0) os << ",\"parent\":" << ev.parent;
-    if (ev.type == TraceEventType::kSpan) {
-      os << ",\"dur_steps\":" << ev.dur_steps << ",\"dur_us\":" << ev.dur_us;
-    }
-    if (ev.type == TraceEventType::kCounter) os << ",\"value\":" << ev.value;
-    if (!ev.args.empty()) {
-      os << ",\"args\":";
-      write_args_object(os, ev);
-    }
-    os << "}\n";
-  }
-}
-
-void Timeline::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-
-  // Process-name metadata so Perfetto labels tracks P0, P1, ... instead of
-  // bare numbers.
-  std::map<std::uint32_t, bool> pids;
-  for (const TraceEvent& ev : events_) pids[chrome_pid(ev)] = true;
-  for (const auto& [pid, unused] : pids) {
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\""
-       << (pid == kGlobalPid ? std::string("cluster")
-                             : "P" + std::to_string(pid))
-       << "\"}}";
-  }
-
-  // Lineage flow arrows need slice endpoints to bind to, so instants are
-  // exported as thin slices (half a step wide).
-  std::map<std::uint64_t, const TraceEvent*> by_id;
-  for (const TraceEvent& ev : events_) {
-    if (ev.id != 0) by_id[ev.id] = &ev;
-  }
-
-  for (const TraceEvent& ev : events_) {
-    const std::uint32_t pid = chrome_pid(ev);
-    const std::uint64_t ts = ev.sim_step * kTicksPerStep;
-    sep();
-    switch (ev.type) {
-      case TraceEventType::kSpan:
-        os << "{\"ph\":\"X\",\"name\":\"" << json_escape(ev.name)
-           << "\",\"cat\":\"" << json_escape(category_of(ev.name))
-           << "\",\"ts\":" << ts
-           << ",\"dur\":" << std::max<std::uint64_t>(ev.dur_steps * kTicksPerStep, 1)
-           << ",\"pid\":" << pid << ",\"tid\":0,\"args\":";
-        write_args_object(os, ev);
-        os << "}";
-        break;
-      case TraceEventType::kInstant:
-        os << "{\"ph\":\"X\",\"name\":\"" << json_escape(ev.name)
-           << "\",\"cat\":\"" << json_escape(category_of(ev.name))
-           << "\",\"ts\":" << ts << ",\"dur\":" << kTicksPerStep / 2
-           << ",\"pid\":" << pid << ",\"tid\":0,\"args\":";
-        write_args_object(os, ev);
-        os << "}";
-        break;
-      case TraceEventType::kCounter:
-        os << "{\"ph\":\"C\",\"name\":\"" << json_escape(ev.name)
-           << "\",\"ts\":" << ts << ",\"pid\":" << pid
-           << ",\"tid\":0,\"args\":{\"value\":" << ev.value << "}}";
-        break;
-    }
-
-    // One flow arrow per causal edge: start at the parent event's slice,
-    // finish at this one's.  The child's lineage id (unique) names the
-    // flow; a child without an own id borrows a synthetic edge id derived
-    // from its position, which stays unique because it is one-shot.
-    if (ev.parent != 0) {
-      auto it = by_id.find(ev.parent);
-      if (it != by_id.end()) {
-        const TraceEvent& p = *it->second;
-        const std::uint64_t flow_id =
-            ev.id != 0 ? ev.id : (ev.parent << 20) + (&ev - events_.data());
-        sep();
-        os << "{\"ph\":\"s\",\"name\":\"lineage\",\"cat\":\"lineage\",\"id\":"
-           << flow_id << ",\"ts\":" << p.sim_step * kTicksPerStep + 1
-           << ",\"pid\":" << chrome_pid(p) << ",\"tid\":0}";
-        sep();
-        os << "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"lineage\",\"cat\":"
-           << "\"lineage\",\"id\":" << flow_id << ",\"ts\":" << ts + 1
-           << ",\"pid\":" << pid << ",\"tid\":0}";
-      }
-    }
-  }
-  os << "\n]}\n";
-}
+void set_sim_now(std::uint64_t step) noexcept { t_sim_now = step; }
+std::uint64_t sim_now() noexcept { return t_sim_now; }
+void set_current_process(ProcessId pid) noexcept { t_current_process = pid; }
+ProcessId current_process() noexcept { return t_current_process; }
 
 }  // namespace rgc::util

@@ -1,220 +1,42 @@
-// Structured tracing & timeline export.
+// Simulation context for log attribution.
 //
-// The paper's claims are about *protocol economy over time* — CDMs per
-// detection round, steps until a cycle closes, how snapshot / summarize /
-// propagate phases interleave across processes.  End-of-run counters
-// cannot show any of that, so this layer records a timeline of typed
-// events, each stamped with both clocks the simulator has:
-//   - sim_step   — the network's virtual time (deterministic), and
-//   - wall_us    — microseconds of real time (for profiling the code).
-//
-// Three event shapes:
-//   - spans    — scoped durations (TRACE_SPAN("lgc.collect", pid)); the
-//     guard records begin on construction and emits one event with both
-//     durations on destruction;
-//   - instants — typed protocol points (a CDM forwarded, a scion dropped).
-//     An instant may carry a fresh *lineage id* and a causal *parent* id;
-//     CDM events chain these into a cross-process message tree, so a
-//     detection can be replayed hop by hop (cf. the causal message lineage
-//     Plyukhin & Agha's termination detector reasons with);
-//   - counters — sampled values (net.queue_depth) for counter tracks.
-//
-// Events flow into a Timeline sink.  With no sink attached (the default)
-// every emission helper returns before touching its arguments: the hot
-// path performs one pointer test and **no allocation**.  The Timeline
-// exports two formats: JSONL (one self-describing object per line, the
-// machine-readable truth tests and tooling consume) and Chrome
-// `trace_event` JSON that chrome://tracing and Perfetto load directly,
-// with CDM lineage rendered as flow arrows.  See docs/OBSERVABILITY.md.
+// The network step loop publishes virtual time and the process whose
+// handler is running; RGC_LOG lines stamp both, so interleaved protocol
+// output is attributable.  The context is thread-local, which keeps
+// parallel test binaries honest.  The event timeline itself is a view over
+// the flight recorder (obs/timeline.h), not a second stream.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/ids.h"
 
 namespace rgc::util {
 
-enum class TraceEventType : std::uint8_t { kSpan = 0, kInstant = 1, kCounter = 2 };
-
-/// One key/value annotation.  Values are pre-rendered strings; `numeric`
-/// controls whether exporters quote them.
-struct TraceArg {
-  std::string key;
-  std::string value;
-  bool numeric{false};
-
-  static TraceArg num(std::string key, std::uint64_t v) {
-    return {std::move(key), std::to_string(v), true};
-  }
-  static TraceArg str(std::string key, std::string v) {
-    return {std::move(key), std::move(v), false};
-  }
-};
-
-struct TraceEvent {
-  TraceEventType type{TraceEventType::kInstant};
-  /// Static-storage name, dot-scoped ("cdm.forward"); the segment before
-  /// the first dot is the category exporters group by.
-  const char* name{""};
-  std::uint64_t sim_step{0};
-  std::uint64_t wall_us{0};
-  /// Raw process id; kNoTraceProcess when the event is cluster-global.
-  std::uint32_t process{0};
-  /// Lineage id (0 = none) and causal parent id (0 = root / not causal).
-  std::uint64_t id{0};
-  std::uint64_t parent{0};
-  /// Spans only: durations in both clocks.
-  std::uint64_t dur_steps{0};
-  std::uint64_t dur_us{0};
-  /// Counters only: the sampled value.
-  std::uint64_t value{0};
-  std::vector<TraceArg> args;
-};
-
-inline constexpr std::uint32_t kNoTraceProcess = 0xffffffffu;
-
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes added).
 std::string json_escape(std::string_view s);
 
-/// In-memory event buffer + exporters.
-class Timeline {
- public:
-  void push(TraceEvent ev) { events_.push_back(std::move(ev)); }
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  void clear() { events_.clear(); }
+void set_sim_now(std::uint64_t step) noexcept;
+[[nodiscard]] std::uint64_t sim_now() noexcept;
+void set_current_process(ProcessId pid) noexcept;
+/// kNoProcess when no process context is active.
+[[nodiscard]] ProcessId current_process() noexcept;
 
-  /// One JSON object per line; every field of TraceEvent, zero-valued
-  /// optional fields omitted.
-  void write_jsonl(std::ostream& os) const;
-
-  /// Chrome trace_event JSON ({"traceEvents":[...]}): spans as complete
-  /// ("X") slices on sim-time (1 step = 1000 ticks), instants as thin
-  /// slices so lineage flow arrows ("s"/"f") can bind to them, counters as
-  /// "C" events, plus process_name metadata.  Loadable in chrome://tracing
-  /// and https://ui.perfetto.dev.
-  void write_chrome_trace(std::ostream& os) const;
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
-/// Global trace facility.  The simulator is single-threaded by design (see
-/// util/log.h), so a plain pointer sink suffices; the *context* below is
-/// thread-local anyway to keep parallel test binaries honest.
-class Trace {
- public:
-  [[nodiscard]] static Trace& instance() noexcept;
-
-  /// Attaches (or, with nullptr, detaches) the sink.  Detached is the
-  /// default and costs one branch per would-be event.
-  void set_sink(Timeline* sink) noexcept { sink_ = sink; }
-  [[nodiscard]] bool enabled() const noexcept { return sink_ != nullptr; }
-  [[nodiscard]] Timeline* sink() const noexcept { return sink_; }
-
-  /// Fresh lineage id (never 0).  Valid even when disabled, so protocol
-  /// state built while tracing is off stays consistent if it is enabled
-  /// mid-run.
-  std::uint64_t next_id() noexcept { return ++last_id_; }
-
-  // ---- Simulation context -------------------------------------------------
-  // The network step loop publishes virtual time and the process whose
-  // handler is running; trace events and RGC_LOG lines both stamp them so
-  // interleaved protocol output is attributable.
-  static void set_sim_now(std::uint64_t step) noexcept;
-  [[nodiscard]] static std::uint64_t sim_now() noexcept;
-  static void set_current_process(ProcessId pid) noexcept;
-  static void clear_current_process() noexcept;
-  /// kNoProcess when no process context is active.
-  [[nodiscard]] static ProcessId current_process() noexcept;
-
-  /// Microseconds since the first call (steady clock).
-  [[nodiscard]] static std::uint64_t wall_us() noexcept;
-
-  // ---- Emission -----------------------------------------------------------
-  // All helpers are no-ops without a sink; none of them allocates then.
-
-  /// Instant protocol event.  When `with_id`, the event receives a fresh
-  /// lineage id which is returned (0 when disabled or !with_id).
-  std::uint64_t instant(const char* name, ProcessId pid,
-                        std::uint64_t parent = 0, bool with_id = false,
-                        std::vector<TraceArg> args = {});
-
-  /// Counter sample (rendered as a counter track).
-  void counter(const char* name, ProcessId pid, std::uint64_t value);
-
-  /// Completed span (normally emitted by SpanGuard, not called directly).
-  void span(const char* name, ProcessId pid, std::uint64_t begin_step,
-            std::uint64_t begin_us, std::vector<TraceArg> args = {});
-
- private:
-  Timeline* sink_{nullptr};
-  std::uint64_t last_id_{0};
-};
-
-/// RAII scope: records begin on construction, emits one span event with
-/// sim-step and wall-clock durations on destruction.  Does nothing — and
-/// allocates nothing — while tracing is disabled.
-class SpanGuard {
- public:
-  explicit SpanGuard(const char* name, ProcessId pid = kNoProcess)
-      : name_(name), pid_(pid), active_(Trace::instance().enabled()) {
-    if (active_) {
-      begin_step_ = Trace::sim_now();
-      begin_us_ = Trace::wall_us();
-    }
-  }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-  ~SpanGuard() {
-    if (active_) {
-      Trace::instance().span(name_, pid_, begin_step_, begin_us_,
-                             std::move(args_));
-    }
-  }
-
-  /// Attaches a numeric annotation to the span (e.g. objects reclaimed).
-  void arg(std::string key, std::uint64_t value) {
-    if (active_) args_.push_back(TraceArg::num(std::move(key), value));
-  }
-
- private:
-  const char* name_;
-  ProcessId pid_;
-  std::uint64_t begin_step_{0};
-  std::uint64_t begin_us_{0};
-  std::vector<TraceArg> args_;
-  bool active_;
-};
-
-/// Scoped process-context setter for the log/trace attribution satellite:
-/// the cluster step loop brackets every handler invocation with the
-/// process it runs on.
+/// Scoped process-context setter: the cluster step loop brackets every
+/// handler invocation with the process it runs on.
 class ScopedProcess {
  public:
-  explicit ScopedProcess(ProcessId pid) : prev_(Trace::current_process()) {
-    Trace::set_current_process(pid);
+  explicit ScopedProcess(ProcessId pid) : prev_(current_process()) {
+    set_current_process(pid);
   }
   ScopedProcess(const ScopedProcess&) = delete;
   ScopedProcess& operator=(const ScopedProcess&) = delete;
-  ~ScopedProcess() { Trace::set_current_process(prev_); }
+  ~ScopedProcess() { set_current_process(prev_); }
 
  private:
   ProcessId prev_;
 };
 
 }  // namespace rgc::util
-
-#define RGC_TRACE_CONCAT_(a, b) a##b
-#define RGC_TRACE_CONCAT(a, b) RGC_TRACE_CONCAT_(a, b)
-
-/// TRACE_SPAN("lgc.collect", pid) — scoped span covering the rest of the
-/// enclosing block.  The optional trailing argument names the process.
-#define TRACE_SPAN(...) \
-  ::rgc::util::SpanGuard RGC_TRACE_CONCAT(rgc_span_, __LINE__) { __VA_ARGS__ }

@@ -62,7 +62,8 @@ TEST_P(GraphDbFuzz, ShadowModelAgreesAndGcIsSafeAndComplete) {
   for (int op = 0; op < param.ops; ++op) {
     const auto roll = rng.below(100);
     if (roll < 30 || pool.empty()) {
-      const VertexId v = db.add_vertex("v" + std::to_string(op));
+      const VertexId v =
+          db.add_vertex(std::string("v").append(std::to_string(op)));
       pool.push_back(v);
       shadow.registered.insert(v);
     } else if (roll < 55) {

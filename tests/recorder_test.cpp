@@ -2,7 +2,7 @@
 // wrap/overwrite accounting, `.rgcrec` round-trip and corruption rejection,
 // byte-identical recordings across worker-pool widths, live replay diffing
 // with an injected perturbation, exact divergence bisection, the quiescence
-// gauges, and the typed recovery trace instants.
+// gauges, and the recovery protocol in the timeline view.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,8 +17,8 @@
 #include "core/cluster.h"
 #include "obs/recorder.h"
 #include "obs/replay.h"
+#include "obs/timeline.h"
 #include "rm/process.h"
-#include "util/trace.h"
 #include "workload/random_mutator.h"
 
 namespace rgc {
@@ -410,26 +410,26 @@ TEST(RecorderTest, QuiescenceGaugesExported) {
   EXPECT_EQ(m.gauge_value("cluster.quiescence_truncated"), 0u);
 }
 
-// ---- Satellite: typed recovery trace instants ------------------------------
+// ---- Recovery protocol in the timeline view ---------------------------------
 
 TEST(RecorderTest, RecoveryProtocolEmitsTypedInstants) {
-  util::Timeline timeline;
-  util::Trace::instance().set_sink(&timeline);
   ChaosRunSpec spec;
   spec.seed = 99;
   spec.processes = 6;
   spec.rounds = 40;
-  (void)obs::record_chaos_run(spec);
-  util::Trace::instance().set_sink(nullptr);
+  const auto run = FlightRecorder::decode(obs::record_chaos_run(spec));
+  ASSERT_TRUE(run.has_value());
 
-  std::set<std::string_view> instants;
-  for (const util::TraceEvent& ev : timeline.events()) {
-    if (ev.type == util::TraceEventType::kInstant) instants.insert(ev.name);
+  // Kills + restarts force the recovery protocol; its legs must show up in
+  // the timeline as typed transport events (Recover/Rebind/PropSync).
+  std::set<std::string_view> delivered;
+  for (const obs::ViewEvent& ev : obs::timeline_events(*run)) {
+    if (std::string_view{ev.name} == "net.deliver") {
+      delivered.insert(run->kind_name(ev.source->detail));
+    }
   }
-  // Kills + restarts force the recovery protocol; its legs must show up as
-  // typed instants in the timeline (satellite: Recover/Rebind/PropSync).
-  EXPECT_TRUE(instants.contains("rm.recover"))
-      << "no rm.recover instant traced across a kill/restart chaos run";
+  EXPECT_TRUE(delivered.contains("Recover"))
+      << "no Recover delivery across a kill/restart chaos run";
 }
 
 }  // namespace

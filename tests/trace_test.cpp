@@ -1,8 +1,12 @@
-// Tracing & telemetry layer tests: metric handles, histograms, the null
-// sink's zero-cost default, CDM lineage-tree invariants on a real
-// 3-process cycle detection, and exporter well-formedness.
+// Telemetry tests: metric handles, histograms, and the timeline view over
+// the flight recorder — empty without a recorder, CDM lineage-tree
+// invariants on real 3-process detections in both detector modes, live vs
+// post-mortem agreement, and exporter well-formedness.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -11,8 +15,10 @@
 
 #include "core/cluster.h"
 #include "core/report.h"
+#include "obs/recorder.h"
+#include "obs/timeline.h"
+#include "util/bytes.h"
 #include "util/metrics.h"
-#include "util/trace.h"
 #include "workload/mesh.h"
 
 namespace rgc {
@@ -36,7 +42,9 @@ TEST(MetricsTest, HandlesSurviveLaterRegistrationsAndReset) {
   util::Counter first = m.counter("a");
   // Force rebalancing pressure: many later registrations must not move the
   // node the handle points into.
-  for (int i = 0; i < 100; ++i) m.counter("k" + std::to_string(i)).inc();
+  for (int i = 0; i < 100; ++i) {
+    m.counter(std::string("k").append(std::to_string(i))).inc();
+  }
   first.inc();
   EXPECT_EQ(m.get("a"), 1u);
   m.reset();
@@ -89,68 +97,27 @@ TEST(MetricsTest, HistogramMergeCombinesDistributions) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace plumbing
+// Timeline view over the flight recorder
 
-class TraceFixture : public ::testing::Test {
- protected:
-  void SetUp() override { util::Trace::instance().set_sink(&timeline_); }
-  void TearDown() override { util::Trace::instance().set_sink(nullptr); }
-  util::Timeline timeline_;
-};
-
-TEST(TraceNullSinkTest, DisabledByDefaultAndEmitsNothing) {
-  auto& trace = util::Trace::instance();
-  ASSERT_FALSE(trace.enabled());
-  EXPECT_EQ(trace.instant("x.never", ProcessId{1}, 0, true), 0u);
-  {
-    TRACE_SPAN("x.span", ProcessId{1});
-  }
-  util::Timeline probe;
-  trace.set_sink(&probe);
-  EXPECT_EQ(probe.size(), 0u);  // nothing buffered anywhere while disabled
-  trace.set_sink(nullptr);
+/// The decoded recording of `cluster` — the view's input, exactly what a
+/// post-mortem `.rgcrec` decodes to.  Empty without a recorder.
+obs::RecordedRun recording_of(const core::Cluster& cluster) {
+  const obs::FlightRecorder* rec = cluster.recorder();
+  if (rec == nullptr) return {};
+  auto run = obs::FlightRecorder::decode(rec->encode(cluster.recorder_stamp()));
+  EXPECT_TRUE(run.has_value());
+  return run.value_or(obs::RecordedRun{});
 }
 
-TEST_F(TraceFixture, SpanGuardRecordsDurationsAndArgs) {
-  util::Trace::set_sim_now(10);
-  {
-    util::SpanGuard span{"test.work", ProcessId{2}};
-    util::Trace::set_sim_now(14);
-    span.arg("items", 3);
-  }
-  util::Trace::set_sim_now(0);
-  ASSERT_EQ(timeline_.size(), 1u);
-  const util::TraceEvent& ev = timeline_.events()[0];
-  EXPECT_EQ(ev.type, util::TraceEventType::kSpan);
-  EXPECT_STREQ(ev.name, "test.work");
-  EXPECT_EQ(ev.sim_step, 10u);
-  EXPECT_EQ(ev.dur_steps, 4u);
-  EXPECT_EQ(ev.process, 2u);
-  ASSERT_EQ(ev.args.size(), 1u);
-  EXPECT_EQ(ev.args[0].key, "items");
-  EXPECT_EQ(ev.args[0].value, "3");
-}
-
-TEST_F(TraceFixture, InstantLineageIdsAreFreshAndReturned) {
-  auto& trace = util::Trace::instance();
-  const std::uint64_t a = trace.instant("t.a", ProcessId{1}, 0, true);
-  const std::uint64_t b = trace.instant("t.b", ProcessId{1}, a, true);
-  EXPECT_NE(a, 0u);
-  EXPECT_NE(b, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(trace.instant("t.c", ProcessId{1}, b, false), 0u);
-  ASSERT_EQ(timeline_.size(), 3u);
-  EXPECT_EQ(timeline_.events()[1].parent, a);
-  EXPECT_EQ(timeline_.events()[2].parent, b);
-}
-
-// ---------------------------------------------------------------------------
-// CDM lineage on a real detection
-
-/// Runs one replication-aware cycle detection on an N-process ring mesh
-/// with the sink attached; the mesh's garbage cycle spans every process.
-void run_detection(util::Timeline& timeline, std::size_t processes) {
+/// Runs one cycle detection on an N-process ring mesh (the mesh's garbage
+/// cycle spans every process) and returns its recording.
+obs::RecordedRun run_detection(
+    std::size_t processes,
+    core::DetectorMode mode = core::DetectorMode::kReplicationAware,
+    std::size_t record_capacity = 4096) {
   core::ClusterConfig cfg;
+  cfg.mode = mode;
+  cfg.record_capacity = record_capacity;
   core::Cluster cluster{cfg};
   const workload::Mesh mesh =
       workload::build_mesh(cluster, {processes, /*deps=*/6});
@@ -159,64 +126,138 @@ void run_detection(util::Timeline& timeline, std::size_t processes) {
   while (cluster.cycles_found().empty() && !cluster.network().idle()) {
     cluster.step();
   }
-  ASSERT_FALSE(cluster.cycles_found().empty()) << "detection did not converge";
+  EXPECT_FALSE(cluster.cycles_found().empty()) << "detection did not converge";
   cluster.run_until_quiescent();
-  ASSERT_GT(timeline.size(), 0u);
+  return recording_of(cluster);
 }
 
-TEST_F(TraceFixture, DetectionEmitsWellFormedCdmLineageTree) {
-  run_detection(timeline_, 3);
-  if (HasFatalFailure()) return;
-  const auto& events = timeline_.events();
+std::string jsonl_of(const obs::RecordedRun& run) {
+  std::ostringstream os;
+  obs::write_timeline_jsonl(run, os);
+  return os.str();
+}
 
-  // Every event's lineage id is unique, and every causal parent refers to
-  // an event that *precedes* it in the buffer (causality in push order).
-  std::map<std::uint64_t, std::size_t> index_of;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].id != 0) {
-      EXPECT_FALSE(index_of.contains(events[i].id)) << "duplicate lineage id";
-      index_of[events[i].id] = i;
+class TraceFixture : public ::testing::Test {};
+
+TEST(TraceNullSinkTest, DisabledByDefaultAndEmitsNothing) {
+  // record_capacity = 0 runs without a recorder: nothing to view.
+  const obs::RecordedRun run =
+      run_detection(3, core::DetectorMode::kReplicationAware, 0);
+  EXPECT_TRUE(run.events.empty());
+  EXPECT_TRUE(obs::timeline_events(run).empty());
+  EXPECT_TRUE(jsonl_of(run).empty());
+}
+
+TEST_F(TraceFixture, InstantLineageIdsAreFreshAndReturned) {
+  const obs::RecordedRun run = run_detection(3);
+  const auto events = obs::timeline_events(run);
+  std::set<std::uint64_t> ids;
+  std::size_t instants = 0;
+  for (const obs::ViewEvent& ev : events) {
+    if (ev.source == nullptr) {
+      EXPECT_EQ(ev.id, 0u) << "counter samples carry no lineage id";
+      continue;
     }
+    ++instants;
+    EXPECT_NE(ev.id, 0u) << ev.name;
+    EXPECT_EQ(ev.id, ev.source->seq + 1);
+    EXPECT_TRUE(ids.insert(ev.id).second) << "duplicate id " << ev.id;
   }
-  std::size_t causal_edges = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].parent == 0) continue;
-    ++causal_edges;
-    auto it = index_of.find(events[i].parent);
-    ASSERT_NE(it, index_of.end())
-        << events[i].name << " references unknown parent";
-    EXPECT_LT(it->second, i) << events[i].name << " precedes its parent";
-  }
-  EXPECT_GT(causal_edges, 0u);
+  EXPECT_EQ(instants, run.events.size());
+}
 
-  // The detection must leave a verdict whose chain walks back through CDM
-  // hops to the detection's root, crossing at least two processes.
-  const util::TraceEvent* detected = nullptr;
-  for (const auto& ev : events) {
-    if (std::string_view{ev.name} == "cycle.detected") detected = &ev;
-  }
-  ASSERT_NE(detected, nullptr);
-  ASSERT_NE(detected->parent, 0u) << "verdict must name the closing CDM";
+// ---------------------------------------------------------------------------
+// CDM lineage on a real detection
 
-  std::set<std::uint32_t> chain_procs{detected->process};
-  std::set<std::string> chain_names;
-  const util::TraceEvent* cur = detected;
-  std::size_t hops = 0;
-  while (cur->parent != 0) {
-    ASSERT_LT(++hops, 10000u) << "lineage chain does not terminate";
-    auto it = index_of.find(cur->parent);
-    ASSERT_NE(it, index_of.end());
-    cur = &events[it->second];
-    chain_procs.insert(cur->process);
-    chain_names.insert(cur->name);
+TEST_F(TraceFixture, DetectionEmitsWellFormedCdmLineageTree) {
+  for (const auto mode :
+       {core::DetectorMode::kReplicationAware, core::DetectorMode::kBaseline}) {
+    SCOPED_TRACE(mode == core::DetectorMode::kBaseline ? "baseline" : "ours");
+    const obs::RecordedRun run = run_detection(3, mode);
+    if (HasFailure()) return;
+    const auto events = obs::timeline_events(run);
+
+    // Every causal parent refers to an event that *precedes* it.
+    std::map<std::uint64_t, std::size_t> index_of;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].id != 0) index_of[events[i].id] = i;
+    }
+    std::size_t causal_edges = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].parent == 0) continue;
+      ++causal_edges;
+      auto it = index_of.find(events[i].parent);
+      ASSERT_NE(it, index_of.end())
+          << events[i].name << " references unknown parent";
+      EXPECT_LT(it->second, i) << events[i].name << " precedes its parent";
+    }
+    EXPECT_GT(causal_edges, 0u);
+
+    // The detection must leave a verdict whose chain walks back through
+    // CDM hops to the detection's root, crossing at least two processes.
+    const obs::ViewEvent* detected = nullptr;
+    for (const auto& ev : events) {
+      if (std::string_view{ev.name} == "cycle.detected") detected = &ev;
+    }
+    ASSERT_NE(detected, nullptr);
+    ASSERT_NE(detected->parent, 0u) << "verdict must name the closing CDM";
+
+    std::set<std::uint32_t> chain_procs{detected->proc};
+    std::set<std::string> chain_names;
+    const obs::ViewEvent* cur = detected;
+    std::size_t hops = 0;
+    while (cur->parent != 0) {
+      ASSERT_LT(++hops, 10000u) << "lineage chain does not terminate";
+      cur = &events[index_of.at(cur->parent)];
+      chain_procs.insert(cur->proc);
+      chain_names.insert(cur->name);
+    }
+    EXPECT_STREQ(cur->name, "cdm.start") << "chain must root at the detection";
+    EXPECT_GE(chain_procs.size(), 2u) << "lineage must cross processes";
+    // The ring forces at least one remote hop, so a send and a receive must
+    // both appear on the winning track.
+    EXPECT_TRUE(chain_names.contains("cdm.recv"));
+    EXPECT_TRUE(chain_names.contains("cdm.send"));
   }
-  EXPECT_STREQ(cur->name, "cdm.start") << "chain must root at the detection";
-  EXPECT_GE(chain_procs.size(), 2u) << "lineage must cross processes";
-  // The ring forces at least one remote hop, so a send and a receive must
-  // both appear on the winning track.
-  EXPECT_TRUE(chain_names.contains("cdm.recv"));
-  EXPECT_TRUE(chain_names.contains("cdm.send") ||
-              chain_names.contains("cdm.forward"));
+}
+
+TEST_F(TraceFixture, LiveAndPostMortemRecordingsRenderTheSameView) {
+  core::ClusterConfig cfg;
+  core::Cluster cluster{cfg};
+  const workload::Mesh mesh = workload::build_mesh(cluster, {3, 6});
+  cluster.snapshot_all();
+  cluster.detect(mesh.head_process, mesh.head);
+  cluster.run_until_quiescent();
+  const obs::RecordedRun live = recording_of(cluster);
+  EXPECT_GT(obs::timeline_events(live).size(), live.events.size())
+      << "transport steps add queue-depth samples";
+  EXPECT_EQ(live.events.size(), cluster.recorder()->depth());
+
+  const std::string path = ::testing::TempDir() + "trace_test_view.rgcrec";
+  ASSERT_TRUE(obs::dump_recording(*cluster.recorder(),
+                                  cluster.recorder_stamp(), path));
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  const auto dumped = obs::FlightRecorder::decode(bytes);
+  ASSERT_TRUE(dumped.has_value());
+  EXPECT_EQ(jsonl_of(*dumped), jsonl_of(live));
+}
+
+TEST_F(TraceFixture, VersionOneRecordingIsRejected) {
+  core::Cluster cluster;
+  workload::build_mesh(cluster, {3, 4});
+  cluster.snapshot_all();
+  std::string bytes = cluster.recorder()->encode(cluster.recorder_stamp());
+  ASSERT_TRUE(obs::FlightRecorder::decode(bytes).has_value());
+  // Rewrite the header's version field to 1 and re-seal the checksum, so
+  // only the version makes the file unreadable.
+  bytes.resize(bytes.size() - 8);
+  const std::uint32_t v1 = 1;
+  bytes.replace(4, 4, reinterpret_cast<const char*>(&v1), 4);
+  util::put_u64(bytes, util::fnv1a(bytes));
+  EXPECT_FALSE(obs::FlightRecorder::decode(bytes).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -253,11 +294,8 @@ bool balanced_json(const std::string& text) {
 }
 
 TEST_F(TraceFixture, JsonlExportIsOneValidObjectPerLine) {
-  run_detection(timeline_, 3);
-  if (HasFatalFailure()) return;
-  std::ostringstream os;
-  timeline_.write_jsonl(os);
-  const std::string text = os.str();
+  const obs::RecordedRun run = run_detection(3);
+  const std::string text = jsonl_of(run);
   ASSERT_FALSE(text.empty());
   std::istringstream lines(text);
   std::string line;
@@ -270,15 +308,15 @@ TEST_F(TraceFixture, JsonlExportIsOneValidObjectPerLine) {
     EXPECT_TRUE(balanced_json(line)) << line;
     EXPECT_NE(line.find("\"type\":"), std::string::npos);
     EXPECT_NE(line.find("\"step\":"), std::string::npos);
+    EXPECT_EQ(line.find("wall_us"), std::string::npos);
   }
-  EXPECT_EQ(count, timeline_.size());
+  EXPECT_EQ(count, obs::timeline_events(run).size());
 }
 
 TEST_F(TraceFixture, ChromeTraceExportIsWellFormedAndCarriesLineage) {
-  run_detection(timeline_, 3);
-  if (HasFatalFailure()) return;
+  const obs::RecordedRun run = run_detection(3);
   std::ostringstream os;
-  timeline_.write_chrome_trace(os);
+  obs::write_timeline_chrome(run, os);
   const std::string text = os.str();
   EXPECT_EQ(text.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_TRUE(balanced_json(text));
@@ -286,6 +324,7 @@ TEST_F(TraceFixture, ChromeTraceExportIsWellFormedAndCarriesLineage) {
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"f\""), std::string::npos);
+  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(text.find("\"process_name\""), std::string::npos);
   EXPECT_NE(text.find("cdm.start"), std::string::npos);
   EXPECT_NE(text.find("cycle.detected"), std::string::npos);
@@ -298,16 +337,19 @@ TEST_F(TraceFixture, FullGcTimelineHasSpansAndReportJsonIsBalanced) {
   cluster.run_full_gc();
   EXPECT_EQ(cluster.total_objects(), 0u);
 
-  bool lgc_span = false;
-  bool snapshot_span = false;
-  for (const auto& ev : timeline_.events()) {
-    if (ev.type != util::TraceEventType::kSpan) continue;
+  // The GC's phases show up as phase events: collection rounds and
+  // snapshot sweeps, plus per-process sweeps.
+  const obs::RecordedRun run = recording_of(cluster);
+  std::set<std::uint16_t> phases;
+  bool sweep = false;
+  for (const obs::ViewEvent& ev : obs::timeline_events(run)) {
     const std::string_view name{ev.name};
-    lgc_span = lgc_span || name == "lgc.collect";
-    snapshot_span = snapshot_span || name == "cycle.snapshot";
+    if (name == "phase") phases.insert(ev.source->detail);
+    sweep = sweep || name == "sweep";
   }
-  EXPECT_TRUE(lgc_span);
-  EXPECT_TRUE(snapshot_span);
+  EXPECT_TRUE(phases.contains(obs::kPhaseCollectRound));
+  EXPECT_TRUE(phases.contains(obs::kPhaseSnapshotAll));
+  EXPECT_TRUE(sweep);
 
   const core::ClusterReport report = core::make_report(cluster);
   const std::string json = report.to_json();
