@@ -15,8 +15,8 @@ namespace rgc::core {
 Cluster::Cluster(ClusterConfig config)
     : config_(config), net_(config.net), finalizer_(config.finalize) {
   auditor_ = std::make_unique<obs::HealthAuditor>(
-      *this, obs::AuditConfig{config_.audit_interval, config_.audit_deep_every,
-                              config_.audit_oracle_assist});
+      *this,
+      obs::AuditConfig{config_.audit_interval, config_.audit_deep_every});
   net_.add_observer(auditor_.get());
   if (config_.record_capacity > 0) {
     recorder_ = std::make_unique<obs::FlightRecorder>(
@@ -703,7 +703,7 @@ bool Cluster::restart(ProcessId pid) {
   bool rehydrated = false;
   if (!node.image.empty()) {
     // Never silently mis-rehydrate: a corrupt or stale image is rejected
-    // (offline checker verdict) and the process restarts empty instead.
+    // (check_image verdict) and the process restarts empty instead.
     const auto findings = obs::check_image(node.image, node.image_epoch);
     if (findings.empty()) {
       if (auto image = gc::decode_image(node.image)) {
@@ -720,7 +720,6 @@ bool Cluster::restart(ProcessId pid) {
     }
   }
   net_.metrics().add("cluster.recoveries");
-  auditor_->note_restart(pid);
 
   // Lease re-registration in both directions BEFORE any reclamation can run
   // again — the safety of Adgc::expire_leases depends on it.

@@ -90,9 +90,6 @@ struct ClusterConfig {
   std::uint64_t audit_interval{64};
   /// Every Nth scheduled audit also runs the deep (mark-based) checks.
   std::uint64_t audit_deep_every{8};
-  /// Deep audits additionally cross-check against the omniscient
-  /// core::Oracle (test harnesses only — the oracle scan is global).
-  bool audit_oracle_assist{false};
   /// Lease/timeout reclamation (docs/FAULTS.md): a peer whose lease has
   /// not been renewed for this many steps is considered failed, and the
   /// scions/props it holds here are retired through the ADGC path
@@ -248,7 +245,11 @@ class Cluster {
   [[nodiscard]] const obs::HealthAuditor& auditor() const noexcept {
     return *auditor_;
   }
-  /// Runs a full (deep) audit now and returns its report.
+  /// Runs a full (deep) audit now and returns its report: every invariant
+  /// the auditor knows (obs/audit.h), including reference integrity over
+  /// the whole heap.  This is the on-demand consistency check for tests
+  /// and tools; run it at quiescence for a definitive verdict (in-flight
+  /// traffic downgrades transient findings to WARN).
   const obs::HealthReport& audit() { return auditor_->run_deep(); }
   /// Latest health report (empty until the first scheduled or demanded
   /// audit).

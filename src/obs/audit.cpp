@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "core/cluster.h"
-#include "core/oracle.h"
 #include "gc/cycle/cdm.h"
 #include "gc/lgc/lgc.h"
 #include "rm/process.h"
@@ -83,12 +82,6 @@ void HealthAuditor::note_crash(ProcessId pid, const util::Metrics& metrics) {
     it = holder == pid || key.target_process == pid ? cut_pending_.erase(it)
                                                     : std::next(it);
   }
-  metrics_.add("audit.crashes_noted");
-}
-
-void HealthAuditor::note_restart(ProcessId pid) {
-  (void)pid;
-  metrics_.add("audit.restarts_noted");
 }
 
 // ---- Audit driver ----------------------------------------------------------
@@ -108,14 +101,12 @@ const HealthReport& HealthAuditor::run(bool deep) {
   out.deep = deep;
 
   update_heap_gauges();
+  check_roots(out);
   check_stub_scion(out);
   check_prop_pairing(out);
   check_conservation(out);
   check_cdm_lineage(out);
-  if (deep) {
-    deep_checks(out);
-    if (config_.oracle_assist) oracle_checks(out);
-  }
+  if (deep) deep_checks(out);
 
   runs_.inc();
   if (deep) deep_runs_total_.inc();
@@ -139,6 +130,24 @@ void HealthAuditor::update_heap_gauges() {
 }
 
 // ---- Shallow checks --------------------------------------------------------
+
+void HealthAuditor::check_roots(HealthReport& out) {
+  for (ProcessId pid : cluster_.process_ids()) {
+    const rm::Process& proc = cluster_.process(pid);
+    for (ObjectId root : proc.heap().roots()) {
+      if (proc.knows(root)) continue;
+      out.findings.push_back(Finding{
+          Severity::kError, "root_integrity", pid,
+          "root " + rgc::to_string(root) + " resolves to nothing"});
+    }
+    for (const auto& [obj, ttl] : proc.transient_roots()) {
+      if (proc.knows(obj)) continue;
+      out.findings.push_back(Finding{
+          Severity::kError, "root_integrity", pid,
+          "transient root " + rgc::to_string(obj) + " resolves to nothing"});
+    }
+  }
+}
 
 void HealthAuditor::check_stub_scion(HealthReport& out) {
   // Retire whitelist entries that resolved: stub gone (holder's LGC caught
@@ -179,6 +188,7 @@ void HealthAuditor::check_stub_scion(HealthReport& out) {
     // Every stub must have its scion twin ("clean before send propagate"
     // creates the scion causally before the stub can exist, so an in-flight
     // Propagate never explains a missing one).
+    out.checked_stubs += proc.stubs().size();
     for (const auto& [key, stub] : proc.stubs()) {
       // A stub toward a crashed process is the surviving half of a
       // reference the reconciliation protocol settles at restart — the
@@ -225,9 +235,32 @@ void HealthAuditor::check_stub_scion(HealthReport& out) {
     // NewSetStubs round not yet landed): a gauge, not a finding.  A scion
     // owned by a crashed process counts as floating until the owner
     // restarts and rebinds (or its lease expires).
+    out.checked_scions += proc.scions().size();
     for (const auto& [key, scion] : proc.scions()) {
+      if (!proc.knows(key.anchor)) {
+        out.findings.push_back(Finding{
+            Severity::kError, "scion_anchor", pid,
+            "scion from " + rgc::to_string(key.src_process) + " anchors " +
+                rgc::to_string(key.anchor) + ", which resolves to nothing"});
+      }
       if (!cluster_.is_alive(key.src_process)) {
         ++floating_scions;
+        // Without leases a dead owner legitimately pins its scions until
+        // restart (WARN).  With leases the expiry sweep runs every step,
+        // so a scion past its dead owner's lease means it failed.
+        if (lease_timeout == 0) {
+          out.findings.push_back(Finding{
+              Severity::kWarn, "scion_owner", pid,
+              "scion for " + rgc::to_string(key.anchor) + " owned by dead " +
+                  rgc::to_string(key.src_process) +
+                  " (no lease configured; pinned until restart)"});
+        } else if (now >= proc.last_heard(key.src_process) + lease_timeout) {
+          out.findings.push_back(Finding{
+              Severity::kError, "scion_owner", pid,
+              "scion for " + rgc::to_string(key.anchor) +
+                  " outlived the lease of dead owner " +
+                  rgc::to_string(key.src_process)});
+        }
         continue;
       }
       const rm::Process& holder = cluster_.process(key.src_process);
@@ -238,6 +271,20 @@ void HealthAuditor::check_stub_scion(HealthReport& out) {
   }
   floating_scions_.set(floating_scions);
 }
+
+namespace {
+
+/// Every prop entry names a replica that exists on its own side.
+void check_prop_replica(HealthReport& out, const rm::Process& proc,
+                        ProcessId pid, const char* list, ObjectId object) {
+  if (proc.has_replica(object)) return;
+  out.findings.push_back(Finding{
+      Severity::kError, "prop_replica", pid,
+      std::string(list) + " names " + rgc::to_string(object) +
+          " but no such replica exists here"});
+}
+
+}  // namespace
 
 void HealthAuditor::check_prop_pairing(HealthReport& out) {
   // Pairing mismatches are legal exactly while link-mutating traffic is in
@@ -255,7 +302,9 @@ void HealthAuditor::check_prop_pairing(HealthReport& out) {
 
   for (ProcessId pid : cluster_.process_ids()) {
     const rm::Process& proc = cluster_.process(pid);
+    out.checked_props += proc.in_props().size() + proc.out_props().size();
     for (const rm::InProp& e : proc.in_props()) {
+      check_prop_replica(out, proc, pid, "inProp", e.object);
       // A dead or unreachable partner's half of the link is unobservable;
       // lease expiry or restart reconciliation settles it.
       if (!cluster_.is_alive(e.process) || !net.reachable(pid, e.process)) {
@@ -271,6 +320,7 @@ void HealthAuditor::check_prop_pairing(HealthReport& out) {
       }
     }
     for (const rm::OutProp& e : proc.out_props()) {
+      check_prop_replica(out, proc, pid, "outProp", e.object);
       if (!cluster_.is_alive(e.process) || !net.reachable(pid, e.process)) {
         continue;
       }
@@ -376,6 +426,7 @@ void HealthAuditor::deep_checks(HealthReport& out) {
     for (std::uint32_t slot : scratch.queue) {
       const rm::Object& obj = heap.at_slot(slot);
       obj.unlinked_at = 0;  // reachable: clear any stale unlink stamp
+      out.checked_refs += obj.refs.size();
       for (const rm::Ref& ref : obj.refs) {
         if (proc.knows(ref.target)) continue;
         std::string detail = "live " + rgc::to_string(obj.id) +
@@ -395,33 +446,25 @@ void HealthAuditor::deep_checks(HealthReport& out) {
 
     // Floating garbage: present but unreached by any trace family — the
     // next collection sweeps it.  Stamp first sighting and age the oldest.
-    heap.for_each([&](ObjectId, std::uint32_t slot, const rm::Object& obj) {
+    // Its references must resolve too (reference integrity): together with
+    // the live pass above, every reference in the heap is checked.
+    heap.for_each([&](ObjectId id, std::uint32_t slot, const rm::Object& obj) {
       if (heap.marks(slot, scratch.epoch) != 0) return;
       if (obj.unlinked_at == 0) obj.unlinked_at = now;
       ++floating;
       max_age = std::max(max_age, now - obj.unlinked_at);
+      out.checked_refs += obj.refs.size();
+      for (const rm::Ref& ref : obj.refs) {
+        if (proc.knows(ref.target)) continue;
+        out.findings.push_back(Finding{
+            Severity::kError, "ref_integrity", pid,
+            rgc::to_string(id) + " holds a reference to " +
+                rgc::to_string(ref.target) + " that resolves to nothing"});
+      }
     });
   }
   floating_garbage_.set(floating);
   floating_garbage_age_.set(max_age);
-}
-
-void HealthAuditor::oracle_checks(HealthReport& out) {
-  const core::OracleReport oracle = core::Oracle::analyze(cluster_);
-  for (const std::string& violation : oracle.violations) {
-    out.findings.push_back(
-        Finding{Severity::kError, "oracle", kNoProcess, violation});
-  }
-  // Oracle-assisted stamping: garbage the union rule still shields locally
-  // (replicated/distributed garbage) gets its latency clock started here.
-  const std::uint64_t now = cluster_.now();
-  for (const Replica& r : oracle.replicas) {
-    if (oracle.is_live(r.object)) continue;
-    rm::Process& proc = cluster_.process(r.process);
-    if (rm::Object* obj = proc.heap().find(r.object)) {
-      if (obj->unlinked_at == 0) obj->unlinked_at = now;
-    }
-  }
 }
 
 }  // namespace rgc::obs

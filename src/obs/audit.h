@@ -1,11 +1,14 @@
-// Online health auditor: always-on, O(touched-state) invariant monitoring.
+// Online health auditor: always-on, O(touched-state) invariant monitoring,
+// and the cluster's one invariant checker — Cluster::audit() runs it in
+// full on demand.
 //
 // The test-only core::Oracle proves safety/completeness by re-deriving
 // global reachability from scratch — a luxury no production collector has.
 // The auditor checks what *can* be checked online, from the same tables and
 // counters the protocols maintain anyway:
 //
-//  shallow (every scheduled audit):
+//  shallow (every scheduled audit; O(roots + stubs + scions + props)):
+//   - root integrity: every root and transient root resolves locally.
 //   - stub <-> scion bipartite matching: every stub {X, Q} held at P must
 //     have the scion {P, X} at Q ("clean before send propagate" creates the
 //     scion causally before any stub can exist).  A stub whose scion was
@@ -13,9 +16,13 @@
 //     drops it (WARN); anything else is an ERROR.  Scions without stubs are
 //     normal floating state (the NewSetStubs round retires them) and are
 //     exported as a gauge, not a finding.
+//   - scion anchors resolve, and a scion whose dead owner's lease expired
+//     is an ERROR (the sweep in gc::Adgc::expire_leases failed); with no
+//     lease configured a dead owner pins its scions legitimately (WARN).
 //   - inPropList <-> outPropList pairing across every propagation edge;
 //     mismatches are legal while Propagate/Reclaim/Cut/PropCut traffic is
 //     in flight (WARN) and an ERROR once the propagation plane is quiet.
+//     Every prop entry must name a replica that exists on its side.
 //   - per-kind message conservation on the transport:
 //     sent + duplicated == delivered + dropped + in_flight.
 //   - CDM conservation per detection lineage (issued == delivered +
@@ -26,13 +33,13 @@
 //   - a read-only Lgc::mark per process; live objects' references must all
 //     resolve locally (reclaim-safety, cross-checked against the ring of
 //     recent reclaims), and unreachable-but-present objects are stamped and
-//     aged as floating garbage (gc.floating_garbage_age).
-//   - optional oracle assist (tests): core::Oracle violations become ERROR
-//     findings and oracle-proven garbage is stamped for latency accounting.
+//     aged as floating garbage (gc.floating_garbage_age).  Their references
+//     must resolve too (reference integrity), so every reference in the
+//     heap is checked.
 //
 // Findings surface as obs::HealthReport entries — never asserts — so the
 // same checks run in production builds, the CLI dashboard, and CI chaos
-// runs (scripts/check.sh fails on any ERROR).
+// runs (the chaos suite audits every step and fails on any ERROR).
 #pragma once
 
 #include <cstdint>
@@ -59,10 +66,6 @@ struct AuditConfig {
   std::uint64_t interval{64};
   /// Every Nth scheduled audit also runs the deep (mark-based) checks.
   std::uint64_t deep_every{8};
-  /// Cross-check against the omniscient core::Oracle on deep audits
-  /// (test-only mode: the oracle's global scan is exactly what the online
-  /// auditor exists to avoid).
-  bool oracle_assist{false};
 };
 
 class HealthAuditor final : public net::Network::Observer {
@@ -79,7 +82,7 @@ class HealthAuditor final : public net::Network::Observer {
   /// cadence): shallow checks, plus deep checks every deep_every-th run.
   const HealthReport& run_scheduled();
 
-  /// Full audit on demand: shallow + deep (+ oracle when configured).
+  /// Full audit on demand: shallow + deep.
   const HealthReport& run_deep();
 
   // ---- Crash/recovery awareness (docs/FAULTS.md) -------------------------
@@ -89,13 +92,9 @@ class HealthAuditor final : public net::Network::Observer {
   /// identity (its counters are about to vanish while the network totals
   /// remain) and drops cut whitelist entries that named it — so a crash
   /// never manufactures false conservation ERRORs.
+  /// The banked contributions stay banked across a restart (the restarted
+  /// process's counters start from zero).
   void note_crash(ProcessId pid, const util::Metrics& metrics);
-
-  /// Called by Cluster::restart after `pid` is live again.  The banked
-  /// contributions from note_crash stay banked (the restarted process's
-  /// counters start from zero); nothing needs undoing — the hook exists so
-  /// the recovery is visible in the auditor's own counters.
-  void note_restart(ProcessId pid);
 
   /// Latest report (empty before the first run).
   [[nodiscard]] const HealthReport& report() const noexcept { return report_; }
@@ -119,12 +118,12 @@ class HealthAuditor final : public net::Network::Observer {
   /// are safe for deterministic reports, unlike wall-clock or RSS readings.
   void update_heap_gauges();
 
+  void check_roots(HealthReport& out);
   void check_stub_scion(HealthReport& out);
   void check_prop_pairing(HealthReport& out);
   void check_conservation(HealthReport& out);
   void check_cdm_lineage(HealthReport& out);
   void deep_checks(HealthReport& out);
-  void oracle_checks(HealthReport& out);
 
   core::Cluster& cluster_;
   AuditConfig config_;

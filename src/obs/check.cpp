@@ -1,224 +1,45 @@
 #include "obs/check.h"
 
-#include <algorithm>
-
-#include "core/cluster.h"
 #include "gc/cycle/snapshot_io.h"
-#include "net/network.h"
-#include "rm/process.h"
 
 namespace rgc::obs {
 namespace {
 
-void add(std::vector<Finding>& out, Severity sev, std::string invariant,
-         ProcessId pid, std::string detail) {
-  out.push_back(
-      Finding{sev, std::move(invariant), pid, std::move(detail)});
+std::vector<Finding> image_error(std::string invariant, std::string detail) {
+  return {Finding{Severity::kError, std::move(invariant), kNoProcess,
+                  std::move(detail)}};
 }
 
 }  // namespace
 
-std::string ConsistencyReport::to_string() const {
-  std::string out = "consistency @ step " + std::to_string(step) + ": " +
-                    (ok() ? "OK" : "FAIL") + " (" + std::to_string(errors()) +
-                    " errors, " + std::to_string(warnings()) + " warnings; " +
-                    std::to_string(checked_refs) + " refs, " +
-                    std::to_string(checked_stubs) + " stubs, " +
-                    std::to_string(checked_scions) + " scions, " +
-                    std::to_string(checked_props) + " props scanned)";
-  for (const Finding& f : findings) {
-    out += "\n  ";
-    out += f.to_string();
-  }
-  return out;
-}
-
-ConsistencyReport check_cluster(const core::Cluster& cluster) {
-  ConsistencyReport report;
-  const net::Network& net = cluster.network();
-  report.step = cluster.now();
-
-  const std::uint64_t lease_timeout = cluster.config().lease_timeout;
-  const std::uint64_t now = cluster.now();
-  const bool idle = net.idle();
-  const bool reconciling = net.in_flight_of("Recover") != 0 ||
-                           net.in_flight_of("Rebind") != 0 ||
-                           net.in_flight_of("RebindNack") != 0 ||
-                           net.in_flight_of("PropSync") != 0;
-
-  for (ProcessId pid : cluster.process_ids()) {
-    const rm::Process& proc = cluster.process(pid);
-
-    // ---- Heap reference integrity ------------------------------------
-    // Every reference any replica holds, and every root, must resolve at
-    // this process — a local replica or a stub.  This is the "every row
-    // referenced exists" scan of an offline database check.
-    proc.heap().for_each([&](ObjectId id, std::uint32_t,
-                             const rm::Object& obj) {
-      for (const rm::Ref& r : obj.refs) {
-        ++report.checked_refs;
-        if (proc.knows(r.target)) continue;
-        add(report.findings, Severity::kError, "ref_integrity", pid,
-            rgc::to_string(id) + " holds a reference to " +
-                rgc::to_string(r.target) + " that resolves to nothing");
-      }
-    });
-    for (ObjectId root : proc.heap().roots()) {
-      if (proc.knows(root)) continue;
-      add(report.findings, Severity::kError, "root_integrity", pid,
-          "root " + rgc::to_string(root) + " resolves to nothing");
-    }
-    for (const auto& [obj, ttl] : proc.transient_roots()) {
-      if (proc.knows(obj)) continue;
-      add(report.findings, Severity::kError, "root_integrity", pid,
-          "transient root " + rgc::to_string(obj) + " resolves to nothing");
-    }
-
-    // ---- Stub -> scion matching --------------------------------------
-    for (const auto& [key, stub] : proc.stubs()) {
-      ++report.checked_stubs;
-      // The remote half is unobservable while its process is down; the
-      // reconciliation protocol settles it at restart.
-      if (!cluster.is_alive(key.target_process)) continue;
-      const rm::Process& target = cluster.process(key.target_process);
-      if (target.scions().contains(rm::ScionKey{pid, key.target})) continue;
-      const bool lease_retired =
-          lease_timeout > 0 && now >= target.last_heard(pid) + lease_timeout;
-      const bool unreachable = !net.reachable(pid, key.target_process);
-      const bool benign = lease_retired || unreachable || reconciling || !idle;
-      add(report.findings, benign ? Severity::kWarn : Severity::kError,
-          "stub_scion", pid,
-          "stub " + rgc::to_string(key.target) + "->" +
-              rgc::to_string(key.target_process) +
-              (lease_retired   ? " lease-retired, awaiting rebind"
-               : unreachable   ? " unreachable (partitioned)"
-               : reconciling   ? " reconciliation in flight"
-               : !idle         ? " has no matching scion (traffic in flight)"
-                               : " has no matching scion"));
-    }
-
-    // ---- Scion ownership + anchors -----------------------------------
-    for (const auto& [key, scion] : proc.scions()) {
-      ++report.checked_scions;
-      if (!proc.knows(key.anchor)) {
-        add(report.findings, Severity::kError, "scion_anchor", pid,
-            "scion from " + rgc::to_string(key.src_process) + " anchors " +
-                rgc::to_string(key.anchor) + ", which resolves to nothing");
-      }
-      if (cluster.is_alive(key.src_process)) continue;
-      if (lease_timeout == 0) {
-        // Without leases a dead owner legitimately pins its scions until
-        // restart — worth surfacing, but not a violation.
-        add(report.findings, Severity::kWarn, "scion_owner", pid,
-            "scion for " + rgc::to_string(key.anchor) + " owned by dead " +
-                rgc::to_string(key.src_process) +
-                " (no lease configured; pinned until restart)");
-        continue;
-      }
-      if (now >= proc.last_heard(key.src_process) + lease_timeout) {
-        // The expiry sweep runs every step; an expired-yet-present scion
-        // means the lease machinery failed to retire it.
-        add(report.findings, Severity::kError, "scion_owner", pid,
-            "scion for " + rgc::to_string(key.anchor) + " outlived the lease" +
-                " of dead owner " + rgc::to_string(key.src_process));
-      }
-    }
-
-    // ---- Propagation lists -------------------------------------------
-    for (const rm::InProp& e : proc.in_props()) {
-      ++report.checked_props;
-      if (!proc.has_replica(e.object)) {
-        add(report.findings, Severity::kError, "prop_replica", pid,
-            "inProp names " + rgc::to_string(e.object) +
-                " but no such replica exists here");
-      }
-      if (!cluster.is_alive(e.process) || !net.reachable(pid, e.process)) {
-        continue;
-      }
-      if (cluster.process(e.process).find_out_prop(e.object, pid) == nullptr) {
-        add(report.findings, idle ? Severity::kError : Severity::kWarn,
-            "prop_pairing", pid,
-            "inProp " + rgc::to_string(e.object) + " from " +
-                rgc::to_string(e.process) + " has no outProp twin" +
-                (idle ? "" : " (traffic in flight)"));
-      }
-    }
-    for (const rm::OutProp& e : proc.out_props()) {
-      ++report.checked_props;
-      if (!proc.has_replica(e.object)) {
-        add(report.findings, Severity::kError, "prop_replica", pid,
-            "outProp names " + rgc::to_string(e.object) +
-                " but no such replica exists here");
-      }
-      if (!cluster.is_alive(e.process) || !net.reachable(pid, e.process)) {
-        continue;
-      }
-      if (cluster.process(e.process).find_in_prop(e.object, pid) == nullptr) {
-        add(report.findings, idle ? Severity::kError : Severity::kWarn,
-            "prop_pairing", pid,
-            "outProp " + rgc::to_string(e.object) + " to " +
-                rgc::to_string(e.process) + " has no inProp twin" +
-                (idle ? "" : " (traffic in flight)"));
-      }
-    }
-  }
-
-  // ---- Transport conservation, from the network's own ledgers ----------
-  for (const net::Network::KindFlow& f : net.kind_flows()) {
-    const std::uint64_t issued = f.sent + f.duplicated;
-    const std::uint64_t accounted = f.delivered + f.dropped + f.in_flight;
-    if (issued != accounted) {
-      add(report.findings, Severity::kError, "net_conservation", kNoProcess,
-          f.kind + ": sent " + std::to_string(f.sent) + " + duplicated " +
-              std::to_string(f.duplicated) + " != delivered " +
-              std::to_string(f.delivered) + " + dropped " +
-              std::to_string(f.dropped) + " + in-flight " +
-              std::to_string(f.in_flight));
-    }
-  }
-
-  if (!idle) {
-    add(report.findings, Severity::kWarn, "advisory", kNoProcess,
-        std::to_string(net.in_flight()) +
-            " messages in flight; run to quiescence for a definitive verdict");
-  }
-  return report;
-}
-
 std::vector<Finding> check_image(const std::string& bytes,
                                  std::uint64_t min_mutation_epoch) {
-  std::vector<Finding> out;
   switch (const gc::ImageStatus status = gc::validate_image(bytes)) {
     case gc::ImageStatus::kOk:
       break;
     case gc::ImageStatus::kChecksumMismatch:
-      add(out, Severity::kError, "image_checksum", kNoProcess,
-          gc::to_string(status));
-      return out;
+      return image_error("image_checksum", gc::to_string(status));
     case gc::ImageStatus::kMalformed:
-      add(out, Severity::kError, "image_structure", kNoProcess,
-          gc::to_string(status));
-      return out;
+      return image_error("image_structure", gc::to_string(status));
     case gc::ImageStatus::kTruncated:
     case gc::ImageStatus::kBadMagic:
     case gc::ImageStatus::kBadVersion:
-      add(out, Severity::kError, "image_header", kNoProcess,
-          gc::to_string(status));
-      return out;
+      return image_error("image_header", gc::to_string(status));
   }
   const auto image = gc::decode_image(bytes);
   if (!image.has_value()) {
-    add(out, Severity::kError, "image_structure", kNoProcess,
+    return image_error(
+        "image_structure",
         "checksum valid but the record structure does not decode");
-    return out;
   }
   if (image->mutation_epoch < min_mutation_epoch) {
-    add(out, Severity::kError, "image_stale", kNoProcess,
+    return image_error(
+        "image_stale",
         "image mutation epoch " + std::to_string(image->mutation_epoch) +
             " predates the recorded persist epoch " +
             std::to_string(min_mutation_epoch));
   }
-  return out;
+  return {};
 }
 
 }  // namespace rgc::obs

@@ -1,27 +1,7 @@
-// Offline consistency checker (modeled on monotone's database_check):
-// a full-scan, first-principles audit of an entire cluster, meant to run
-// from tests and tools after chaos legs — unlike the online auditor
-// (obs/audit.h), it holds no incremental state, assumes nothing about how
-// the cluster got here, and walks *everything*.
-//
-// Passes, each from first principles:
-//  - heap reference integrity: every reference held by any replica must
-//    resolve locally (replica or stub), and every root/transient root must
-//    be resolvable;
-//  - stub -> scion matching, with the same recovery-window leniency as the
-//    online auditor (dead target, expired lease, partition, reconciliation
-//    traffic in flight → WARN instead of ERROR);
-//  - scion ownership: every scion's owner must be live, or within its
-//    lease; a scion that outlived its owner's lease is an ERROR (the sweep
-//    in gc::Adgc::expire_leases failed);
-//  - scion anchors must be resolvable at the hosting process;
-//  - inProp/outProp pairing across every propagation edge, and every prop
-//    entry must name a replica that exists on its side;
-//  - per-kind transport conservation:
-//    sent + duplicated == delivered + dropped + in_flight.
-//
-// Results are obs::Finding values (shared with the online auditor) wrapped
-// in a ConsistencyReport; callers typically assert report.ok().
+// Offline check of a persisted process image (gc::encode_image bytes).
+// Cluster state itself is checked online by obs::HealthAuditor
+// (Cluster::audit()); a disk image has no auditor, so Cluster::restart
+// validates it here before rehydrating.
 #pragma once
 
 #include <cstdint>
@@ -29,41 +9,8 @@
 #include <vector>
 
 #include "obs/health.h"
-#include "util/ids.h"
-
-namespace rgc::core {
-class Cluster;
-}  // namespace rgc::core
 
 namespace rgc::obs {
-
-struct ConsistencyReport {
-  /// Simulation step the check ran at.
-  std::uint64_t step{0};
-  std::vector<Finding> findings;
-  /// Scan coverage, for "did it actually look at anything" asserts.
-  std::uint64_t checked_refs{0};
-  std::uint64_t checked_stubs{0};
-  std::uint64_t checked_scions{0};
-  std::uint64_t checked_props{0};
-
-  [[nodiscard]] std::size_t errors() const {
-    std::size_t n = 0;
-    for (const Finding& f : findings) n += f.severity == Severity::kError;
-    return n;
-  }
-  [[nodiscard]] std::size_t warnings() const {
-    std::size_t n = 0;
-    for (const Finding& f : findings) n += f.severity == Severity::kWarn;
-    return n;
-  }
-  [[nodiscard]] bool ok() const { return errors() == 0; }
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Full-cluster offline consistency check (see file header).
-[[nodiscard]] ConsistencyReport check_cluster(const core::Cluster& cluster);
 
 /// Offline verdict on a persisted process image (gc::encode_image bytes):
 /// structural validation (magic/version/checksum), decodability, and a

@@ -42,7 +42,7 @@ enum class Severity : std::uint8_t { kOk = 0, kWarn = 1, kError = 2 };
 struct Finding {
   Severity severity{Severity::kOk};
   /// Stable invariant name, e.g. "stub_scion", "prop_pairing",
-  /// "net_conservation", "cdm_lineage", "reclaim_safety", "oracle".
+  /// "net_conservation", "cdm_lineage", "reclaim_safety".
   std::string invariant;
   /// Process the violation was observed at; kNoProcess for cluster-wide
   /// findings (conservation identities span the whole transport).
@@ -73,6 +73,12 @@ struct HealthReport {
   /// True when this report includes the deep (mark-based) checks.
   bool deep{false};
   std::vector<Finding> findings;
+  /// Scan coverage, for "did it actually look at anything" asserts
+  /// (references are checked by deep audits only).
+  std::uint64_t checked_refs{0};
+  std::uint64_t checked_stubs{0};
+  std::uint64_t checked_scions{0};
+  std::uint64_t checked_props{0};
 
   [[nodiscard]] std::size_t errors() const {
     std::size_t n = 0;

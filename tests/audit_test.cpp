@@ -22,6 +22,7 @@
 #include "obs/health.h"
 #include "obs/prom.h"
 #include "rm/process.h"
+#include "workload/figures.h"
 #include "workload/random_mutator.h"
 
 namespace rgc {
@@ -47,7 +48,6 @@ bool has_finding(const HealthReport& report, std::string_view invariant,
 TEST(AuditTest, CleanWorkloadProducesNoErrors) {
   ClusterConfig cfg;
   cfg.audit_interval = 4;  // scheduled audits ride along every 4 steps
-  cfg.audit_oracle_assist = true;
   Cluster cluster{cfg};
   for (int i = 0; i < 3; ++i) cluster.add_process();
 
@@ -59,6 +59,8 @@ TEST(AuditTest, CleanWorkloadProducesNoErrors) {
   cluster.collect_all();
   cluster.run_until_quiescent();
 
+  const auto oracle = Oracle::analyze(cluster);
+  EXPECT_TRUE(oracle.violations.empty()) << oracle.violations.front();
   const HealthReport& health = cluster.audit();
   EXPECT_EQ(health.errors(), 0u) << health.to_string();
   // The scheduled cadence actually fired during the workload.
@@ -77,7 +79,6 @@ TEST(AuditTest, ChaoticWorkloadProducesNoFalsePositives) {
   cfg.net.min_delay = 1;
   cfg.net.max_delay = 4;
   cfg.audit_interval = 8;
-  cfg.audit_oracle_assist = true;
   Cluster cluster{cfg};
   for (int i = 0; i < 4; ++i) cluster.add_process();
 
@@ -224,6 +225,107 @@ TEST(AuditTest, ReclaimDanglingRefIsFlagged) {
   const HealthReport& health = cluster.audit();
   EXPECT_TRUE(has_finding(health, "reclaim_safety", Severity::kError))
       << health.to_string();
+}
+
+TEST(AuditTest, DanglingRootIsFlagged) {
+  Cluster cluster;
+  const ProcessId p0 = cluster.add_process();
+  const ObjectId a = cluster.new_object(p0);
+  cluster.add_root(p0, a);
+  ASSERT_EQ(cluster.audit().errors(), 0u);
+
+  // Evict a behind the collector's back while it stays in the root set.
+  ASSERT_TRUE(cluster.process(p0).heap().erase(a));
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_TRUE(has_finding(health, "root_integrity", Severity::kError))
+      << health.to_string();
+}
+
+TEST(AuditTest, ScionWithErasedAnchorIsFlagged) {
+  Cluster cluster;
+  const ProcessId p0 = cluster.add_process();
+  const ProcessId p1 = cluster.add_process();
+  const ObjectId x = cluster.new_object(p0);
+  const ObjectId y = cluster.new_object(p1);
+  cluster.add_root(p0, x);
+  workload::make_remote_ref(cluster, p0, x, p1, y);  // scion {p0, y} at p1
+  workload::settle(cluster);
+  ASSERT_TRUE(cluster.process(p1).scions().contains(rm::ScionKey{p0, y}));
+  ASSERT_EQ(cluster.audit().errors(), 0u);
+
+  // The scion now anchors an object that no longer exists.
+  ASSERT_TRUE(cluster.process(p1).heap().erase(y));
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_TRUE(has_finding(health, "scion_anchor", Severity::kError))
+      << health.to_string();
+}
+
+TEST(AuditTest, PropEntryWithoutReplicaIsFlagged) {
+  Cluster cluster;
+  const ProcessId p0 = cluster.add_process();
+  const ProcessId p1 = cluster.add_process();
+  const ObjectId x = cluster.new_object(p0);
+  cluster.add_root(p0, x);
+  cluster.propagate(x, p0, p1);
+  cluster.run_until_quiescent();
+  ASSERT_EQ(cluster.audit().errors(), 0u);
+
+  // Drop the child's replica while its inProp entry (and the parent's
+  // outProp twin) remain: the pairing holds, the entry names nothing.
+  ASSERT_TRUE(cluster.process(p1).heap().erase(x));
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_TRUE(has_finding(health, "prop_replica", Severity::kError))
+      << health.to_string();
+}
+
+TEST(AuditTest, DanglingRefFromUnreachableObjectIsFlagged) {
+  Cluster cluster;
+  const ProcessId p0 = cluster.add_process();
+  const ObjectId a = cluster.new_object(p0);
+  const ObjectId b = cluster.new_object(p0);
+  cluster.add_ref(p0, a, b);  // a is unrooted: floating garbage
+  ASSERT_EQ(cluster.audit().errors(), 0u);
+
+  // reclaim_safety only walks live objects; reference integrity covers the
+  // unreachable rest of the heap.
+  ASSERT_TRUE(cluster.process(p0).heap().erase(b));
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_TRUE(has_finding(health, "ref_integrity", Severity::kError))
+      << health.to_string();
+}
+
+// ---- Recovery windows stay WARN --------------------------------------------
+
+TEST(AuditTest, StubOrphanedByCutIsAWarnUntilTheHolderCollects) {
+  // A verdict's Cut deletes the cycle's scions at once; their stubs stay at
+  // the holders until each holder's next LGC.  At idle, before any holder
+  // collects, that mismatch is expected, not a violation.
+  Cluster cluster;
+  const auto fig = workload::build_figure2(cluster);
+  cluster.snapshot_all();
+  ASSERT_TRUE(cluster.detect(fig.p1, fig.x).has_value());
+  cluster.run_until_quiescent();
+  ASSERT_FALSE(cluster.cycles_found().empty());
+  ASSERT_TRUE(cluster.network().idle());
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_EQ(health.errors(), 0u) << health.to_string();
+  bool awaiting_lgc = false;
+  for (const obs::Finding& f : health.findings) {
+    awaiting_lgc |= f.invariant == "stub_scion" &&
+                    f.severity == Severity::kWarn &&
+                    f.detail.ends_with("awaiting post-cut LGC retirement");
+  }
+  EXPECT_TRUE(awaiting_lgc) << health.to_string();
+
+  // The holders' collections retire the orphaned stubs.
+  cluster.run_full_gc();
+  const HealthReport& after = cluster.audit();
+  EXPECT_TRUE(after.findings.empty()) << after.to_string();
 }
 
 // ---- Reclaim-latency accounting --------------------------------------------

@@ -7,17 +7,15 @@
 // partitions and heals through the same workload, the acceptance test and
 // the lossy FaultChaosLegs alike.
 //
-// scripts/check.sh re-runs these with RGC_CHAOS_AUDIT=1 (audit every step)
-// and RGC_CHAOS_THREADS=4 so the online health auditor and the fault layer
-// ride along under both sanitizers; any auditor ERROR fails the run.
+// Every leg audits every step with the worker pool at 4 threads, and the
+// daemon-driven legs run once under each daemon schedule (adaptive and
+// fixed cadence); any auditor ERROR fails the run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "core/daemon.h"
 #include "core/oracle.h"
-#include "obs/check.h"
 #include "workload/fault_plan.h"
 #include "workload/random_mutator.h"
 
@@ -30,26 +28,29 @@ using core::ClusterConfig;
 using core::GcDaemon;
 using core::Oracle;
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
-/// CI overrides: RGC_CHAOS_THREADS picks the worker-pool width,
-/// RGC_CHAOS_AUDIT the scheduled audit cadence (1 = every step).
-void apply_env_overrides(ClusterConfig& cfg) {
-  cfg.threads = static_cast<std::size_t>(env_u64("RGC_CHAOS_THREADS", 1));
-  cfg.audit_interval = env_u64("RGC_CHAOS_AUDIT", cfg.audit_interval);
-}
-
-/// Daemon scheduling for the chaos runs: adaptive deferred detection is
-/// the default; RGC_CHAOS_ADAPTIVE=0 pins the legacy fixed cadence so CI
-/// can audit both policies under the same fault mix.
-core::DaemonConfig chaos_daemon_config() {
-  core::DaemonConfig cfg;
-  cfg.adaptive.enabled = env_u64("RGC_CHAOS_ADAPTIVE", 1) != 0;
+/// The checks every chaos leg runs under: the online health auditor on
+/// every step, and the worker pool at 4 threads.
+ClusterConfig checked_config() {
+  ClusterConfig cfg;
+  cfg.audit_interval = 1;
+  cfg.threads = 4;
   return cfg;
+}
+
+/// The daemon-driven legs run under both schedules: adaptive deferred
+/// detection (the default) and the fixed cadence.
+constexpr bool kAdaptiveSchedules[] = {true, false};
+
+core::DaemonConfig daemon_config(bool adaptive) {
+  core::DaemonConfig cfg;
+  cfg.adaptive.enabled = adaptive;
+  return cfg;
+}
+
+/// ERRORs over every audit the cluster has run so far: each scheduled
+/// per-step audit as well as the on-demand ones.
+std::uint64_t audit_errors_so_far(const Cluster& cluster) {
+  return cluster.auditor().metrics().get("audit.findings_error_total");
 }
 
 /// The decentralized termination verdict must agree with the legacy global
@@ -82,45 +83,47 @@ class Chaos : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(Chaos, SafetyUnderEverything) {
   const ChaosCase param = GetParam();
-  ClusterConfig cfg;
-  cfg.net.seed = param.seed;
-  cfg.net.drop_probability = param.drop;
-  cfg.net.duplicate_probability = param.dup;
-  cfg.net.min_delay = 1;
-  cfg.net.max_delay = param.max_delay;
-  cfg.candidates = param.policy;
-  cfg.candidate_threshold = 2;
-  apply_env_overrides(cfg);
-  Cluster cluster{cfg};
-  for (std::size_t i = 0; i < param.processes; ++i) cluster.add_process();
+  for (const bool adaptive : kAdaptiveSchedules) {
+    SCOPED_TRACE(adaptive ? "adaptive daemon" : "fixed-cadence daemon");
+    ClusterConfig cfg = checked_config();
+    cfg.net.seed = param.seed;
+    cfg.net.drop_probability = param.drop;
+    cfg.net.duplicate_probability = param.dup;
+    cfg.net.min_delay = 1;
+    cfg.net.max_delay = param.max_delay;
+    cfg.candidates = param.policy;
+    cfg.candidate_threshold = 2;
+    Cluster cluster{cfg};
+    for (std::size_t i = 0; i < param.processes; ++i) cluster.add_process();
 
-  workload::MutatorSpec spec;
-  spec.seed = param.seed * 7919 + 31;
-  spec.w_collect = 0;  // the daemon collects
-  spec.w_step = 5;
-  workload::RandomMutator mutator{cluster, spec};
-  GcDaemon daemon{cluster, chaos_daemon_config()};
+    workload::MutatorSpec spec;
+    spec.seed = param.seed * 7919 + 31;
+    spec.w_collect = 0;  // the daemon collects
+    spec.w_step = 5;
+    workload::RandomMutator mutator{cluster, spec};
+    GcDaemon daemon{cluster, daemon_config(adaptive)};
 
-  for (int burst = 0; burst < 10; ++burst) {
-    mutator.run(60);
-    daemon.run(25);
-    cluster.run_until_quiescent();
-    ASSERT_TRUE(termination_agrees(cluster))
-        << "seed " << param.seed << " burst " << burst;
-    const auto report = Oracle::analyze(cluster);
-    ASSERT_TRUE(report.violations.empty())
-        << "seed " << param.seed << " burst " << burst << ": "
-        << report.violations.front();
-    const auto& health = cluster.audit();
-    ASSERT_EQ(health.errors(), 0u)
-        << "seed " << param.seed << " burst " << burst << "\n"
-        << health.to_string();
+    for (int burst = 0; burst < 10; ++burst) {
+      mutator.run(60);
+      daemon.run(25);
+      cluster.run_until_quiescent();
+      ASSERT_TRUE(termination_agrees(cluster))
+          << "seed " << param.seed << " burst " << burst;
+      const auto report = Oracle::analyze(cluster);
+      ASSERT_TRUE(report.violations.empty())
+          << "seed " << param.seed << " burst " << burst << ": "
+          << report.violations.front();
+      const auto& health = cluster.audit();
+      ASSERT_EQ(audit_errors_so_far(cluster), 0u)
+          << "seed " << param.seed << " burst " << burst << "\n"
+          << health.to_string();
+    }
   }
 }
 
 TEST_P(Chaos, EventualCompletenessOnceQuiet) {
   const ChaosCase param = GetParam();
-  ClusterConfig cfg;
+  ClusterConfig cfg = checked_config();
   cfg.net.seed = param.seed ^ 0x5a5a;
   cfg.net.drop_probability = param.drop;
   cfg.net.duplicate_probability = param.dup;
@@ -128,7 +131,6 @@ TEST_P(Chaos, EventualCompletenessOnceQuiet) {
   cfg.net.max_delay = param.max_delay;
   cfg.candidates = param.policy;
   cfg.candidate_threshold = 2;
-  apply_env_overrides(cfg);
   Cluster cluster{cfg};
   for (std::size_t i = 0; i < param.processes; ++i) cluster.add_process();
 
@@ -148,8 +150,8 @@ TEST_P(Chaos, EventualCompletenessOnceQuiet) {
   }
   EXPECT_TRUE(done) << "seed " << param.seed;
   const auto& health = cluster.audit();
-  EXPECT_EQ(health.errors(), 0u) << "seed " << param.seed << "\n"
-                                 << health.to_string();
+  EXPECT_EQ(audit_errors_so_far(cluster), 0u) << "seed " << param.seed << "\n"
+                                              << health.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -173,7 +175,6 @@ struct FaultRunOutcome {
   std::size_t garbage{0};
   std::size_t violations{0};
   std::uint64_t audit_errors{0};
-  bool checker_ok{false};
   std::size_t plan_events{0};
   std::size_t applied{0};
   std::size_t skipped{0};
@@ -189,14 +190,14 @@ struct FaultRunOutcome {
   bool operator==(const FaultRunOutcome&) const = default;
 };
 
-/// One full fault-chaos scenario: a leased cluster under random mutation
-/// and the GC daemon, with a seeded FaultPlan firing kills, restarts,
-/// partitions, heals and persist-alls mid-flight; then end-of-chaos
-/// (heal + restart everyone), quiescence, and GC until dry.
-FaultRunOutcome run_fault_chaos(std::uint64_t seed, std::size_t processes,
+/// One full fault-chaos scenario: a leased cluster (on top of `cfg`) under
+/// random mutation and the GC daemon, with a seeded FaultPlan firing kills,
+/// restarts, partitions, heals and persist-alls mid-flight; then
+/// end-of-chaos (heal + restart everyone), quiescence, and GC until dry.
+FaultRunOutcome run_fault_chaos(ClusterConfig cfg, bool adaptive,
+                                std::uint64_t seed, std::size_t processes,
                                 double drop, double dup,
-                                std::uint32_t max_delay, bool env_overrides) {
-  ClusterConfig cfg;
+                                std::uint32_t max_delay) {
   cfg.net.seed = seed;
   cfg.net.drop_probability = drop;
   cfg.net.duplicate_probability = dup;
@@ -204,7 +205,6 @@ FaultRunOutcome run_fault_chaos(std::uint64_t seed, std::size_t processes,
   cfg.net.max_delay = max_delay;
   cfg.candidate_threshold = 2;
   cfg.lease_timeout = 48;
-  if (env_overrides) apply_env_overrides(cfg);
   Cluster cluster{cfg};
   for (std::size_t i = 0; i < processes; ++i) cluster.add_process();
 
@@ -223,7 +223,7 @@ FaultRunOutcome run_fault_chaos(std::uint64_t seed, std::size_t processes,
   spec.w_collect = 0;  // the daemon collects
   spec.w_step = 5;
   workload::RandomMutator mutator{cluster, spec};
-  GcDaemon daemon{cluster, chaos_daemon_config()};
+  GcDaemon daemon{cluster, daemon_config(adaptive)};
 
   // Interleave mutation, background GC (detection included — kills land
   // mid-detection), and the fault schedule until the plan drains.
@@ -254,11 +254,8 @@ FaultRunOutcome run_fault_chaos(std::uint64_t seed, std::size_t processes,
   out.garbage = Oracle::analyze(cluster).garbage_objects().size();
 
   const auto& health = cluster.audit();
-  out.audit_errors = health.errors();
+  out.audit_errors = audit_errors_so_far(cluster);
   if (out.audit_errors != 0) out.detail = health.to_string();
-  const auto consistency = obs::check_cluster(cluster);
-  out.checker_ok = consistency.ok();
-  if (!out.checker_ok && out.detail.empty()) out.detail = consistency.to_string();
 
   out.plan_events = plan.events.size();
   out.applied = runner.applied();
@@ -273,28 +270,32 @@ FaultRunOutcome run_fault_chaos(std::uint64_t seed, std::size_t processes,
 // The headline acceptance run (always on): 16 processes, ≥3 kills landing
 // mid-detection, a partition episode plus heal, restarts from snapshots —
 // then the cluster must quiesce with zero dead garbage, zero oracle
-// violations, zero auditor errors, and a clean offline consistency check.
+// violations and zero auditor errors, under both daemon schedules.
 TEST(FaultChaos, AcceptanceSixteenProcessFaultMix) {
-  const auto out = run_fault_chaos(/*seed=*/2024, /*processes=*/16,
-                                   /*drop=*/0.0, /*dup=*/0.0,
-                                   /*max_delay=*/2, /*env_overrides=*/true);
-  EXPECT_GE(out.crashes, 3u) << "plan applied too few kills to count";
-  EXPECT_EQ(out.crashes, out.recoveries);  // everyone came back
-  EXPECT_EQ(out.violations, 0u) << out.detail;
-  EXPECT_EQ(out.garbage, 0u) << "floating garbage survived chaos";
-  EXPECT_EQ(out.audit_errors, 0u) << out.detail;
-  EXPECT_TRUE(out.checker_ok) << out.detail;
-  EXPECT_TRUE(out.termination_agreed)
-      << "decentralized quiescence diverged from the global scan";
+  for (const bool adaptive : kAdaptiveSchedules) {
+    SCOPED_TRACE(adaptive ? "adaptive daemon" : "fixed-cadence daemon");
+    const auto out = run_fault_chaos(checked_config(), adaptive,
+                                     /*seed=*/2024, /*processes=*/16,
+                                     /*drop=*/0.0, /*dup=*/0.0,
+                                     /*max_delay=*/2);
+    EXPECT_GE(out.crashes, 3u) << "plan applied too few kills to count";
+    EXPECT_EQ(out.crashes, out.recoveries);  // everyone came back
+    EXPECT_EQ(out.violations, 0u) << out.detail;
+    EXPECT_EQ(out.garbage, 0u) << "floating garbage survived chaos";
+    EXPECT_EQ(out.audit_errors, 0u) << out.detail;
+    EXPECT_TRUE(out.termination_agreed)
+        << "decentralized quiescence diverged from the global scan";
+  }
 }
 
 // Same seed, same plan, same outcome — the chaos schedule is reproducible,
-// so any failure above can be replayed exactly.
+// so any failure above can be replayed exactly.  Runs on the cluster's
+// default audit cadence and a single thread.
 TEST(FaultChaos, AcceptanceRunIsSeedReproducible) {
-  const auto a = run_fault_chaos(2024, 16, 0.0, 0.0, 2, /*env_overrides=*/false);
-  const auto b = run_fault_chaos(2024, 16, 0.0, 0.0, 2, /*env_overrides=*/false);
+  const auto a = run_fault_chaos({}, true, 2024, 16, 0.0, 0.0, 2);
+  const auto b = run_fault_chaos({}, true, 2024, 16, 0.0, 0.0, 2);
   EXPECT_EQ(a, b);
-  const auto c = run_fault_chaos(2025, 16, 0.0, 0.0, 2, /*env_overrides=*/false);
+  const auto c = run_fault_chaos({}, true, 2025, 16, 0.0, 0.0, 2);
   EXPECT_TRUE(c.crashes != a.crashes || c.applied != a.applied ||
               c.lease_expirations != a.lease_expirations ||
               c.total_objects != a.total_objects)
@@ -308,14 +309,19 @@ class FaultChaosLegs : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(FaultChaosLegs, SafeAndCompleteUnderLossyChaos) {
   const ChaosCase param = GetParam();
-  const auto out =
-      run_fault_chaos(param.seed, param.processes, param.drop, param.dup,
-                      param.max_delay, /*env_overrides=*/true);
-  EXPECT_EQ(out.violations, 0u) << "seed " << param.seed << ": " << out.detail;
-  EXPECT_EQ(out.garbage, 0u) << "seed " << param.seed;
-  EXPECT_EQ(out.audit_errors, 0u) << "seed " << param.seed << "\n" << out.detail;
-  EXPECT_TRUE(out.checker_ok) << "seed " << param.seed << "\n" << out.detail;
-  EXPECT_TRUE(out.termination_agreed) << "seed " << param.seed;
+  for (const bool adaptive : kAdaptiveSchedules) {
+    SCOPED_TRACE(adaptive ? "adaptive daemon" : "fixed-cadence daemon");
+    const auto out =
+        run_fault_chaos(checked_config(), adaptive, param.seed,
+                        param.processes, param.drop, param.dup,
+                        param.max_delay);
+    EXPECT_EQ(out.violations, 0u)
+        << "seed " << param.seed << ": " << out.detail;
+    EXPECT_EQ(out.garbage, 0u) << "seed " << param.seed;
+    EXPECT_EQ(out.audit_errors, 0u)
+        << "seed " << param.seed << "\n" << out.detail;
+    EXPECT_TRUE(out.termination_agreed) << "seed " << param.seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

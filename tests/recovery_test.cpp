@@ -1,8 +1,8 @@
 // Crash/recovery fault-tolerance tests (docs/FAULTS.md): process kill +
 // restart-from-snapshot round-trips, lease/timeout scion reclamation
 // boundaries, the reconciliation protocol (Recover / Rebind / RebindNack /
-// PropSync), partition loss semantics, and the offline consistency
-// checker, all against the omniscient core::Oracle.
+// PropSync), partition loss semantics, and the invariants Cluster::audit()
+// checks on fault-shaped state, all against the omniscient core::Oracle.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -171,8 +171,6 @@ TEST(Restart, PairRoundTripKeepsStubScionPairsCoherent) {
   EXPECT_TRUE(callee.scions().contains(rm::ScionKey{w.p0, w.y}));
   EXPECT_TRUE(Oracle::analyze(cluster).violations.empty());
   EXPECT_EQ(cluster.audit().errors(), 0u) << cluster.audit().to_string();
-  EXPECT_TRUE(obs::check_cluster(cluster).ok())
-      << obs::check_cluster(cluster).to_string();
 }
 
 TEST(Restart, FigureTopologyRoundTripStaysCollectable) {
@@ -210,8 +208,6 @@ TEST(Restart, StaleImageContentIsHealedByReconciliation) {
   // p0's reconciliation re-propagated the surviving link.
   EXPECT_TRUE(cluster.process(p1).has_replica(x));
   EXPECT_EQ(cluster.audit().errors(), 0u) << cluster.audit().to_string();
-  EXPECT_TRUE(obs::check_cluster(cluster).ok())
-      << obs::check_cluster(cluster).to_string();
 }
 
 TEST(Restart, RebindRecreatesScionLostWithStaleImage) {
@@ -251,8 +247,6 @@ TEST(Restart, RebindNackSeversStubsIntoLostState) {
   EXPECT_EQ(cluster.process(w.p0).find_stub(rm::StubKey{w.y, w.p1}), nullptr);
   EXPECT_TRUE(Oracle::analyze(cluster).violations.empty());
   EXPECT_EQ(cluster.audit().errors(), 0u) << cluster.audit().to_string();
-  EXPECT_TRUE(obs::check_cluster(cluster).ok())
-      << obs::check_cluster(cluster).to_string();
 }
 
 // ---- Image validation ------------------------------------------------------
@@ -377,8 +371,6 @@ TEST(Lease, PermanentlyDeadOwnerFloatingGarbageDrainsToZero) {
   EXPECT_EQ(cluster.total_objects(), 0u);
   EXPECT_TRUE(Oracle::analyze(cluster).violations.empty());
   EXPECT_EQ(cluster.audit().errors(), 0u) << cluster.audit().to_string();
-  EXPECT_TRUE(obs::check_cluster(cluster).ok())
-      << obs::check_cluster(cluster).to_string();
 }
 
 TEST(Lease, RestartAfterExpiryReRegistersAndRebinds) {
@@ -463,8 +455,6 @@ TEST(Partition, HealReconvergesStubScionStateAcrossTheCut) {
   EXPECT_TRUE(cluster.process(w.p1).scions().contains(rm::ScionKey{w.p0, w.y}));
   EXPECT_TRUE(Oracle::analyze(cluster).violations.empty());
   EXPECT_EQ(cluster.audit().errors(), 0u) << cluster.audit().to_string();
-  EXPECT_TRUE(obs::check_cluster(cluster).ok())
-      << obs::check_cluster(cluster).to_string();
 }
 
 // ---- Crashes during detection ---------------------------------------------
@@ -498,14 +488,14 @@ TEST(OracleFaults, ChainsIntoDeadProcessesAreNotViolations) {
   (void)w;
 }
 
-// ---- Offline consistency checker ------------------------------------------
+// ---- Consistency checks through Cluster::audit() --------------------------
 
 TEST(Checker, CleanClusterPassesWithRealCoverage) {
   Cluster cluster;
   const RemoteRefWorld w = build_remote_ref(cluster);
   (void)w;
-  const auto report = obs::check_cluster(cluster);
-  EXPECT_TRUE(report.ok()) << report.to_string();
+  const obs::HealthReport& report = cluster.audit();
+  EXPECT_EQ(report.errors(), 0u) << report.to_string();
   EXPECT_GT(report.checked_refs, 0u);
   EXPECT_GT(report.checked_stubs, 0u);
   EXPECT_GT(report.checked_scions, 0u);
@@ -516,9 +506,8 @@ TEST(Checker, DetectsAManuallyCorruptedScionTable) {
   const RemoteRefWorld w = build_remote_ref(cluster);
   // Simulated corruption: the scion vanishes while its stub remains.
   cluster.process(w.p1).scions().erase(rm::ScionKey{w.p0, w.y});
-  const auto report = obs::check_cluster(cluster);
-  EXPECT_FALSE(report.ok());
-  EXPECT_GE(report.errors(), 1u);
+  const obs::HealthReport& report = cluster.audit();
+  EXPECT_GE(report.errors(), 1u) << report.to_string();
 }
 
 TEST(Checker, DetectsScionsThatOutliveTheirLease) {
@@ -531,9 +520,8 @@ TEST(Checker, DetectsScionsThatOutliveTheirLease) {
   rm::Scion ghost;
   ghost.key = rm::ScionKey{w.p0, w.y};
   scions.emplace(ghost.key, ghost);
-  const auto report = obs::check_cluster(cluster);
-  EXPECT_FALSE(report.ok());
-  EXPECT_GE(report.errors(), 1u);
+  const obs::HealthReport& report = cluster.audit();
+  EXPECT_GE(report.errors(), 1u) << report.to_string();
 }
 
 // ---- FaultPlan -------------------------------------------------------------
