@@ -19,13 +19,11 @@
 //     deferred policy.  Scored at matched safety (oracle-verified complete,
 //     zero audit errors) by GC bytes (CDM wire weight + snapshot bytes) per
 //     reclaimed cycle and by the ledger's unlink->reclaim p90 — the
-//     headline numbers for the adaptive policy.  Emitted as JSONL records
-//     `ablation_policies.daemon_{adaptive,fixed}` for bench_diff.py.
+//     headline numbers for the adaptive policy.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.h"
 #include "core/cluster.h"
 #include "core/daemon.h"
 #include "core/oracle.h"
@@ -144,14 +142,11 @@ struct DaemonScore {
   double mean_e2e{0};               // ledger e2e: detection start -> reclaim
   std::uint64_t p90_e2e{0};
   double wave_lag{0};               // steps, wave built -> first detection
-  std::uint64_t max_wave_lag{0};
   std::uint64_t cdm_bytes{0};       // net.weight.CDM wire bytes
   std::uint64_t snapshot_bytes{0};  // daemon.snapshot_bytes
   std::uint64_t collections{0};
   std::uint64_t sweeps{0};
   std::uint64_t skipped{0};         // skipped collections + sweeps
-  std::uint64_t detections{0};
-  std::uint64_t steps{0};
   std::uint64_t waves{0};           // spanning garbage cycles built
   std::uint64_t leftover{0};        // oracle: dead objects still present
   std::uint64_t audit_errors{0};
@@ -201,7 +196,6 @@ DaemonScore run_daemon(bool adaptive) {
   }
 
   DaemonScore s;
-  s.steps = cluster.now();
   s.waves = wave_steps.size();
   s.leftover = leftover;
   s.audit_errors = cluster.audit().errors();
@@ -236,7 +230,6 @@ DaemonScore run_daemon(bool adaptive) {
     if (!found) continue;
     ++waves_scored;
     s.wave_lag += static_cast<double>(lag);
-    s.max_wave_lag = std::max(s.max_wave_lag, lag);
   }
   if (waves_scored != 0) s.wave_lag /= static_cast<double>(waves_scored);
   const util::Metrics& nm = cluster.network().metrics();
@@ -245,27 +238,6 @@ DaemonScore run_daemon(bool adaptive) {
   s.collections = daemon.collections();
   s.sweeps = daemon.sweeps();
   s.skipped = daemon.skipped_collections() + daemon.skipped_sweeps();
-  s.detections = daemon.detections_started();
-
-  bench::RunRecord rec{adaptive ? "ablation_policies.daemon_adaptive"
-                                : "ablation_policies.daemon_fixed"};
-  rec.field("cycles", s.cycles)
-      .field("reclaimed", s.reclaimed)
-      .field("mean_e2e", s.mean_e2e)
-      .field("p90_e2e", s.p90_e2e)
-      .field("wave_lag", s.wave_lag)
-      .field("max_wave_lag", s.max_wave_lag)
-      .field("cdm_bytes", s.cdm_bytes)
-      .field("snapshot_bytes", s.snapshot_bytes)
-      .field("bytes_per_cycle", s.bytes_per_cycle())
-      .field("collections", s.collections)
-      .field("sweeps", s.sweeps)
-      .field("skipped", s.skipped)
-      .field("detections", s.detections)
-      .field("steps", s.steps)
-      .field("waves", s.waves)
-      .field("leftover", s.leftover)
-      .field("audit_errors", s.audit_errors);
   return s;
 }
 

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.h"
 #include "core/cluster.h"
 #include "workload/mesh.h"
 
@@ -82,13 +81,6 @@ int main() {
   std::printf("%-34s %12llu %12llu\n", "total CDMs issued",
               static_cast<unsigned long long>(ours.total),
               static_cast<unsigned long long>(base.total));
-  bench::RunRecord{"fig8"}
-      .field("R", kR)
-      .field("deps", kD)
-      .field("ours_detect_step", ours.detect_step)
-      .field("base_detect_step", base.detect_step)
-      .field("ours_cdms", ours.total)
-      .field("base_cdms", base.total);
 
   std::printf(
       "\npaper: both detect at the same step; ours issues fewer CDMs.\n"

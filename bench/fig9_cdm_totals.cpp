@@ -14,7 +14,6 @@
 //     (marked '*'), which is the claim in its starkest form.
 #include <cstdio>
 
-#include "bench_util.h"
 #include "core/cluster.h"
 #include "workload/mesh.h"
 
@@ -54,14 +53,6 @@ int main() {
     for (const std::size_t D : {10, 25, 50, 100}) {
       const Totals ours = run(core::DetectorMode::kReplicationAware, {R, D});
       const Totals base = run(core::DetectorMode::kBaseline, {R, D});
-      bench::RunRecord{"fig9"}
-          .field("sweep", "ring")
-          .field("R", R)
-          .field("deps", D)
-          .field("ours_cdms", ours.cdms)
-          .field("ours_converged", ours.converged)
-          .field("base_cdms", base.cdms)
-          .field("base_converged", base.converged);
       std::printf("%4zu %6zu %9llu%s %9llu%s %8.2f\n", R, D,
                   static_cast<unsigned long long>(ours.cdms),
                   ours.converged ? "" : "*",
@@ -80,14 +71,6 @@ int main() {
     const workload::MeshSpec spec{4, 25, factor - 2};
     const Totals ours = run(core::DetectorMode::kReplicationAware, spec);
     const Totals base = run(core::DetectorMode::kBaseline, spec);
-    bench::RunRecord{"fig9"}
-        .field("sweep", "factor")
-        .field("factor", factor)
-        .field("deps", std::size_t{25})
-        .field("ours_cdms", ours.cdms)
-        .field("ours_converged", ours.converged)
-        .field("base_cdms", base.cdms)
-        .field("base_converged", base.converged);
     std::printf("%8zu %9llu%s %9llu%s %8.2f\n", factor,
                 static_cast<unsigned long long>(ours.cdms),
                 ours.converged ? "" : "*",

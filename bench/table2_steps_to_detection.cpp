@@ -18,7 +18,6 @@
 // equality between the algorithms — is what carries the claim.
 #include <cstdio>
 
-#include "bench_util.h"
 #include "core/cluster.h"
 #include "workload/mesh.h"
 
@@ -65,13 +64,6 @@ int main() {
           core::DetectorMode::kReplicationAware, R, D, /*defer_props=*/true);
       const bool eq = ours <= base + 1 && base <= ours + 1;
       all_equal = all_equal && eq;
-      bench::RunRecord{"table2"}
-          .field("R", R)
-          .field("deps", D)
-          .field("ours_steps", ours)
-          .field("base_steps", base)
-          .field("refs_first_steps", per_link)
-          .field("paper_steps", paper[ri][di]);
       std::printf("%4zu %6zu %8llu %10llu %10llu %8zu %14s\n", R, D,
                   static_cast<unsigned long long>(ours),
                   static_cast<unsigned long long>(base),

@@ -38,7 +38,7 @@ int main() {
     std::printf("detection refused to start!\n");
     return 1;
   }
-  const auto steps = cluster.run_until_quiescent();
+  const std::uint64_t steps = cluster.run_until_quiescent().steps;
   util::set_log_level(util::LogLevel::kOff);
 
   if (cluster.cycles_found().empty()) {

@@ -97,6 +97,17 @@ if [[ "${1:-}" != "--fast" ]]; then
   ctest --test-dir build-asan -L policy --output-on-failure -j "$JOBS"
   cmake --build build-tsan -j "$JOBS" --target policy_test
   ./build-tsan/tests/policy_test
+
+  # The benchmark that gates performance claims (perfbench/README.md,
+  # BENCHMARK.json) compiles the library from src/ on its own: keep it
+  # building warning-free, its statistics self-tested, and one short
+  # graph_store run exiting 0.
+  echo "== perfbench build + self-test + graph_store smoke =="
+  cmake -S perfbench -B build-perfbench "$WERROR"
+  cmake --build build-perfbench -j "$JOBS"
+  ./build-perfbench/perfbench_selftest
+  ./build-perfbench/perfbench --workload graph_store --seed 1 --seconds 1 \
+    --trace 0 | tail -n 1
 fi
 
 echo "OK"

@@ -118,9 +118,7 @@ struct ClusterConfig {
 };
 
 /// Outcome of run_until_quiescent: how many steps ran and whether the
-/// network actually drained.  Implicitly converts to the step count so
-/// existing `std::uint64_t steps = cluster.run_until_quiescent()` callers
-/// keep compiling.
+/// network actually drained.
 struct QuiescenceStatus {
   std::uint64_t steps{0};
   bool quiescent{true};
@@ -131,8 +129,6 @@ struct QuiescenceStatus {
   /// still quiesces (the fix for the old "crashed process counts as
   /// pending forever" hang).
   std::size_t dead{0};
-
-  constexpr operator std::uint64_t() const noexcept { return steps; }  // NOLINT
 };
 
 class Cluster {

@@ -154,13 +154,9 @@ struct ProcessSummary {
 /// propagated over the condensation DAG — O(graph + seeds·stubs/64)
 /// instead of one full trace per scion/replica, with zero steady-state
 /// scratch allocations (rm::SummarizeScratch).  Output is bit-for-bit
-/// identical to summarize_reference.
+/// identical to the per-seed-trace reference summarizer that the
+/// differential tests keep as the executable specification
+/// (tests/summary_reference.h).
 [[nodiscard]] ProcessSummary summarize(const rm::Process& process);
-
-/// The original per-seed-trace summarizer, kept verbatim as the executable
-/// specification: tests differential-check summarize() against it and the
-/// benchmark uses it as the cold-snapshot baseline.  Not for production
-/// call sites — it is O(seeds × local-graph).
-[[nodiscard]] ProcessSummary summarize_reference(const rm::Process& process);
 
 }  // namespace rgc::gc

@@ -104,7 +104,7 @@ TEST(Determinism, QuiescenceTimeoutIsCountedAndReported) {
   cluster.propagate(obj, p0, p1);  // in flight for 4 steps
 
   // Give up before delivery: the truncation must be observable, not silent.
-  const std::uint64_t steps = cluster.run_until_quiescent(/*max_steps=*/1);
+  const std::uint64_t steps = cluster.run_until_quiescent(/*max_steps=*/1).steps;
   EXPECT_EQ(steps, 1u);
   EXPECT_GE(cluster.network().in_flight(), 1u);
   EXPECT_EQ(cluster.network().metrics().get("cluster.quiescence_timeout"), 1u);

@@ -135,7 +135,7 @@ TEST_F(Figure2Test, DetectionFromXFollowsThePaperTrace) {
   cluster.snapshot_all();
   const auto id = cluster.detect(f.p1, f.x);
   ASSERT_TRUE(id.has_value());
-  const auto steps = cluster.run_until_quiescent();
+  const std::uint64_t steps = cluster.run_until_quiescent().steps;
   ASSERT_EQ(cluster.cycles_found().size(), 1u);
 
   // One CDM per hop P1->P2->P4->P3->P1 (the paper's Alg1..Alg4).

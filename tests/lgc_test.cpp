@@ -2,9 +2,37 @@
 // preservation, stub-set regeneration, sweep, finalization strategies.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "gc/lgc/lgc.h"
 #include "net/network.h"
 #include "rm/process.h"
+
+// Counts every global operator new in this binary, so a test can pin how
+// many allocations one collection makes.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+// Not inlined: once inlined into a caller, GCC pairs the caller's
+// `operator new` with this body's `free` and reports a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rgc::gc {
 namespace {
@@ -235,6 +263,40 @@ TEST_F(LgcFixture, TracedCountGrowsWithHeap) {
   }
   const auto r = Lgc::collect(p1);
   EXPECT_GE(r.traced, 50u);
+}
+
+/// Allocations made by one steady-state Lgc::collect over an `n`-object,
+/// fully live local mesh: object i references i+1, i+7, i+31 and i+107
+/// (mod n), one root at 0.
+std::uint64_t allocations_per_collection(std::uint64_t n) {
+  static constexpr std::uint64_t kStrides[] = {1, 7, 31, 107};
+  net::Network net;
+  rm::Process proc{ProcessId{0}, net};
+  net.attach(ProcessId{0}, [](const net::Envelope&) {});
+  for (std::uint64_t i = 0; i < n; ++i) proc.create_object(ObjectId{i});
+  for (std::uint64_t i = 0; i < n; ++i) {
+    rm::Object* obj = proc.heap().find(ObjectId{i});
+    for (std::uint64_t s : kStrides) {
+      obj->refs.push_back(rm::Ref{ObjectId{(i + s) % n}, kNoProcess});
+    }
+  }
+  proc.add_root(ObjectId{0});
+
+  // Warm-up: the first collections size the reusable mark scratch.
+  for (int i = 0; i < 2; ++i) Lgc::collect(proc);
+  const std::uint64_t before = g_allocs.load();
+  const LgcResult r = Lgc::collect(proc);
+  const std::uint64_t allocs = g_allocs.load() - before;
+  EXPECT_EQ(r.traced, n);
+  return allocs;
+}
+
+TEST(LgcAllocations, SteadyStateTracingDoesNotAllocatePerObject) {
+  const std::uint64_t small = allocations_per_collection(1000);
+  const std::uint64_t large = allocations_per_collection(100000);
+  EXPECT_EQ(small, large)
+      << "a steady-state collection must allocate a fixed number of times, "
+         "not once per traced object";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential tests for the one-pass SCC summarizer: gc::summarize must
-// produce bit-for-bit the same ProcessSummary as the retained per-seed
-// reference implementation (gc::summarize_reference) on randomized
+// produce bit-for-bit the same ProcessSummary as the per-seed reference
+// implementation (summary_reference.h) on randomized
 // mutator/coherence histories, and the cluster's dirty-epoch cache must
 // reuse a summary exactly when nothing summary-relevant changed.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/cluster.h"
 #include "gc/cycle/snapshot_io.h"
 #include "gc/cycle/summary.h"
+#include "summary_reference.h"
 #include "workload/figures.h"
 #include "workload/mesh.h"
 
@@ -166,6 +167,46 @@ TEST(SummaryDiff, RandomHistoriesAcrossSeeds) {
   }
 }
 
+/// One process holding a fully cyclic strided mesh (object i references
+/// i+1, i+7, i+31 and i+107 mod n: one giant SCC, so the condensation gets
+/// no help from trivial components) plus an evenly spread band of scions,
+/// stubs and replicas: the seed-dense shape where the reference's
+/// per-seed traces and the one-pass bitsets differ most in how they work.
+void build_strided_mesh_with_band(Cluster& cluster) {
+  constexpr std::uint64_t kObjects = 2000;
+  constexpr std::uint64_t kBand = 40;  // scions, stubs and replicas each
+  static constexpr std::uint64_t kStrides[] = {1, 7, 31, 107};
+
+  const ProcessId p0 = cluster.add_process();
+  const ProcessId p1 = cluster.add_process();
+  std::vector<ObjectId> mesh;
+  mesh.reserve(kObjects);
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    mesh.push_back(cluster.new_object(p0));
+  }
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    rm::Object* obj = cluster.process(p0).heap().find(mesh[i]);
+    for (std::uint64_t s : kStrides) {
+      obj->refs.push_back(rm::Ref{mesh[(i + s) % kObjects], kNoProcess});
+    }
+  }
+  cluster.add_root(p0, mesh[0]);
+
+  const std::uint64_t spread = kObjects / kBand;
+  for (std::uint64_t k = 0; k < kBand; ++k) {
+    const ObjectId at = mesh[k * spread];
+    // Replica: a mesh object propagated out (in/out props on p0).
+    cluster.propagate(at, p0, p1);
+    // Stub: a p1-owned object remote-referenced from the mesh.
+    const ObjectId remote = cluster.new_object(p1);
+    cluster.add_root(p1, remote);
+    workload::make_remote_ref(cluster, p0, at, p1, remote);
+    // Scion: a p1 holder remote-referencing into the mesh.
+    workload::make_remote_ref(cluster, p1, remote, p0, mesh[k * spread + 1]);
+  }
+  cluster.run_until_quiescent();
+}
+
 TEST(SummaryDiff, MeshAndFigureTopologies) {
   {
     Cluster cluster;
@@ -177,6 +218,11 @@ TEST(SummaryDiff, MeshAndFigureTopologies) {
     Cluster cluster;
     workload::build_figure2(cluster);
     expect_identical_summaries(cluster, "figure 2");
+  }
+  {
+    Cluster cluster;
+    build_strided_mesh_with_band(cluster);
+    expect_identical_summaries(cluster, "strided mesh with band");
   }
 }
 
