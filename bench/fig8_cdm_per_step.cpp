@@ -10,7 +10,8 @@
 //
 // Counts come from the deterministic simulator, not from timing, so this
 // binary prints the series directly (google-benchmark's adaptive
-// iteration machinery has nothing to measure here).
+// iteration machinery has nothing to measure here).  Exits 1 when either
+// claim fails to reproduce.
 #include <cstdio>
 #include <vector>
 
@@ -82,14 +83,13 @@ int main() {
               static_cast<unsigned long long>(ours.total),
               static_cast<unsigned long long>(base.total));
 
+  const bool same_step = ours.detect_step <= base.detect_step + 1 &&
+                         base.detect_step <= ours.detect_step + 1;
+  const bool fewer = ours.total < base.total;
   std::printf(
       "\npaper: both detect at the same step; ours issues fewer CDMs.\n"
       "reproduced: same step (+-1) = %s, fewer CDMs = %s (%.2fx)\n",
-      (ours.detect_step <= base.detect_step + 1 &&
-       base.detect_step <= ours.detect_step + 1)
-          ? "yes"
-          : "NO",
-      ours.total < base.total ? "yes" : "NO",
+      same_step ? "yes" : "NO", fewer ? "yes" : "NO",
       static_cast<double>(base.total) / static_cast<double>(ours.total));
-  return 0;
+  return same_step && fewer ? 0 : 1;
 }

@@ -15,7 +15,8 @@
 // resolves one *triangle* (a propagation link plus its reference link)
 // per CDM hop, so absolute step counts are about half the paper's, whose
 // simulator appears to charge one step per link; the shape — and the
-// equality between the algorithms — is what carries the claim.
+// equality between the algorithms — is what carries the claim.  Exits 1
+// when the algorithms differ by more than one step anywhere.
 #include <cstdio>
 
 #include "core/cluster.h"
@@ -82,5 +83,5 @@ int main() {
       "therefore ~half the paper's, whose simulator charged one step per\n"
       "link (R=4, D=100: 199-200 here vs 411 there; same shape).\n",
       all_equal ? "yes" : "NO");
-  return 0;
+  return all_equal ? 0 : 1;
 }

@@ -31,6 +31,14 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== Release build + tests =="
   run_tree build-release -DCMAKE_BUILD_TYPE=Release "$WERROR"
 
+  # The paper comparison (Figs. 8/9, Table 2) from the optimized tree:
+  # fig8 and table2 exit non-zero when a reproduced claim fails (same step
+  # to within one, fewer CDMs); fig9 must simply run to completion.
+  echo "== paper checks (fig8, fig9, table2) =="
+  for paper_check in fig8_cdm_per_step fig9_cdm_totals table2_steps_to_detection; do
+    ./build-release/bench/"$paper_check" > /dev/null
+  done
+
   echo "== sanitizer build + tests (address,undefined) =="
   run_tree build-asan -DRGC_SANITIZE=address,undefined "$WERROR"
 

@@ -63,17 +63,16 @@ ProcessId Cluster::add_process() {
 void Cluster::build_node(ProcessId pid, Node& node) {
   node.process = std::make_unique<rm::Process>(pid, net_);
   node.process->set_fault_tolerant(faults_engaged_);
-  node.detector =
-      std::make_unique<gc::CycleDetector>(*node.process, config_.detector);
-  node.baseline = std::make_unique<gc::BaselineDetector>(*node.process);
+  node.detector = std::make_unique<gc::CycleDetector>(
+      *node.process, config_.detector,
+      config_.mode == DetectorMode::kBaseline
+          ? gc::Traversal::kFlat
+          : gc::Traversal::kReplicationAware);
   node.distance =
       std::make_unique<gc::DistanceHeuristic>(config_.candidate_threshold);
   node.suspicion =
       std::make_unique<gc::SuspicionAgeTracker>(config_.candidate_threshold);
   node.detector->on_cycle_found = [this, pid](const gc::Cdm& cdm) {
-    handle_cycle_found(pid, cdm);
-  };
-  node.baseline->on_cycle_found = [this, pid](const gc::Cdm& cdm) {
     handle_cycle_found(pid, cdm);
   };
   node.detector->set_profile(&profile_.histogram("cycle.detect_us"));
@@ -123,10 +122,6 @@ Cluster::Node& Cluster::live_node(ProcessId id) {
 
 gc::CycleDetector& Cluster::detector(ProcessId id) {
   return *live_node(id).detector;
-}
-
-gc::BaselineDetector& Cluster::baseline(ProcessId id) {
-  return *live_node(id).baseline;
 }
 
 gc::DistanceHeuristic& Cluster::distance_heuristic(ProcessId id) {
@@ -458,17 +453,10 @@ void Cluster::snapshot_nodes(const std::vector<Node*>& nodes) {
     const ProcessId pid = node->process->id();
     util::ScopedProcess ctx{pid};
     node->detector->install_snapshot(node->summary_cache);
-    if (config_.mode == DetectorMode::kBaseline) {
-      // The baseline detector keeps its own copy of the same snapshot.
-      node->baseline->install_snapshot(node->summary_cache);
-    }
   }
 }
 
 std::optional<std::uint64_t> Cluster::detect(ProcessId at, ObjectId candidate) {
-  if (config_.mode == DetectorMode::kBaseline) {
-    return baseline(at).start_detection(candidate);
-  }
   return detector(at).start_detection(candidate);
 }
 
@@ -508,10 +496,7 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     for (auto& [pid, node] : nodes_) {
       if (!node.alive) continue;
       util::ScopedProcess ctx{pid};
-      const gc::ProcessSummary& s = config_.mode == DetectorMode::kBaseline
-                                        ? node.baseline->summary()
-                                        : node.detector->summary();
-      for (ObjectId suspect : pick_suspects(node, s)) {
+      for (ObjectId suspect : pick_suspects(node, node.detector->summary())) {
         if (detect(pid, suspect).has_value()) ++started;
       }
     }
@@ -533,13 +518,8 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
 std::set<ObjectId> Cluster::suspects(ProcessId id) {
   Node& node = nodes_.at(id);
   if (!node.alive) return {};
-  const bool use_baseline = config_.mode == DetectorMode::kBaseline;
-  if (use_baseline ? !node.baseline->has_snapshot()
-                   : !node.detector->has_snapshot()) {
-    return {};
-  }
-  return pick_suspects(node, use_baseline ? node.baseline->summary()
-                                          : node.detector->summary());
+  if (!node.detector->has_snapshot()) return {};
+  return pick_suspects(node, node.detector->summary());
 }
 
 std::set<ObjectId> Cluster::pick_suspects(const Node& node,
@@ -620,11 +600,7 @@ void Cluster::dispatch(ProcessId pid, const net::Envelope& env) {
   } else if (const auto* p = dynamic_cast<const gc::ReclaimMsg*>(m)) {
     gc::Adgc::on_reclaim(*node.process, env, *p);
   } else if (const auto* p = dynamic_cast<const gc::CdmMsg*>(m)) {
-    if (config_.mode == DetectorMode::kBaseline) {
-      node.baseline->on_cdm(env, *p);
-    } else {
-      node.detector->on_cdm(env, *p);
-    }
+    node.detector->on_cdm(env, *p);
   } else if (const auto* p = dynamic_cast<const gc::CutMsg*>(m)) {
     node.detector->on_cut(env, *p);
   } else if (const auto* p = dynamic_cast<const gc::PropCutMsg*>(m)) {
@@ -661,7 +637,6 @@ void Cluster::kill(ProcessId pid) {
   termination_->mark_dead(pid);
   node.process.reset();
   node.detector.reset();
-  node.baseline.reset();
   node.distance.reset();
   node.suspicion.reset();
   node.summary_cache_valid = false;

@@ -1,10 +1,10 @@
 // Cluster — the library's public facade.
 //
 // A Cluster owns the simulated network, the participating processes, and a
-// cycle-detector instance per process (replication-aware and/or baseline),
-// and wires message dispatch between them.  Applications build and mutate
-// the distributed replicated graph through it, advance virtual time with
-// step(), and run the collectors:
+// cycle-detector instance per process (its traversal set by
+// ClusterConfig::mode), and wires message dispatch between them.
+// Applications build and mutate the distributed replicated graph through it,
+// advance virtual time with step(), and run the collectors:
 //
 //   rgc::core::Cluster cluster;
 //   auto p1 = cluster.add_process();
@@ -29,7 +29,6 @@
 
 #include "core/quiescence.h"
 #include "gc/adgc/adgc.h"
-#include "gc/baseline/baseline_detector.h"
 #include "gc/cycle/detector.h"
 #include "gc/cycle/heuristics.h"
 #include "gc/lgc/lgc.h"
@@ -45,7 +44,7 @@
 
 namespace rgc::core {
 
-/// Which algorithm handles CDM traffic in this cluster.
+/// Which traversal every process's cycle detector runs (gc::Traversal).
 enum class DetectorMode {
   kReplicationAware,  // the paper's contribution (§3)
   kBaseline,          // modified [23]: props flattened to reference pairs
@@ -148,7 +147,6 @@ class Cluster {
   [[nodiscard]] rm::Process& process(ProcessId id);
   [[nodiscard]] const rm::Process& process(ProcessId id) const;
   [[nodiscard]] gc::CycleDetector& detector(ProcessId id);
-  [[nodiscard]] gc::BaselineDetector& baseline(ProcessId id);
   [[nodiscard]] gc::DistanceHeuristic& distance_heuristic(ProcessId id);
   [[nodiscard]] gc::SuspicionAgeTracker& suspicion_tracker(ProcessId id);
   [[nodiscard]] net::Network& network() noexcept { return net_; }
@@ -157,9 +155,9 @@ class Cluster {
 
   // ---- Faults: crash, restart, partition (docs/FAULTS.md) ----------------
 
-  /// Crashes `pid`: its in-memory state (process, detectors) is destroyed,
-  /// its in-flight messages are purged, and future sends to it are dropped
-  /// at the source.  The pid stays known — restart() brings it back.
+  /// Crashes `pid`: its in-memory state (process, detector, heuristics) is
+  /// destroyed, its in-flight messages are purged, and future sends to it
+  /// are dropped at the source.  The pid stays known — restart() brings it back.
   /// Engages fault-tolerant mode on every process (see
   /// rm::Process::set_fault_tolerant).  Throws if already down or unknown.
   void kill(ProcessId pid);
@@ -332,7 +330,6 @@ class Cluster {
   struct Node {
     std::unique_ptr<rm::Process> process;
     std::unique_ptr<gc::CycleDetector> detector;
-    std::unique_ptr<gc::BaselineDetector> baseline;
     std::unique_ptr<gc::DistanceHeuristic> distance;
     std::unique_ptr<gc::SuspicionAgeTracker> suspicion;
     /// Dirty-epoch snapshot reuse: the last summary computed for this
@@ -397,7 +394,7 @@ class Cluster {
   void dispatch(ProcessId pid, const net::Envelope& env);
   void handle_cycle_found(ProcessId at, const gc::Cdm& cdm);
 
-  /// (Re)creates the live half of a Node for `pid` (process + detectors +
+  /// (Re)creates the live half of a Node for `pid` (process + detector +
   /// dispatch attachment) — shared by add_process and restart.
   void build_node(ProcessId pid, Node& node);
 

@@ -12,7 +12,7 @@ namespace {
 /// GC-relevant counter prefixes worth surfacing in the aggregate view.
 bool interesting_counter(const std::string& name) {
   return name.starts_with("lgc.") || name.starts_with("adgc.") ||
-         name.starts_with("cycle.") || name.starts_with("baseline.");
+         name.starts_with("cycle.");
 }
 
 }  // namespace

@@ -119,8 +119,8 @@ struct Cdm {
   /// depends on has been visited and found unreachable.
   [[nodiscard]] bool cycle_complete() const { return unresolved().empty(); }
 
-  /// The paper's flat matching (used by the baseline detector and by the
-  /// traversal heuristics): every source-set element in the target set.
+  /// The paper's flat matching (the verdict of the flat traversal,
+  /// gc::Traversal::kFlat): every source-set element in the target set.
   [[nodiscard]] util::FlatSet<Element> flat_unresolved() const;
   [[nodiscard]] bool flat_complete() const { return flat_unresolved().empty(); }
 
@@ -134,7 +134,8 @@ enum class EntryVia : std::uint8_t {
   /// Entry designates the target of a remote reference: examine the scions
   /// anchored at it (and, if replicated, the replica).
   kRef = 0,
-  /// Entry designates a replica reached through a propagation link.
+  /// Entry designates a replica reached through a propagation link — a
+  /// forward, the paper's optimization that trims CDM flooding.
   kProp = 1,
 };
 
@@ -142,9 +143,6 @@ struct CdmMsg final : net::Message {
   Cdm cdm;
   ObjectId entry{kNoObject};
   EntryVia via{EntryVia::kRef};
-  /// True when this is a forward (no recomputation at an intermediate
-  /// node — the paper's optimization that trims CDM flooding).
-  bool forwarded{false};
 
   [[nodiscard]] const char* kind() const noexcept override { return "CDM"; }
   [[nodiscard]] std::size_t weight() const noexcept override {

@@ -9,10 +9,12 @@
 
 namespace rgc::gc {
 
-CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config)
-    : process_(process), config_(config) {
+CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config,
+                             Traversal traversal)
+    : process_(process), config_(config), traversal_(traversal) {
   util::Metrics& m = process_.metrics();
   counters_.snapshots = m.counter("cycle.snapshots");
+  counters_.snapshots_adopted = m.counter("cycle.snapshots_adopted");
   counters_.detections_started = m.counter("cycle.detections_started");
   counters_.cdms_received = m.counter("cycle.cdms_received");
   counters_.drops_no_snapshot = m.counter("cycle.drops_no_snapshot");
@@ -28,6 +30,10 @@ CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config)
   counters_.live_ancestor_skips = m.counter("cycle.live_ancestor_skips");
   counters_.live_continuation_skips = m.counter("cycle.live_continuation_skips");
   counters_.live_stub_skips = m.counter("cycle.live_stub_skips");
+  counters_.cuts_stale = m.counter("cycle.cuts_stale");
+  counters_.scions_cut = m.counter("cycle.scions_cut");
+  counters_.props_cut = m.counter("cycle.props_cut");
+  counters_.outprops_cut = m.counter("cycle.outprops_cut");
   hops_hist_ = &m.histogram("cdm.hops");
   steps_hist_ = &m.histogram("cycle.steps_to_detection");
 }
@@ -46,7 +52,7 @@ void CycleDetector::adopt_snapshot(ProcessSummary summary) {
   }
   summary_ = std::move(summary);
   seen_entries_.clear();
-  process_.metrics().add("cycle.snapshots_adopted");
+  counters_.snapshots_adopted.inc();
 }
 
 bool CycleDetector::subsumed(std::uint64_t detection, ObjectId entry,
@@ -54,6 +60,16 @@ bool CycleDetector::subsumed(std::uint64_t detection, ObjectId entry,
   auto& prior = seen_entries_[{detection, entry}];
   for (const auto& t : prior) {
     if (targets.subset_of(t)) return true;
+  }
+  // The flattened view has a redundant path pair per propagation link, so
+  // without a cap the flood's parallel lineages multiply combinatorially
+  // (distinct target sets never subsume each other).  Real message-based
+  // detectors mark visited entries per trace (Maheshwari's trace-ids, §6);
+  // allowing a few re-examinations keeps multi-path detections like
+  // Figure 3's alive while bounding the flood.
+  constexpr std::size_t kMaxFlatExamsPerEntry = 3;
+  if (traversal_ == Traversal::kFlat && prior.size() >= kMaxFlatExamsPerEntry) {
+    return true;
   }
   prior.push_back(targets);
   return false;
@@ -81,7 +97,10 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
   cdm.ref_deps.insert(Element::make(cdm.candidate));
 
   std::vector<rm::StubKey> remote_out;
-  const Visit v = examine(cdm, candidate, /*as_start=*/true, remote_out);
+  const Visit v =
+      traversal_ == Traversal::kFlat
+          ? examine_flat(cdm, candidate, /*as_start=*/true, remote_out)
+          : examine(cdm, candidate, /*as_start=*/true, remote_out);
   if (v != Visit::kOk) {
     record_abort(v);
     return std::nullopt;
@@ -110,15 +129,17 @@ void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
     counters_.drops_subsumed.inc();
     return;
   }
-  RGC_DEBUG("cycle: ", to_string(process_.id()), " <- CDM",
-            msg.forwarded ? " (forwarded)" : "", " entry ",
+  RGC_DEBUG("cycle: ", to_string(process_.id()), " <- CDM entry ",
             to_string(msg.entry),
-            msg.via == EntryVia::kProp ? " via prop " : " via ref ",
+            msg.via == EntryVia::kProp ? " forwarded via prop " : " via ref ",
             msg.cdm.to_string());
   Cdm cdm = msg.cdm;
   ++cdm.hops;
   std::vector<rm::StubKey> remote_out;
-  const Visit v = examine(cdm, msg.entry, /*as_start=*/false, remote_out);
+  const Visit v =
+      traversal_ == Traversal::kFlat
+          ? examine_flat(cdm, msg.entry, /*as_start=*/false, remote_out)
+          : examine(cdm, msg.entry, /*as_start=*/false, remote_out);
   if (v != Visit::kOk) {
     record_abort(v);
     return;
@@ -135,6 +156,32 @@ bool CycleDetector::locally_live(ObjectId obj) const {
     if (s.scions.at(key).local_reach) return true;
   }
   return false;
+}
+
+void CycleDetector::require_ref(Cdm& cdm, const Element& from,
+                                const Element& on) const {
+  if (traversal_ == Traversal::kFlat) {
+    cdm.ref_deps.insert(on);
+  } else {
+    cdm.require(from, on, /*prop=*/false);
+  }
+}
+
+bool CycleDetector::require_context(Cdm& cdm, const Element& from,
+                                    const util::FlatSet<rm::ScionKey>& scions_to,
+                                    const util::FlatSet<ObjectId>& replicas_to,
+                                    util::FlatSet<ObjectId>& ancestors) {
+  const ProcessId self = process_.id();
+  for (const rm::ScionKey& key : scions_to) {
+    const RefLink link{key.src_process, key.anchor, self};
+    if (!cdm.observe({link, summary_->scions.at(key).ic})) return false;
+    require_ref(cdm, from, Element::make(link));
+  }
+  for (ObjectId via : replicas_to) {
+    require_ref(cdm, from, Element::make(Replica{via, self}));
+    ancestors.insert(via);
+  }
+  return true;
 }
 
 CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
@@ -157,9 +204,8 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
   // as "not examined" (nothing half-recorded).
   if (locally_live(obj)) return Visit::kAbortLive;
 
-  if (!as_start) {
-    cdm.targets.insert(Element::make(Replica{obj, self}));
-  }
+  const Element me = Element::make(Replica{obj, self});
+  if (!as_start) cdm.targets.insert(me);
 
   util::FlatSet<ObjectId> local_cont;
   util::FlatSet<ObjectId> ancestor_cont;
@@ -167,22 +213,15 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
 
   for (const rm::ScionKey& key : scion_keys) {
     const ScionSummary& ss = s.scions.at(key);
-    const RefLink link{key.src_process, obj, self};
     if (!as_start) {
+      const RefLink link{key.src_process, obj, self};
       if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
-      const Element me = Element::make(Replica{obj, self});
       cdm.require(me, Element::make(link), /*prop=*/false);
       // Anchor-level incoming context: local scions / replicated objects
       // that lead to this anchor must be proven dead too.
-      for (const rm::ScionKey& up_key : ss.scions_to) {
-        const ScionSummary& up = s.scions.at(up_key);
-        const RefLink up_link{up_key.src_process, up_key.anchor, self};
-        if (!cdm.observe({up_link, up.ic})) return Visit::kAbortRace;
-        cdm.require(me, Element::make(up_link), /*prop=*/false);
-      }
-      for (ObjectId via : ss.replicas_to) {
-        cdm.require(me, Element::make(Replica{via, self}), /*prop=*/false);
-        ancestor_cont.insert(via);
+      if (!require_context(cdm, me, ss.scions_to, ss.replicas_to,
+                           ancestor_cont)) {
+        return Visit::kAbortRace;
       }
     }
     local_cont.merge(ss.replicas_from);
@@ -197,7 +236,6 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
     // config_.children_first flips the order for the ablation study.
     std::vector<Replica> children;
     std::vector<Replica> parents;
-    const Element me = Element::make(Replica{obj, self});
     for (const PropEntrySummary& e : rs.out_props) {
       const PropLink link{obj, self, e.process};
       if (!cdm.observe({link, e.uc})) return Visit::kAbortRace;
@@ -217,19 +255,11 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
     cdm.forward_first.insert(cdm.forward_first.end(), first.begin(), first.end());
     cdm.forward_last.insert(cdm.forward_last.end(), second.begin(), second.end());
 
-    if (!as_start) {
-      // Incoming local context: scions and replicated objects leading to
-      // this replica must be proven dead too.
-      for (const rm::ScionKey& key : rs.scions_to) {
-        const ScionSummary& ss = s.scions.at(key);
-        const RefLink link{key.src_process, key.anchor, self};
-        if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
-        cdm.require(me, Element::make(link), /*prop=*/false);
-      }
-      for (ObjectId via : rs.replicas_to) {
-        cdm.require(me, Element::make(Replica{via, self}), /*prop=*/false);
-        ancestor_cont.insert(via);
-      }
+    // Incoming local context: scions and replicated objects leading to
+    // this replica must be proven dead too.
+    if (!as_start && !require_context(cdm, me, rs.scions_to, rs.replicas_to,
+                                      ancestor_cont)) {
+      return Visit::kAbortRace;
     }
 
     local_cont.merge(rs.replicas_from);
@@ -311,6 +341,87 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
   return Visit::kOk;
 }
 
+CycleDetector::Visit CycleDetector::examine_flat(Cdm& cdm, ObjectId obj,
+                                                 bool as_start,
+                                                 std::vector<rm::StubKey>& hops) {
+  const ProcessId self = process_.id();
+  const ProcessSummary& s = *summary_;
+
+  const auto scion_keys = s.scions_anchored_at(obj);
+  const auto rep_it = s.replicas.find(obj);
+  const bool replicated = rep_it != s.replicas.end();
+  if (scion_keys.empty() && !replicated) return Visit::kUnknownEntity;
+  if (locally_live(obj)) return Visit::kAbortLive;
+
+  const Element me = Element::make(Replica{obj, self});
+  if (!as_start) cdm.targets.insert(me);
+
+  util::FlatSet<ObjectId> local_cont;
+  // The comparator has no inline ancestor pass: collected, never examined.
+  util::FlatSet<ObjectId> ancestors;
+  std::vector<rm::StubKey> stub_cont;
+
+  for (const rm::ScionKey& key : scion_keys) {
+    const ScionSummary& ss = s.scions.at(key);
+    if (!as_start) {
+      const RefLink link{key.src_process, obj, self};
+      if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
+      cdm.ref_deps.insert(Element::make(link));
+      if (!require_context(cdm, me, ss.scions_to, ss.replicas_to, ancestors)) {
+        return Visit::kAbortRace;
+      }
+    }
+    local_cont.merge(ss.replicas_from);
+    for (const rm::StubKey& sk : ss.stubs_from) stub_cont.push_back(sk);
+  }
+
+  if (replicated) {
+    const ReplicaSummary& rs = rep_it->second;
+    // Flattened view: each propagation link is a *pair* of remote
+    // references, so the partner replica is simultaneously a dependency
+    // (the synthetic incoming reference) and a flooding destination (the
+    // synthetic outgoing one) — in both directions.
+    for (const PropEntrySummary& e : rs.out_props) {
+      const PropLink link{obj, self, e.process};
+      if (!cdm.observe({link, e.uc})) return Visit::kAbortRace;
+      cdm.ref_deps.insert(Element::make(Replica{obj, e.process}));
+      hops.push_back(rm::StubKey{obj, e.process});
+    }
+    for (const PropEntrySummary& e : rs.in_props) {
+      const PropLink link{obj, e.process, self};
+      if (!cdm.observe({link, e.uc})) return Visit::kAbortRace;
+      cdm.ref_deps.insert(Element::make(Replica{obj, e.process}));
+      hops.push_back(rm::StubKey{obj, e.process});
+    }
+    if (!as_start && !require_context(cdm, me, rs.scions_to, rs.replicas_to,
+                                      ancestors)) {
+      return Visit::kAbortRace;
+    }
+    local_cont.merge(rs.replicas_from);
+    for (const rm::StubKey& sk : rs.stubs_from) stub_cont.push_back(sk);
+  }
+
+  for (ObjectId next : local_cont) {
+    if (next == obj) continue;
+    if (cdm.targets.contains(Element::make(Replica{next, self}))) continue;
+    if (locally_live(next)) {
+      counters_.live_continuation_skips.inc();
+      continue;
+    }
+    const Visit v = examine_flat(cdm, next, /*as_start=*/false, hops);
+    if (v != Visit::kOk && v != Visit::kUnknownEntity) return v;
+  }
+
+  std::sort(stub_cont.begin(), stub_cont.end());
+  stub_cont.erase(std::unique(stub_cont.begin(), stub_cont.end()),
+                  stub_cont.end());
+  for (const rm::StubKey& key : stub_cont) {
+    const Visit v = examine_stub(cdm, key, hops, ancestors);
+    if (v != Visit::kOk) return v;
+  }
+  return Visit::kOk;
+}
+
 CycleDetector::Visit CycleDetector::examine_stub(
     Cdm& cdm, const rm::StubKey& key, std::vector<rm::StubKey>& remote_out,
     util::FlatSet<ObjectId>& ancestors_out) {
@@ -332,16 +443,10 @@ CycleDetector::Visit CycleDetector::examine_stub(
   if (!cdm.observe({link, ts.ic})) return Visit::kAbortRace;
 
   // Crossing the link resolves the dependency the remote scion raises —
-  // but only after the local context of the stub is accounted for:
-  for (const rm::ScionKey& sk : ts.scions_to) {
-    const ScionSummary& ss = s.scions.at(sk);
-    const RefLink up{sk.src_process, sk.anchor, self};
-    if (!cdm.observe({up, ss.ic})) return Visit::kAbortRace;
-    cdm.require(link_el, Element::make(up), /*prop=*/false);
-  }
-  for (ObjectId via : ts.replicas_to) {
-    cdm.require(link_el, Element::make(Replica{via, self}), /*prop=*/false);
-    ancestors_out.insert(via);
+  // but only after the local context of the stub is accounted for.
+  if (!require_context(cdm, link_el, ts.scions_to, ts.replicas_to,
+                       ancestors_out)) {
+    return Visit::kAbortRace;
   }
   cdm.targets.insert(link_el);
 
@@ -357,8 +462,9 @@ CycleDetector::Visit CycleDetector::examine_stub(
 
 void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out) {
   const ProcessId self = process_.id();
+  const bool flat = traversal_ == Traversal::kFlat;
 
-  if (cdm.cycle_complete()) {
+  if (flat ? cdm.flat_complete() : cdm.cycle_complete()) {
     counters_.cycles_found.inc();
     const std::uint64_t now = process_.network().now();
     const std::uint64_t steps =
@@ -370,6 +476,31 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     if (on_cycle_found) on_cycle_found(cdm);
     return;
   }
+
+  if (flat ? flood(cdm, remote_out) : forward(cdm, remote_out)) return;
+
+  // Every continuation is exhausted: the track dies.  On linear replication
+  // chains (every ring mesh, every paper figure) some lineage always closes
+  // the cycle; on *branching* replication trees the flat flood burns
+  // through leaf replicas early, with no forwarding mechanism to revisit
+  // them, and fails to converge — the '*' rows of Fig. 9's sweep 2
+  // (bench/fig9_cdm_totals); forward()'s queues exist precisely for this.
+  counters_.tracks_ended.inc();
+  hops_hist_->record(cdm.hops);
+  RGC_DEBUG("cycle: ", to_string(self), " track ended for ",
+            to_string(cdm.candidate), ", unresolved ",
+            util::detail::concat([&] {
+              std::string s;
+              for (const Element& e :
+                   flat ? cdm.flat_unresolved() : cdm.unresolved()) {
+                s += to_string(e) + " ";
+              }
+              return s;
+            }()));
+}
+
+bool CycleDetector::forward(Cdm& cdm, const std::vector<rm::StubKey>& remote_out) {
+  const ProcessId self = process_.id();
 
   // Stash this examination's reference continuations; whether they are sent
   // now or later depends on the traversal policy below.
@@ -389,15 +520,11 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     }
     return nullptr;
   };
-  auto forward_to = [&](const Replica& dest) {
-    auto msg = std::make_unique<CdmMsg>();
-    msg->cdm = cdm;
-    msg->entry = dest.object;
-    msg->via = EntryVia::kProp;
-    msg->forwarded = true;
-    process_.network().send(self, dest.process, std::move(msg));
-    counters_.cdms_sent.inc();
+  auto forward_to = [&](const Replica* dest) {
+    if (dest == nullptr) return false;
+    send(cdm, *dest, EntryVia::kProp);
     counters_.forwards.inc();
+    return true;
   };
   auto send_refs = [&]() -> bool {
     // Fork one CDM per unresolved reference target (§3.4's multiple
@@ -411,58 +538,45 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     }
     if (sends.empty()) return false;
     cdm.pending_refs.clear();
-    for (const Replica& target : sends) {
-      auto msg = std::make_unique<CdmMsg>();
-      msg->cdm = cdm;
-      msg->entry = target.object;
-      msg->via = EntryVia::kRef;
-      process_.network().send(self, target.process, std::move(msg));
-      counters_.cdms_sent.inc();
-    }
+    for (const Replica& target : sends) send(cdm, target, EntryVia::kRef);
     return true;
   };
 
   if (config_.defer_props) {
     // Per-link traversal (Table 2's absolute accounting): references
     // first, propagation forwards only once no reference remains.
-    if (send_refs()) return;
-    if (const Replica* dest = next_forward(cdm.forward_first)) {
-      forward_to(*dest);
-      return;
-    }
-    if (const Replica* dest = next_forward(cdm.forward_last)) {
-      forward_to(*dest);
-      return;
-    }
-  } else {
-    // §3.3 priority 1 — child replicas: forward (no recomputation) to the
-    // first unresolved one; reference sends wait in pending_refs.
-    if (const Replica* child = next_forward(cdm.forward_first)) {
-      forward_to(*child);
-      return;
-    }
-    // Priority 2 — references.
-    if (send_refs()) return;
-    // Priority 3 — parents: "only when a child replica believes it
-    // belongs to a distributed cycle of garbage, it forwards its CDM to
-    // its parent".
-    if (const Replica* parent = next_forward(cdm.forward_last)) {
-      forward_to(*parent);
-      return;
-    }
+    return send_refs() || forward_to(next_forward(cdm.forward_first)) ||
+           forward_to(next_forward(cdm.forward_last));
   }
+  // §3.3 priority 1 — child replicas: forward (no recomputation) to the
+  // first unresolved one; reference sends wait in pending_refs.  Priority
+  // 2 — references.  Priority 3 — parents: "only when a child replica
+  // believes it belongs to a distributed cycle of garbage, it forwards its
+  // CDM to its parent".
+  return forward_to(next_forward(cdm.forward_first)) || send_refs() ||
+         forward_to(next_forward(cdm.forward_last));
+}
 
-  counters_.tracks_ended.inc();
-  hops_hist_->record(cdm.hops);
-  RGC_DEBUG("cycle: ", to_string(self), " track ended for ",
-            to_string(cdm.candidate), ", unresolved ",
-            util::detail::concat([&] {
-              std::string s;
-              for (const Element& e : cdm.unresolved()) {
-                s += to_string(e) + " ";
-              }
-              return s;
-            }()));
+bool CycleDetector::flood(const Cdm& cdm, std::vector<rm::StubKey> hops) {
+  std::sort(hops.begin(), hops.end());
+  hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+  bool sent = false;
+  for (const rm::StubKey& hop : hops) {
+    const Replica dest{hop.target, hop.target_process};
+    if (cdm.targets.contains(Element::make(dest))) continue;  // visited there
+    send(cdm, dest, EntryVia::kRef);
+    sent = true;
+  }
+  return sent;
+}
+
+void CycleDetector::send(const Cdm& cdm, const Replica& dest, EntryVia via) {
+  auto msg = std::make_unique<CdmMsg>();
+  msg->cdm = cdm;
+  msg->entry = dest.object;
+  msg->via = via;
+  process_.network().send(process_.id(), dest.process, std::move(msg));
+  counters_.cdms_sent.inc();
 }
 
 CutMsg CycleDetector::make_cut(const Cdm& cdm) {
@@ -509,20 +623,20 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
     if (it->second.ic != expected_ic) {
       // An invocation landed after the detection's snapshots: the proof no
       // longer covers reality — skip, never misapply (safety over progress).
-      process_.metrics().add("cycle.cuts_stale");
+      counters_.cuts_stale.inc();
       ++stale;
       continue;
     }
     scions.erase(it);
     process_.note_mutation();
-    process_.metrics().add("cycle.scions_cut");
+    counters_.scions_cut.inc();
     ++scions_cut;
   }
   for (const auto& [parent, expected_uc] : msg.prop_cuts) {
     rm::InProp* e = process_.find_in_prop(msg.candidate, parent);
     if (e == nullptr) continue;
     if (e->uc != expected_uc) {
-      process_.metrics().add("cycle.cuts_stale");
+      counters_.cuts_stale.inc();
       ++stale;
       continue;
     }
@@ -539,7 +653,7 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
     cut->detection_id = msg.detection_id;
     process_.network().send(process_.id(), parent, std::move(cut));
     process_.note_mutation();
-    process_.metrics().add("cycle.props_cut");
+    counters_.props_cut.inc();
     ++props_cut;
   }
   if (obs::Ledger* ledger = process_.ledger(); ledger != nullptr) {
@@ -558,7 +672,7 @@ void CycleDetector::on_prop_cut(const net::Envelope& env, const PropCutMsg& msg)
                             }),
              outs.end());
   process_.note_mutation();
-  process_.metrics().add("cycle.outprops_cut");
+  counters_.outprops_cut.inc();
 }
 
 void CycleDetector::record_abort(Visit v) {

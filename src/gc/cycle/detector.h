@@ -1,5 +1,5 @@
-// Replication-aware asynchronous cycle detector (§3) — the paper's core
-// contribution.
+// Asynchronous cycle detector (§3) — the paper's core contribution — with
+// the comparator of §4/§5.2 as its second traversal.
 //
 // One detector instance runs per process, entirely on local snapshot
 // summaries; processes cooperate only through CDMs.  A detection starts at
@@ -22,11 +22,19 @@
 //     - when no reference continuation exists, the CDM is *forwarded* (no
 //       recomputation) to an unresolved propagation dependency — child
 //       replicas before parents (§3.3's traversal policy, and the reason
-//       our detector floods less than the replication-blind baseline);
+//       this traversal floods less than the flat one below);
 //     - matching: when every dependency appears in the target set, a
 //       garbage cycle is proven; the candidate's recorded incoming
 //       dependencies (scions / prop links) are cut, and the acyclic
 //       machinery reclaims the whole cycle.
+//
+// Flat traversal: the paper's comparator is its precursor (IPDPS'05 [23])
+// "modified to support replicas in a trivial way" — each propagation link
+// becomes a pair of remote references.  It keeps one dependency set, never
+// forwards, floods a fresh CDM along *every* edge of that flattened view
+// (both directions of every prop link) and matches flat: same steps, more
+// CDMs (§4: "the main difference is in how they conduct their graph
+// traversal").  Snapshot, race barrier, subsumption and verdict are shared.
 //
 // Race barrier (§3.5): every examination records the snapshot's invocation
 // or update counter for the links it crosses; a disagreement between two
@@ -57,16 +65,23 @@ struct DetectorConfig {
   /// Continuation priority.  Default (false): child replicas are woven
   /// into the traversal ahead of reference sends — each CDM hop covers a
   /// whole triangle (prop link + its reference), halving step counts and
-  /// matching the baseline step-for-step.  true: references first, prop
+  /// matching the flat traversal step-for-step.  true: references first, prop
   /// forwards only when no reference remains — one dependency link per
   /// hop, which reproduces Table 2's absolute step counts (the paper's
   /// simulator charged one step per link).
   bool defer_props{false};
 };
 
+/// How a detection walks the graph; DetectorConfig tunes kReplicationAware.
+enum class Traversal : std::uint8_t {
+  kReplicationAware,  // §3: child-first forwarding, Cdm::cycle_complete
+  kFlat,              // modified [23]: flood, Cdm::flat_complete
+};
+
 class CycleDetector {
  public:
-  explicit CycleDetector(rm::Process& process, DetectorConfig config = {});
+  explicit CycleDetector(rm::Process& process, DetectorConfig config = {},
+                         Traversal traversal = Traversal::kReplicationAware);
 
   /// Installs a summary of this process's current state (§3.5.1).
   /// Cluster::snapshot computes it — independently per process, no
@@ -114,6 +129,11 @@ class CycleDetector {
   Visit examine(Cdm& cdm, ObjectId obj, bool as_start,
                 std::vector<rm::StubKey>& remote_out);
 
+  /// The flat examination: prop partners are plain dependencies and flood
+  /// `hops`; local continuations merge into this CDM; no ancestor pass.
+  Visit examine_flat(Cdm& cdm, ObjectId obj, bool as_start,
+                     std::vector<rm::StubKey>& hops);
+
   /// Examines an outgoing stub continuation; queues a send when the remote
   /// side still needs visiting.  Local replicated ancestors of the link
   /// (its ReplicasTo) are reported for inline examination.
@@ -121,12 +141,32 @@ class CycleDetector {
                      std::vector<rm::StubKey>& remote_out,
                      util::FlatSet<ObjectId>& ancestors_out);
 
+  /// `from` depends on its local context: scions (observed) and replicated
+  /// objects (also reported in `ancestors`).  False on a race.
+  bool require_context(Cdm& cdm, const Element& from,
+                       const util::FlatSet<rm::ScionKey>& scions_to,
+                       const util::FlatSet<ObjectId>& replicas_to,
+                       util::FlatSet<ObjectId>& ancestors);
+
+  /// An attribution edge, or (flat) a bare ref_deps entry: the flat CDM
+  /// never carries dep_edges, so its weights stay the comparator's.
+  void require_ref(Cdm& cdm, const Element& from, const Element& on) const;
+
   /// Anchor or replica of `obj` reachable from this process's local roots
   /// in the current snapshot.
   [[nodiscard]] bool locally_live(ObjectId obj) const;
 
-  /// Post-examination: verdict, flood, forward, or end of track.
+  /// Post-examination: verdict, flood or forward, or end of track.
   void conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out);
+
+  /// §3.3's traversal policy; false when nothing was left to send.
+  bool forward(Cdm& cdm, const std::vector<rm::StubKey>& remote_out);
+
+  /// One CDM per distinct unvisited hop; false when none was left.
+  bool flood(const Cdm& cdm, std::vector<rm::StubKey> hops);
+
+  /// Sends a copy of `cdm` to `dest`.
+  void send(const Cdm& cdm, const Replica& dest, EntryVia via);
 
   /// Counts the abort under its reason.
   void record_abort(Visit v);
@@ -138,11 +178,11 @@ class CycleDetector {
   bool subsumed(std::uint64_t detection, ObjectId entry,
                 const util::FlatSet<Element>& targets);
 
-  /// Hot-path counter handles, resolved once at construction (the
-  /// Metrics::add string-lookup fix); cold verdict-path counters keep the
-  /// string API.
+  /// Counter handles, resolved once at construction (the Metrics::add
+  /// string-lookup fix).
   struct Counters {
     util::Counter snapshots;
+    util::Counter snapshots_adopted;
     util::Counter detections_started;
     util::Counter cdms_received;
     util::Counter drops_no_snapshot;
@@ -158,10 +198,15 @@ class CycleDetector {
     util::Counter live_ancestor_skips;
     util::Counter live_continuation_skips;
     util::Counter live_stub_skips;
+    util::Counter cuts_stale;
+    util::Counter scions_cut;
+    util::Counter props_cut;
+    util::Counter outprops_cut;
   };
 
   rm::Process& process_;
   DetectorConfig config_;
+  Traversal traversal_;
   Counters counters_;
   /// Distribution handles: cdm.hops (deliveries per track at verdict) and
   /// cycle.steps_to_detection (sim steps from start to proof).

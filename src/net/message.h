@@ -1,7 +1,7 @@
 // Message envelope for the simulated asynchronous network.
 //
 // The network is payload-agnostic: every protocol (coherence, acyclic DGC,
-// cycle detection, baseline detector) subclasses Message.  kind() names the
+// cycle detection) subclasses Message.  kind() names the
 // message for metrics (the paper's Figures 8/9 count CDMs; we count every
 // kind), weight() approximates the serialized size in abstract units so
 // network-overhead comparisons can be made by bytes as well as by count.

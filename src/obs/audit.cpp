@@ -73,10 +73,8 @@ void HealthAuditor::on_drop(const net::Envelope& env) {
 // ---- Crash/recovery awareness ----------------------------------------------
 
 void HealthAuditor::note_crash(ProcessId pid, const util::Metrics& metrics) {
-  dead_cdms_sent_ +=
-      metrics.get("cycle.cdms_sent") + metrics.get("baseline.cdms_sent");
-  dead_cdms_received_ +=
-      metrics.get("cycle.cdms_received") + metrics.get("baseline.cdms_received");
+  dead_cdms_sent_ += metrics.get("cycle.cdms_sent");
+  dead_cdms_received_ += metrics.get("cycle.cdms_received");
   for (auto it = cut_pending_.begin(); it != cut_pending_.end();) {
     const auto& [holder, key] = *it;
     it = holder == pid || key.target_process == pid ? cut_pending_.erase(it)
@@ -358,9 +356,8 @@ void HealthAuditor::check_conservation(HealthReport& out) {
   std::uint64_t det_received = dead_cdms_received_;
   for (ProcessId pid : cluster_.process_ids()) {
     const util::Metrics& m = cluster_.process(pid).metrics();
-    det_sent += m.get("cycle.cdms_sent") + m.get("baseline.cdms_sent");
-    det_received +=
-        m.get("cycle.cdms_received") + m.get("baseline.cdms_received");
+    det_sent += m.get("cycle.cdms_sent");
+    det_received += m.get("cycle.cdms_received");
   }
   const util::Metrics& nm = cluster_.network().metrics();
   if (det_sent != nm.get("net.sent.CDM")) {

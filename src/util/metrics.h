@@ -3,8 +3,8 @@
 // Every subsystem reports into one registry (messages sent per kind, CDMs
 // issued, scions cut, objects reclaimed, detections aborted by the race
 // barrier, ...).  The benchmark harness reads the registry to print the
-// paper's tables; tests use it to assert protocol economy (e.g. Figure 8's
-// "fewer CDMs than the baseline").
+// paper's tables; tests and the health auditor use it to check protocol
+// accounting (e.g. CDMs the detectors issued against CDMs the network sent).
 //
 // Hot paths use *pre-registered handles* (Counter / Gauge) resolved once at
 // construction time; incrementing through a handle is a single pointer

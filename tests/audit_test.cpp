@@ -23,6 +23,7 @@
 #include "obs/prom.h"
 #include "rm/process.h"
 #include "workload/figures.h"
+#include "workload/mesh.h"
 #include "workload/random_mutator.h"
 
 namespace rgc {
@@ -99,6 +100,34 @@ TEST(AuditTest, ChaoticWorkloadProducesNoFalsePositives) {
         << "burst " << burst << "\n"
         << health.to_string();
   }
+}
+
+TEST(AuditTest, BaselineFloodSurvivesACrashUnderPerStepAudits) {
+  // The densest Fig. 9 sweep-2 mesh, where the replication-blind flood
+  // burns out without a verdict: every step audited, and a non-head
+  // process killed mid-flood, so CDM conservation has to bank the dead
+  // detector's counters (HealthAuditor::note_crash).
+  ClusterConfig cfg;
+  cfg.mode = core::DetectorMode::kBaseline;
+  cfg.audit_interval = 1;
+  constexpr int kFloodStepsBeforeCrash = 25;  // of the 54 it runs
+  Cluster cluster{cfg};
+  const workload::Mesh mesh = workload::build_mesh(cluster, {4, 25, 1});
+  cluster.snapshot_all();
+  ASSERT_TRUE(cluster.detect(mesh.head_process, mesh.head).has_value());
+  for (int i = 0; i < kFloodStepsBeforeCrash; ++i) cluster.step();
+  ASSERT_FALSE(cluster.network().idle());
+  const ProcessId victim =
+      mesh.procs.front() == mesh.head_process ? mesh.procs[1] : mesh.procs[0];
+  cluster.kill(victim);
+  cluster.run_until_quiescent();
+
+  EXPECT_TRUE(cluster.cycles_found().empty());
+  const HealthReport& health = cluster.audit();
+  EXPECT_EQ(health.errors(), 0u) << health.to_string();
+  EXPECT_EQ(cluster.auditor().metrics().get("audit.findings_error_total"), 0u);
+  EXPECT_GT(cluster.auditor().metrics().get("audit.runs"),
+            static_cast<std::uint64_t>(kFloodStepsBeforeCrash));
 }
 
 // ---- Deliberate corruptions are flagged ------------------------------------

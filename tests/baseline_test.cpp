@@ -3,8 +3,11 @@
 // claims: same steps-to-detection, more CDMs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/cluster.h"
 #include "core/oracle.h"
+#include "util/metrics.h"
 #include "workload/figures.h"
 #include "workload/mesh.h"
 
@@ -75,10 +78,10 @@ TEST(Baseline, RaceBarrierAlsoProtectsTheBaseline) {
   cluster.run_until_quiescent();
   cluster.remove_root(f.p1, f.x);
   cluster.snapshot(f.p1);
-  cluster.baseline(f.p2).start_detection(f.x);
+  cluster.detector(f.p2).start_detection(f.x);
   cluster.run_until_quiescent();
   EXPECT_TRUE(cluster.cycles_found().empty());
-  EXPECT_GE(cluster.metric_total("baseline.aborts_race"), 1u);
+  EXPECT_GE(cluster.metric_total("cycle.aborts_race"), 1u);
 }
 
 struct MeshComparison {
@@ -131,6 +134,92 @@ TEST(Baseline, GapWidensWithReplicationFactor) {
   EXPECT_GE(gap4, gap2 * 0.9)
       << "gap2=" << gap2 << " gap4=" << gap4
       << " (the advantage must not shrink as replication grows)";
+}
+
+// ---- The paper comparison, pinned ------------------------------------------
+
+struct DetectionRun {
+  std::uint64_t cdms{0};
+  std::uint64_t steps{0};
+  bool converged{false};
+};
+
+/// One detection from the mesh head, measured the way bench/fig8 and
+/// bench/fig9 measure it: steps until the verdict (or until the network
+/// idles without one), CDMs over the whole drained detection.
+DetectionRun detect_from_head(Cluster& cluster, const workload::Mesh& mesh) {
+  const std::uint64_t before = cluster.network().total_sent("CDM");
+  cluster.snapshot_all();
+  const std::uint64_t start = cluster.now();
+  cluster.detect(mesh.head_process, mesh.head);
+  while (cluster.cycles_found().empty() && !cluster.network().idle()) {
+    cluster.step();
+  }
+  DetectionRun run;
+  run.converged = !cluster.cycles_found().empty();
+  run.steps = cluster.now() - start;
+  cluster.run_until_quiescent();
+  run.cdms = cluster.network().total_sent("CDM") - before;
+  return run;
+}
+
+TEST(Baseline, PaperComparisonNumbersArePinned) {
+  // The exact figures bench/fig8, bench/fig9 and bench/table2 print: a
+  // change to either traversal that moves one of them is a change to the
+  // reproduced paper comparison, not a refactor.
+  struct Point {
+    const char* shape;
+    workload::MeshSpec spec;
+    DetectionRun ours;
+    DetectionRun baseline;
+  };
+  const Point points[] = {
+      {"Fig. 8, R=4 D=10", {4, 10}, {19, 19, true}, {79, 20, true}},
+      {"Fig. 9, R=2 D=10", {2, 10}, {9, 9, true}, {39, 10, true}},
+      {"Fig. 9, R=4 D=100", {4, 100}, {199, 199, true}, {799, 200, true}},
+      // The flood that burns out: 54 steps until the network idles.
+      {"Fig. 9 sweep 2, factor 3", {4, 25, 1}, {103, 103, true},
+       {618, 54, false}},
+  };
+  for (const Point& p : points) {
+    for (const DetectorMode mode :
+         {DetectorMode::kReplicationAware, DetectorMode::kBaseline}) {
+      const bool ours = mode == DetectorMode::kReplicationAware;
+      SCOPED_TRACE(std::string(p.shape) + (ours ? " ours" : " baseline"));
+      ClusterConfig cfg;
+      cfg.mode = mode;
+      Cluster cluster{cfg};
+      const workload::Mesh mesh = workload::build_mesh(cluster, p.spec);
+      const DetectionRun got = detect_from_head(cluster, mesh);
+      const DetectionRun& want = ours ? p.ours : p.baseline;
+      EXPECT_EQ(got.cdms, want.cdms);
+      EXPECT_EQ(got.steps, want.steps);
+      EXPECT_EQ(got.converged, want.converged);
+    }
+  }
+}
+
+TEST(Baseline, FloodRecordsTheDetectLayer) {
+  // The flat traversal runs inside the one CycleDetector shell, so baseline
+  // runs time their examinations and record steps-to-detection too.
+  Cluster cluster{baseline_config()};
+  const workload::Mesh mesh = workload::build_mesh(cluster, {4, 10});
+  ASSERT_TRUE(detect_from_head(cluster, mesh).converged);
+
+  const util::Histogram* detect_us =
+      cluster.profile().find_histogram("cycle.detect_us");
+  ASSERT_NE(detect_us, nullptr);
+  EXPECT_GT(detect_us->count(), 0u);
+
+  util::Histogram steps;
+  for (const ProcessId pid : cluster.process_ids()) {
+    if (const util::Histogram* h = cluster.process(pid).metrics().find_histogram(
+            "cycle.steps_to_detection")) {
+      steps.merge(*h);
+    }
+  }
+  ASSERT_GT(steps.count(), 0u);
+  EXPECT_EQ(steps.max(), 20u);  // Table 2's baseline count at R=4, D=10
 }
 
 TEST(Baseline, BothModesLeaveLiveDataIntactOnTheMesh) {

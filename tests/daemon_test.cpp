@@ -36,8 +36,8 @@ TEST(Daemon, ReclaimsTheFigure2CycleInTheBackground) {
 }
 
 TEST(Daemon, BaselineModeReclaimsTheFigure2CycleInTheBackground) {
-  // The daemon's sweep installs the snapshot the configured detector
-  // reads; in baseline mode that is the baseline detector's.
+  // The daemon's sweep installs the snapshot the one detector reads; in
+  // baseline mode that detector runs the flat traversal.
   ClusterConfig cfg;
   cfg.mode = DetectorMode::kBaseline;
   Cluster cluster{cfg};
