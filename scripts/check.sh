@@ -96,11 +96,12 @@ if [[ "${1:-}" != "--fast" ]]; then
   ./build/tests/ledger_test \
     --gtest_filter='LedgerTest.JsonlByteIdenticalAcrossThreadCounts:LedgerTest.JsonlByteIdenticalAcrossSchedules:LedgerTest.DecompositionIdentityHoldsOnJitteredMeshes'
 
-  # Adaptive scheduling + decentralized quiescence (docs/DESIGN.md
-  # "Adaptive deferred detection"): the policy-labelled suite under both
-  # sanitizers — the termination detector's per-account arithmetic and the
-  # daemon's lane maps are exactly where a sanitizer finds the lie.  (The
-  # chaos runs above already cover both daemon schedules.)
+  # Adaptive scheduling + quiescence (docs/DESIGN.md "Adaptive deferred
+  # detection"): the policy-labelled suite under both sanitizers — the
+  # daemon's per-lane deferral arithmetic and lane maps, and the
+  # quiescence status across kill/restart (dead-pid counting), are exactly
+  # where a sanitizer finds the lie.  (The chaos runs above already cover
+  # both daemon schedules.)
   echo "== policy suite under ASan/UBSan + TSan =="
   ctest --test-dir build-asan -L policy --output-on-failure -j "$JOBS"
   cmake --build build-tsan -j "$JOBS" --target policy_test

@@ -31,8 +31,13 @@ Cluster::Cluster(ClusterConfig config)
     ledger_->bind(&net_);
     net_.add_observer(ledger_.get());
   }
-  termination_ = std::make_unique<TerminationDetector>(net_.metrics());
-  net_.add_observer(termination_.get());
+  quiescence_timeout_ = net_.metrics().counter("cluster.quiescence_timeout");
+  quiescence_dead_pids_ = net_.metrics().gauge("cluster.quiescence_dead_pids");
+  quiescence_truncated_ = net_.metrics().gauge("cluster.quiescence_truncated");
+  for (std::size_t i = 0; i < kUnlockKinds.size(); ++i) {
+    unlock_delivered_[i] =
+        net_.metrics().counter(std::string{"net.delivered."} + kUnlockKinds[i]);
+  }
   // Leases imply the fault model: invokes may legally race a crash window.
   faults_engaged_ = config_.lease_timeout > 0;
 }
@@ -81,7 +86,6 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   node.summary_cache_valid = false;
   node.last_summary_fresh = true;
   node.alive = true;
-  termination_->attach(pid);
   net_.attach(pid, [this, pid](const net::Envelope& env) { dispatch(pid, env); });
 }
 
@@ -269,33 +273,28 @@ void Cluster::advance(std::uint64_t steps) {
 
 QuiescenceStatus Cluster::run_until_quiescent(std::uint64_t max_steps) {
   const std::uint64_t start = now();
-  // Decentralized termination detection (core/quiescence.h): each loop
-  // iteration circulates the weighted token through the per-process
-  // send/receive accounts instead of reading the network's global
-  // in-flight count — no "is everyone idle" scan.
-  while (!termination_->probe() && now() - start < max_steps) {
+  while (!net_.idle() && now() - start < max_steps) {
     const std::uint64_t budget = max_steps - (now() - start);
     advance_clock(std::min(next_event_delta(), budget));
   }
   const std::uint64_t steps = now() - start;
-  const bool quiescent = termination_->quiescent();
-  const auto in_flight = static_cast<std::size_t>(termination_->deficit());
+  const bool quiescent = net_.idle();
+  const std::size_t in_flight = net_.in_flight();
   if (!quiescent) {
     // Giving up with traffic still queued means protocol rounds (ADGC
     // hand-shakes, CDM tracks) were cut short — callers used to get no
     // signal at all.  Count it and say so.
-    net_.metrics().add("cluster.quiescence_timeout");
+    quiescence_timeout_.inc();
     RGC_WARN("cluster: run_until_quiescent gave up after ", max_steps,
              " steps with ", in_flight, " messages still in flight");
   }
-  // Crashed processes are not pending work: kill() purged their traffic
-  // (refunding the senders' accounts), so they never hold up quiescence —
-  // callers see them in `dead` instead.
-  const std::size_t dead = termination_->dead();
+  // Crashed processes are not pending work: kill() purged their traffic,
+  // so they never hold up quiescence — callers see them in `dead` instead.
+  const std::size_t dead = nodes_.size() - process_count();
   // Why a run stalled, as registered gauges: crashed members vs a genuine
   // truncation (gave up with traffic still in flight).
-  net_.metrics().gauge("cluster.quiescence_dead_pids").set(dead);
-  net_.metrics().gauge("cluster.quiescence_truncated").set(quiescent ? 0 : 1);
+  quiescence_dead_pids_.set(dead);
+  quiescence_truncated_.set(quiescent ? 0 : 1);
   return QuiescenceStatus{steps, quiescent, in_flight, dead};
 }
 
@@ -472,11 +471,9 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     // unlock sweeps only the *next* collection performs — so progress is
     // measured as sweeps *plus* deliveries of state-unlocking traffic.
     auto unlock_signal = [this] {
-      return net_.metrics().get("net.delivered.Unreachable") +
-             net_.metrics().get("net.delivered.Reclaim") +
-             net_.metrics().get("net.delivered.Cut") +
-             net_.metrics().get("net.delivered.PropCut") +
-             metric_total("adgc.scions_deleted") +
+      std::uint64_t delivered = 0;
+      for (const util::Counter& c : unlock_delivered_) delivered += c.value();
+      return delivered + metric_total("adgc.scions_deleted") +
              metric_total("gc.lease_expirations");
     };
     std::uint64_t reclaimed_this_round = 0;
@@ -631,10 +628,6 @@ void Cluster::kill(ProcessId pid) {
   // sent/received, pending cut whitelists) before the state vanishes.
   auditor_->note_crash(pid, node.process->metrics());
   net_.detach(pid);  // purges its in-flight traffic, both directions
-  // Freeze the account *after* the purge refunds landed: the dead pid's
-  // balance is now exact and stays in the termination books (a crashed
-  // process is never "pending work" — docs/FAULTS.md).
-  termination_->mark_dead(pid);
   node.process.reset();
   node.detector.reset();
   node.distance.reset();

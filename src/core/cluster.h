@@ -19,6 +19,7 @@
 // Everything is deterministic under a fixed ClusterConfig::net.seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/quiescence.h"
 #include "gc/adgc/adgc.h"
 #include "gc/cycle/detector.h"
 #include "gc/cycle/heuristics.h"
@@ -269,14 +269,6 @@ class Cluster {
   [[nodiscard]] const obs::Ledger* ledger() const noexcept {
     return ledger_.get();
   }
-  /// The decentralized termination detector run_until_quiescent() consults
-  /// instead of the old global idle scan (core/quiescence.h).  Always on.
-  [[nodiscard]] TerminationDetector& termination() noexcept {
-    return *termination_;
-  }
-  [[nodiscard]] const TerminationDetector& termination() const noexcept {
-    return *termination_;
-  }
 
   // ---- Garbage collection -------------------------------------------------
   /// One local collection + acyclic-protocol round on one process: the
@@ -443,9 +435,15 @@ class Cluster {
   std::unique_ptr<obs::FlightRecorder> recorder_;
   /// Per-cycle cost ledger; also a net_ observer (add_observer).
   std::unique_ptr<obs::Ledger> ledger_;
-  /// Decentralized termination detection — per-process send/receive
-  /// accounts maintained from transport events; also a net_ observer.
-  std::unique_ptr<TerminationDetector> termination_;
+  /// run_until_quiescent's registered counter and gauges.
+  util::Counter quiescence_timeout_;
+  util::Gauge quiescence_dead_pids_;
+  util::Gauge quiescence_truncated_;
+  /// Message kinds whose delivery can unlock sweeps the next collection
+  /// performs: run_full_gc's acyclic-phase progress signal.
+  static constexpr std::array<const char*, 4> kUnlockKinds{
+      "Unreachable", "Reclaim", "Cut", "PropCut"};
+  std::array<util::Counter, kUnlockKinds.size()> unlock_delivered_;
   /// Audit errors already recorded/dumped (the recorder notes each new
   /// ERROR once; the first one triggers the record_dump_path dump).
   std::uint64_t recorded_audit_errors_{0};

@@ -4,7 +4,8 @@
 // The recorder's typed event stream is the one source of truth; this view
 // renders it as a timeline whose events chain into causal lineage, the
 // detection-as-message-tree picture of §3.3.  Lineage is derived from
-// transport facts alone (cf. Plyukhin & Agha's termination detector):
+// transport facts alone (cf. Plyukhin & Agha's decentralized termination
+// detection, PAPERS.md):
 //   - a delivery's (or drop's, or duplicate's) parent is the send with the
 //     same (src, dst, link seq);
 //   - a CDM or Cut send's parent is the latest detection start, CDM

@@ -53,19 +53,27 @@ std::uint64_t audit_errors_so_far(const Cluster& cluster) {
   return cluster.auditor().metrics().get("audit.findings_error_total");
 }
 
-/// The decentralized termination verdict must agree with the legacy global
-/// idle scan after every quiescence call — on the chaos suite this covers
-/// the kill/restart/partition paths (purge refunds, frozen accounts).
-::testing::AssertionResult termination_agrees(const Cluster& cluster) {
-  if (cluster.termination().quiescent() != cluster.network().idle()) {
+/// What every quiescence call on a chaos leg must report: the network
+/// drained (nothing in flight) and `dead` equal to the pids currently down,
+/// counted independently as crashes minus recoveries — on the fault legs
+/// this covers the kill/restart/partition paths (purged traffic, revived
+/// pids).
+::testing::AssertionResult quiesced_cleanly(
+    const Cluster& cluster, const core::QuiescenceStatus& status) {
+  if (!status.quiescent) {
     return ::testing::AssertionFailure()
-           << "verdict " << cluster.termination().quiescent()
-           << " vs global idle " << cluster.network().idle();
+           << "not quiescent after " << status.steps << " steps";
   }
-  if (cluster.termination().deficit() != cluster.network().in_flight()) {
+  if (status.in_flight != 0) {
     return ::testing::AssertionFailure()
-           << "deficit " << cluster.termination().deficit() << " vs in-flight "
-           << cluster.network().in_flight();
+           << status.in_flight << " messages still in flight";
+  }
+  const util::Metrics& nm = cluster.network().metrics();
+  const std::uint64_t down =
+      nm.get("cluster.crashes") - nm.get("cluster.recoveries");
+  if (status.dead != down) {
+    return ::testing::AssertionFailure()
+           << "dead " << status.dead << " vs " << down << " pids down";
   }
   return ::testing::AssertionSuccess();
 }
@@ -106,8 +114,7 @@ TEST_P(Chaos, SafetyUnderEverything) {
     for (int burst = 0; burst < 10; ++burst) {
       mutator.run(60);
       daemon.run(25);
-      cluster.run_until_quiescent();
-      ASSERT_TRUE(termination_agrees(cluster))
+      ASSERT_TRUE(quiesced_cleanly(cluster, cluster.run_until_quiescent()))
           << "seed " << param.seed << " burst " << burst;
       const auto report = Oracle::analyze(cluster);
       ASSERT_TRUE(report.violations.empty())
@@ -138,8 +145,8 @@ TEST_P(Chaos, EventualCompletenessOnceQuiet) {
   spec.seed = param.seed * 104729 + 7;
   workload::RandomMutator mutator{cluster, spec};
   mutator.run(400);
-  cluster.run_until_quiescent();
-  ASSERT_TRUE(termination_agrees(cluster)) << "seed " << param.seed;
+  ASSERT_TRUE(quiesced_cleanly(cluster, cluster.run_until_quiescent()))
+      << "seed " << param.seed;
 
   bool done = false;
   for (int attempt = 0; attempt < 60 && !done; ++attempt) {
@@ -182,9 +189,9 @@ struct FaultRunOutcome {
   std::uint64_t recoveries{0};
   std::uint64_t lease_expirations{0};
   std::uint64_t total_objects{0};
-  /// Decentralized termination verdict agreed with the legacy global scan
-  /// after end-of-chaos quiescence (kills, restarts and partitions landed).
-  bool termination_agreed{false};
+  /// End-of-chaos quiescence (after the kills, restarts and partitions
+  /// landed) drained the network and reported no pid down.
+  bool quiesced{false};
   std::string detail;
 
   bool operator==(const FaultRunOutcome&) const = default;
@@ -236,11 +243,11 @@ FaultRunOutcome run_fault_chaos(ClusterConfig cfg, bool adaptive,
     }
   }
   runner.finish();  // heal + restart everyone: end of chaos
-  cluster.run_until_quiescent();
+  const core::QuiescenceStatus quiet = cluster.run_until_quiescent();
 
   bool dry = false;
   FaultRunOutcome out;
-  out.termination_agreed = termination_agrees(cluster);
+  out.quiesced = quiesced_cleanly(cluster, quiet) && quiet.dead == 0;
   for (int attempt = 0; attempt < 60 && !dry; ++attempt) {
     cluster.run_full_gc(3);
     const auto report = Oracle::analyze(cluster);
@@ -283,8 +290,8 @@ TEST(FaultChaos, AcceptanceSixteenProcessFaultMix) {
     EXPECT_EQ(out.violations, 0u) << out.detail;
     EXPECT_EQ(out.garbage, 0u) << "floating garbage survived chaos";
     EXPECT_EQ(out.audit_errors, 0u) << out.detail;
-    EXPECT_TRUE(out.termination_agreed)
-        << "decentralized quiescence diverged from the global scan";
+    EXPECT_TRUE(out.quiesced)
+        << "end-of-chaos quiescence left traffic in flight or a pid down";
   }
 }
 
@@ -304,7 +311,7 @@ TEST(FaultChaos, AcceptanceRunIsSeedReproducible) {
 
 // The fault layer combined with message loss, duplication and jitter.  Each
 // leg also checks, once its kills, restarts and partition have run, that the
-// termination detector's verdict agrees with the transport.
+// cluster quiesces with nothing in flight and no pid down.
 class FaultChaosLegs : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(FaultChaosLegs, SafeAndCompleteUnderLossyChaos) {
@@ -320,7 +327,7 @@ TEST_P(FaultChaosLegs, SafeAndCompleteUnderLossyChaos) {
     EXPECT_EQ(out.garbage, 0u) << "seed " << param.seed;
     EXPECT_EQ(out.audit_errors, 0u)
         << "seed " << param.seed << "\n" << out.detail;
-    EXPECT_TRUE(out.termination_agreed) << "seed " << param.seed;
+    EXPECT_TRUE(out.quiesced) << "seed " << param.seed;
   }
 }
 

@@ -1,23 +1,18 @@
-// Adaptive GC scheduling policy + decentralized termination detection
-// (`ctest -L policy`): per-process send/receive accounts vs the transport's
-// global in-flight count under loss, duplication and crashes; the token
-// wave's verdict against the legacy idle scan on every path including
-// truncation; Pony-style backoff mechanics (skip, ceiling, productivity
-// reset, forced sweeps); and the adaptive daemon's determinism — byte-
-// identical flight recordings across worker-pool widths and across
-// event-skip vs per-step schedules.
+// Adaptive GC scheduling policy + quiescence (`ctest -L policy`):
+// run_until_quiescent's status (steps, in-flight count, dead pids) and its
+// registered counter and gauges on the drain, truncation, kill, partition
+// and restart paths; Pony-style backoff mechanics (skip, ceiling,
+// productivity reset, forced sweeps); and the adaptive daemon's
+// determinism — byte-identical flight recordings across worker-pool widths
+// and across event-skip vs per-step schedules.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cluster.h"
 #include "core/daemon.h"
 #include "core/oracle.h"
-#include "core/quiescence.h"
-#include "net/network.h"
 #include "obs/recorder.h"
 #include "util/metrics.h"
 #include "workload/figures.h"
@@ -30,164 +25,34 @@ using core::Cluster;
 using core::ClusterConfig;
 using core::DaemonConfig;
 using core::GcDaemon;
-using core::TerminationDetector;
 
-/// Minimal unreliable payload for driving a raw net::Network: exposed to
-/// drop/duplicate fault injection like the GC's advisory traffic.
-class PingMsg final : public net::Message {
- public:
-  explicit PingMsg(std::size_t weight = 3) : weight_(weight) {}
-  [[nodiscard]] const char* kind() const noexcept override { return "Ping"; }
-  [[nodiscard]] std::size_t weight() const noexcept override { return weight_; }
-  [[nodiscard]] std::unique_ptr<net::Message> clone() const override {
-    return std::make_unique<PingMsg>(weight_);
-  }
+// ---- Quiescence: run_until_quiescent's status -----------------------------
 
- private:
-  std::size_t weight_;
-};
-
-// ---- Termination-detector unit tests (raw network) -------------------------
-
-/// Harness: a detector observing a raw network with no cluster on top.
-struct RawNet {
-  explicit RawNet(net::NetworkConfig cfg, std::size_t processes) : net(cfg) {
-    detector = std::make_unique<TerminationDetector>(registry);
-    net.add_observer(detector.get());
-    for (std::size_t i = 0; i < processes; ++i) {
-      const ProcessId pid{static_cast<std::uint32_t>(i)};
-      detector->attach(pid);
-      net.attach(pid, [](const net::Envelope&) {});
-    }
-  }
-
-  /// Probe and cross-check the decentralized verdict against the global
-  /// scan — the invariant the whole protocol rests on.
-  void expect_agreement(const char* where) {
-    const bool verdict = detector->probe();
-    EXPECT_EQ(verdict, net.idle()) << where;
-    EXPECT_EQ(detector->deficit(), net.in_flight()) << where;
-  }
-
-  util::Metrics registry;
-  net::Network net;
-  std::unique_ptr<TerminationDetector> detector;
-};
-
-TEST(TerminationDetector, AccountsBalanceOnAReliableRun) {
-  RawNet h{net::NetworkConfig{}, 3};
-  for (int i = 0; i < 5; ++i) {
-    h.net.send(ProcessId{0}, ProcessId{1}, std::make_unique<PingMsg>());
-    h.net.send(ProcessId{1}, ProcessId{2}, std::make_unique<PingMsg>());
-  }
-  h.expect_agreement("after sends");
-  EXPECT_EQ(h.detector->deficit(), 10u);
-  EXPECT_EQ(h.detector->weight_deficit(), 30u);
-  while (h.net.step()) h.expect_agreement("mid drain");
-  h.expect_agreement("after drain");
-  EXPECT_TRUE(h.detector->quiescent());
-  EXPECT_EQ(h.detector->deficit(), 0u);
-  EXPECT_EQ(h.detector->weight_deficit(), 0u);
-}
-
-TEST(TerminationDetector, TokenSurvivesMessageLoss) {
-  // Heavy send-time loss: every drop is a local NACK refunding the sender,
-  // so the summed deficit must keep matching the transport exactly.
-  net::NetworkConfig cfg;
-  cfg.seed = 7;
-  cfg.drop_probability = 0.5;
-  RawNet h{cfg, 4};
-  for (int round = 0; round < 20; ++round) {
-    for (std::uint32_t src = 0; src < 4; ++src) {
-      h.net.send(ProcessId{src}, ProcessId{(src + 1) % 4},
-                 std::make_unique<PingMsg>());
-    }
-    h.net.step();
-    h.expect_agreement("lossy round");
-  }
-  while (h.net.step()) {
-  }
-  h.expect_agreement("lossy drain");
-  EXPECT_TRUE(h.detector->quiescent());
-}
-
-TEST(TerminationDetector, TokenSurvivesDuplication) {
-  // Duplicates are transport clones charged to the sender's link; both
-  // copies deliver, so the account closes at zero like everything else.
-  net::NetworkConfig cfg;
-  cfg.seed = 11;
-  cfg.duplicate_probability = 0.6;
-  cfg.max_delay = 3;
-  RawNet h{cfg, 4};
-  for (int round = 0; round < 20; ++round) {
-    for (std::uint32_t src = 0; src < 4; ++src) {
-      h.net.send(ProcessId{src}, ProcessId{(src + 2) % 4},
-                 std::make_unique<PingMsg>());
-    }
-    h.net.step();
-    h.expect_agreement("duplicating round");
-  }
-  while (h.net.step()) {
-  }
-  h.expect_agreement("duplicating drain");
-  EXPECT_TRUE(h.detector->quiescent());
-  // The fault injector actually fired (otherwise this test proves nothing).
-  EXPECT_GT(h.net.metrics().get("net.duplicated.Ping"), 0u);
-}
-
-TEST(TerminationDetector, DeadPidAccountsFreezeAndRevive) {
-  net::NetworkConfig cfg;
-  cfg.max_delay = 8;
-  RawNet h{cfg, 3};
-  // In-flight traffic both directions around P1, then P1 crashes.
-  for (int i = 0; i < 4; ++i) {
-    h.net.send(ProcessId{0}, ProcessId{1}, std::make_unique<PingMsg>());
-    h.net.send(ProcessId{1}, ProcessId{2}, std::make_unique<PingMsg>());
-  }
-  h.net.detach(ProcessId{1});  // purges both directions, refunds senders
-  h.detector->mark_dead(ProcessId{1});
-  EXPECT_EQ(h.detector->dead(), 1u);
-  h.expect_agreement("after crash purge");
-  // Sends toward the dead pid are refused at the source — still balanced.
-  h.net.send(ProcessId{0}, ProcessId{1}, std::make_unique<PingMsg>());
-  h.expect_agreement("send to dead pid");
-  while (h.net.step()) {
-  }
-  h.expect_agreement("drain with dead member");
-  EXPECT_TRUE(h.detector->quiescent()) << "a crashed pid is not pending work";
-  // Restart: the account revives with an exact (zero-outstanding) balance.
-  h.net.attach(ProcessId{1}, [](const net::Envelope&) {});
-  h.detector->attach(ProcessId{1});
-  EXPECT_EQ(h.detector->dead(), 0u);
-  h.net.send(ProcessId{1}, ProcessId{2}, std::make_unique<PingMsg>());
-  h.expect_agreement("after revive");
-  while (h.net.step()) {
-  }
-  EXPECT_TRUE(h.detector->probe());
-}
-
-// ---- Cluster integration: verdict vs legacy scan ---------------------------
-
-TEST(TerminationDetector, ClusterQuiescenceRoutesThroughTheToken) {
+TEST(Quiescence, DrainsAndReportsTheNetworksInFlightCount) {
   Cluster cluster;
   const ProcessId p1 = cluster.add_process();
   const ProcessId p2 = cluster.add_process();
   const ObjectId x = cluster.new_object(p1);
   cluster.add_root(p1, x);
   cluster.propagate(x, p1, p2);
+  ASSERT_FALSE(cluster.network().idle());
   const auto status = cluster.run_until_quiescent();
+  EXPECT_GT(status.steps, 0u);
   EXPECT_TRUE(status.quiescent);
   EXPECT_EQ(status.in_flight, 0u);
-  // The decentralized protocol ran: probes were issued and a confirmation
-  // wave concluded, with the final deficit agreeing with the global scan.
+  EXPECT_EQ(status.in_flight, cluster.network().in_flight());
+  EXPECT_EQ(status.dead, 0u);
   const util::Metrics& nm = cluster.network().metrics();
-  EXPECT_GT(nm.get("cluster.termination_probes"), 0u);
-  EXPECT_GT(nm.get("cluster.termination_confirmed"), 0u);
-  EXPECT_TRUE(cluster.termination().quiescent());
-  EXPECT_EQ(cluster.termination().deficit(), cluster.network().in_flight());
+  EXPECT_EQ(nm.get("cluster.quiescence_timeout"), 0u);
+  EXPECT_EQ(nm.gauge_value("cluster.quiescence_truncated"), 0u);
+  EXPECT_EQ(nm.gauge_value("cluster.quiescence_dead_pids"), 0u);
+  // Already idle: the next call returns at once.
+  const auto again = cluster.run_until_quiescent();
+  EXPECT_EQ(again.steps, 0u);
+  EXPECT_TRUE(again.quiescent);
 }
 
-TEST(TerminationDetector, TruncationReportsThroughTheToken) {
+TEST(Quiescence, TruncationReportsCounterAndGauges) {
   ClusterConfig cfg;
   cfg.net.min_delay = 40;
   cfg.net.max_delay = 40;
@@ -198,21 +63,24 @@ TEST(TerminationDetector, TruncationReportsThroughTheToken) {
   cluster.add_root(p1, x);
   cluster.propagate(x, p1, p2);  // due in 40 steps — cannot drain in 5
   const auto status = cluster.run_until_quiescent(5);
+  EXPECT_EQ(status.steps, 5u);
   EXPECT_FALSE(status.quiescent);
   EXPECT_GT(status.in_flight, 0u);
-  EXPECT_EQ(status.in_flight, cluster.network().in_flight())
-      << "the truncated verdict's deficit must match the global scan";
+  EXPECT_EQ(status.in_flight, cluster.network().in_flight());
+  EXPECT_EQ(status.dead, 0u);
   const util::Metrics& nm = cluster.network().metrics();
   EXPECT_EQ(nm.get("cluster.quiescence_timeout"), 1u);
   EXPECT_EQ(nm.gauge_value("cluster.quiescence_truncated"), 1u);
-  EXPECT_EQ(nm.gauge_value("cluster.termination_deficit"), status.in_flight);
-  // Let it finish; the token confirms this time.
+  EXPECT_EQ(nm.gauge_value("cluster.quiescence_dead_pids"), 0u);
+  // Let it finish; the gauge clears and the counter keeps its one timeout.
   const auto rest = cluster.run_until_quiescent();
   EXPECT_TRUE(rest.quiescent);
+  EXPECT_EQ(rest.in_flight, 0u);
+  EXPECT_EQ(nm.get("cluster.quiescence_timeout"), 1u);
   EXPECT_EQ(nm.gauge_value("cluster.quiescence_truncated"), 0u);
 }
 
-TEST(TerminationDetector, AgreesWithGlobalScanAcrossKillRestartPartition) {
+TEST(Quiescence, DeadCountsDownPidsAcrossKillRestartPartition) {
   ClusterConfig cfg;
   cfg.lease_timeout = 32;
   Cluster cluster{cfg};
@@ -222,26 +90,40 @@ TEST(TerminationDetector, AgreesWithGlobalScanAcrossKillRestartPartition) {
   spec.seed = 99;
   workload::RandomMutator mutator{cluster, spec};
   mutator.run(120);
+  const util::Metrics& nm = cluster.network().metrics();
 
+  // A crashed pid's traffic is purged, so it never holds up quiescence.
   cluster.kill(pids[1]);
   auto status = cluster.run_until_quiescent();
   EXPECT_TRUE(status.quiescent);
+  EXPECT_EQ(status.in_flight, cluster.network().in_flight());
   EXPECT_EQ(status.dead, 1u);
-  EXPECT_EQ(cluster.termination().deficit(), cluster.network().in_flight());
+  EXPECT_EQ(nm.gauge_value("cluster.quiescence_dead_pids"), 1u);
 
   cluster.partition({{pids[0]}, {pids[2], pids[3]}});
   mutator.run(60);
   status = cluster.run_until_quiescent();
   EXPECT_TRUE(status.quiescent);
-  EXPECT_EQ(cluster.termination().deficit(), cluster.network().in_flight());
+  EXPECT_EQ(status.in_flight, cluster.network().in_flight());
+  EXPECT_EQ(status.dead, 1u);
   cluster.heal();
 
   cluster.restart(pids[1]);
   mutator.run(60);
   status = cluster.run_until_quiescent();
   EXPECT_TRUE(status.quiescent);
+  EXPECT_EQ(status.in_flight, cluster.network().in_flight());
   EXPECT_EQ(status.dead, 0u);
-  EXPECT_EQ(cluster.termination().deficit(), cluster.network().in_flight());
+  EXPECT_EQ(nm.gauge_value("cluster.quiescence_dead_pids"), 0u);
+
+  // The same pid down a second time counts once again.
+  cluster.kill(pids[1]);
+  mutator.run(60);
+  status = cluster.run_until_quiescent();
+  EXPECT_TRUE(status.quiescent);
+  EXPECT_EQ(status.in_flight, cluster.network().in_flight());
+  EXPECT_EQ(status.dead, 1u);
+  EXPECT_EQ(nm.gauge_value("cluster.quiescence_dead_pids"), 1u);
 }
 
 // ---- Adaptive policy mechanics ---------------------------------------------
