@@ -56,7 +56,7 @@ void run_series(benchmark::State& state, gc::FinalizeStrategy strategy) {
     state.PauseTiming();
     net::Network net;
     rm::Process proc{ProcessId{0}, net};
-    net.attach(ProcessId{0}, [](const net::Envelope&) {});
+    net.attach(ProcessId{0}, [](const net::Envelope&, net::Message&) {});
     build_heap(proc, n, refs);
     gc::Finalizer finalizer{strategy};
     gc::LgcConfig cfg;

@@ -42,7 +42,7 @@ double unitary_cost_us(gc::FinalizeStrategy strategy, std::int64_t n,
                        std::int64_t refs) {
   net::Network net;
   rm::Process proc{ProcessId{0}, net};
-  net.attach(ProcessId{0}, [](const net::Envelope&) {});
+  net.attach(ProcessId{0}, [](const net::Envelope&, net::Message&) {});
   build_heap(proc, n, refs);
   gc::Finalizer finalizer{strategy};
   gc::LgcConfig cfg;

@@ -109,14 +109,29 @@ if [[ "${1:-}" != "--fast" ]]; then
 
   # The benchmark that gates performance claims (perfbench/README.md,
   # BENCHMARK.json) compiles the library from src/ on its own: keep it
-  # building warning-free, its statistics self-tested, and one short
-  # graph_store run exiting 0.
-  echo "== perfbench build + self-test + graph_store smoke =="
+  # building warning-free, its statistics self-tested, and two short runs
+  # correct.  perfbench exits 0 whatever it finds, so each smoke reads the
+  # verdict off its result line (the last line).  The traced
+  # spanning_cycles pass re-drives run_full_gc and diffs the deterministic
+  # fingerprints, so a nondeterministic detector fails here.
+  echo "== perfbench build + self-test + graph_store/spanning_cycles smokes =="
   cmake -S perfbench -B build-perfbench "$WERROR"
   cmake --build build-perfbench -j "$JOBS"
   ./build-perfbench/perfbench_selftest
-  ./build-perfbench/perfbench --workload graph_store --seed 1 --seconds 1 \
-    --trace 0 | tail -n 1
+  perfbench_smoke() {
+    local result
+    result=$(./build-perfbench/perfbench --seed 1 --seconds 1 "$@" | tail -n 1)
+    echo "$result"
+    python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench smoke failed: correct=%s failed=%s"
+             % (r.get("correct"), r.get("failed")))
+' "$result"
+  }
+  perfbench_smoke --workload graph_store --trace 0
+  perfbench_smoke --workload spanning_cycles --trace 1
 fi
 
 echo "OK"

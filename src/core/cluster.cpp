@@ -86,7 +86,9 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   node.summary_cache_valid = false;
   node.last_summary_fresh = true;
   node.alive = true;
-  net_.attach(pid, [this, pid](const net::Envelope& env) { dispatch(pid, env); });
+  net_.attach(pid, [this, pid](const net::Envelope& env, net::Message& msg) {
+    dispatch(pid, env, msg);
+  });
 }
 
 std::size_t Cluster::process_count() const noexcept {
@@ -415,7 +417,7 @@ void Cluster::summarize_all(const std::vector<Node*>& nodes,
   // (the reuse decision itself is epoch-based and thus deterministic).
   for (std::size_t i = 0; i < n; ++i) {
     if (reused[i] != 0) {
-      nodes[i]->process->metrics().add("cycle.summarize_reused");
+      nodes[i]->process->counters().summarize_reused.inc();
     }
     nodes[i]->last_summary_fresh = reused[i] == 0;
   }
@@ -471,10 +473,14 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     // unlock sweeps only the *next* collection performs — so progress is
     // measured as sweeps *plus* deliveries of state-unlocking traffic.
     auto unlock_signal = [this] {
-      std::uint64_t delivered = 0;
-      for (const util::Counter& c : unlock_delivered_) delivered += c.value();
-      return delivered + metric_total("adgc.scions_deleted") +
-             metric_total("gc.lease_expirations");
+      std::uint64_t signal = 0;
+      for (const util::Counter& c : unlock_delivered_) signal += c.value();
+      for (const auto& [pid, node] : nodes_) {
+        if (!node.alive) continue;
+        const rm::ProcessCounters& c = node.process->counters();
+        signal += c.scions_deleted.value() + c.lease_expirations.value();
+      }
+      return signal;
     };
     std::uint64_t reclaimed_this_round = 0;
     for (std::size_t inner = 0; inner < 4 * nodes_.size() + 8; ++inner) {
@@ -557,13 +563,14 @@ std::uint64_t Cluster::metric_total(const std::string& name) const {
   return total;
 }
 
-void Cluster::dispatch(ProcessId pid, const net::Envelope& env) {
+void Cluster::dispatch(ProcessId pid, const net::Envelope& env,
+                       net::Message& msg) {
   Node& node = nodes_.at(pid);
   // Any delivery is proof of life: renew the sender's lease.  Deliberately
   // epoch-silent (rm::Process::note_heard), so piggybacked heartbeats never
   // invalidate the dirty-epoch summary cache.
   node.process->note_heard(env.src, net_.now());
-  const net::Message* m = env.msg;
+  const net::Message* m = &msg;
   if (const auto* p = dynamic_cast<const rm::PropagateMsg*>(m)) {
     node.process->on_propagate(env, *p);
   } else if (const auto* p = dynamic_cast<const rm::InvokeMsg*>(m)) {
@@ -596,8 +603,8 @@ void Cluster::dispatch(ProcessId pid, const net::Envelope& env) {
     gc::Adgc::on_unreachable(*node.process, env, *p);
   } else if (const auto* p = dynamic_cast<const gc::ReclaimMsg*>(m)) {
     gc::Adgc::on_reclaim(*node.process, env, *p);
-  } else if (const auto* p = dynamic_cast<const gc::CdmMsg*>(m)) {
-    node.detector->on_cdm(env, *p);
+  } else if (auto* p = dynamic_cast<gc::CdmMsg*>(&msg)) {
+    node.detector->on_cdm(env, *p);  // takes the payload
   } else if (const auto* p = dynamic_cast<const gc::CutMsg*>(m)) {
     node.detector->on_cut(env, *p);
   } else if (const auto* p = dynamic_cast<const gc::PropCutMsg*>(m)) {

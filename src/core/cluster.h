@@ -383,7 +383,9 @@ class Cluster {
   /// Worker pool for the read-only phases, created on first use.
   util::ThreadPool& pool();
 
-  void dispatch(ProcessId pid, const net::Envelope& env);
+  /// Routes a delivered message to its protocol handler; `msg` is
+  /// env.msg, handed over mutable so the CDM handler can take its payload.
+  void dispatch(ProcessId pid, const net::Envelope& env, net::Message& msg);
   void handle_cycle_found(ProcessId at, const gc::Cdm& cdm);
 
   /// (Re)creates the live half of a Node for `pid` (process + detector +

@@ -136,7 +136,7 @@ void Adgc::on_new_set_stubs(rm::Process& process, const net::Envelope& env,
     const bool protected_by_horizon = scion.created_seq > msg.horizon;
     if (from_sender && !protected_by_horizon &&
         !anchors.contains(it->first.anchor)) {
-      process.metrics().add("adgc.scions_deleted");
+      process.counters().scions_deleted.inc();
       RGC_DEBUG("adgc: ", to_string(process.id()), " drops scion for ",
                 to_string(it->first.anchor), " from ", to_string(env.src));
       it = scions.erase(it);
@@ -241,8 +241,8 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
         ++it;
         continue;
       }
-      process.metrics().add("adgc.scions_deleted");
-      process.metrics().add("gc.lease_expirations");
+      process.counters().scions_deleted.inc();
+      process.counters().lease_expirations.inc();
       RGC_DEBUG("adgc: ", to_string(process.id()), " lease-expires scion for ",
                 to_string(it->first.anchor), " owned by ", to_string(peer));
       it = scions.erase(it);

@@ -10,38 +10,81 @@ std::string to_string(const Element& e) {
   return rgc::to_string(e.holder) + "->" + rgc::to_string(e.replica);
 }
 
-bool Cdm::observe(Observation obs) {
-  for (const Observation& prev : observations) {
-    if (prev.link == obs.link && prev.counter != obs.counter) return false;
+namespace {
+
+using Edge = std::pair<Element, Element>;
+
+/// Adds to `closure` everything the sorted `edges` reach from `from`,
+/// `root` excluded (it is the closure's seed, not a member).
+void reach(const std::vector<Edge>& edges, const Element& root,
+           const Element& from, util::FlatSet<Element>& closure) {
+  std::vector<Element> work{from};
+  while (!work.empty()) {
+    const Element cur = work.back();
+    work.pop_back();
+    auto it = std::lower_bound(
+        edges.begin(), edges.end(), cur,
+        [](const Edge& edge, const Element& e) { return edge.first < e; });
+    for (; it != edges.end() && it->first == cur; ++it) {
+      if (it->second != root && closure.insert(it->second)) {
+        work.push_back(it->second);
+      }
+    }
   }
-  observations.push_back(std::move(obs));
+}
+
+}  // namespace
+
+bool Cdm::observe(Observation obs) {
+  auto it = std::lower_bound(
+      observed_.begin(), observed_.end(), obs.link,
+      [](const Observation& o, const auto& link) { return o.link < link; });
+  if (it != observed_.end() && it->link == obs.link) {
+    if (it->counter != obs.counter) return false;
+  } else {
+    observed_.insert(it, obs);
+  }
+  observations_.push_back(std::move(obs));
   return true;
 }
 
 void Cdm::require(const Element& from, const Element& on, bool prop) {
   (prop ? prop_deps : ref_deps).insert(on);
-  const std::pair<Element, Element> edge{from, on};
-  if (std::find(dep_edges.begin(), dep_edges.end(), edge) == dep_edges.end()) {
-    dep_edges.push_back(edge);
+  const Edge edge{from, on};
+  auto it = std::lower_bound(dep_edges_.begin(), dep_edges_.end(), edge);
+  if (it != dep_edges_.end() && *it == edge) return;
+  dep_edges_.insert(it, edge);
+  const Element root = Element::make(candidate);
+  if (candidate != closure_root_) {
+    closure_root_ = candidate;
+    closure_.clear();
+    reach(dep_edges_, root, root, closure_);
+  } else if ((from == root || closure_.contains(from)) && on != root &&
+             closure_.insert(on)) {
+    reach(dep_edges_, root, on, closure_);
   }
 }
 
 util::FlatSet<Element> Cdm::required_closure() const {
+  const Element root = Element::make(candidate);
   util::FlatSet<Element> closure;
-  std::vector<Element> work{Element::make(candidate)};
-  closure.insert(work.front());
-  while (!work.empty()) {
-    const Element cur = work.back();
-    work.pop_back();
-    for (const auto& [from, on] : dep_edges) {
-      if (from == cur && closure.insert(on)) work.push_back(on);
-    }
+  if (candidate == closure_root_) {
+    closure = closure_;
+  } else {
+    reach(dep_edges_, root, root, closure);
   }
+  closure.insert(root);
   return closure;
 }
 
 util::FlatSet<Element> Cdm::unresolved() const {
   return required_closure().difference(targets);
+}
+
+bool Cdm::cycle_complete() const {
+  if (!targets.contains(Element::make(candidate))) return false;
+  if (candidate != closure_root_) return unresolved().empty();
+  return closure_.subset_of(targets);
 }
 
 util::FlatSet<Element> Cdm::flat_unresolved() const {

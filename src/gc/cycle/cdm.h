@@ -84,7 +84,14 @@ struct Cdm {
   /// wanderer's dependencies poison the whole message).  The verdict here
   /// closes over the *candidate's requirement closure* instead; the flat
   /// sets still drive traversal and reporting.  See DESIGN.md §7.
-  std::vector<std::pair<Element, Element>> dep_edges;
+  ///
+  /// Written only by require(), which keeps the edges sorted and
+  /// duplicate-free: the list doubles as the adjacency index (the edges
+  /// out of `from` are one equal_range).
+  [[nodiscard]] const std::vector<std::pair<Element, Element>>& dep_edges()
+      const noexcept {
+    return dep_edges_;
+  }
 
   /// Traversal continuations, in the paper's priority order (§3.3): child
   /// replicas first ("child replicas are traversed before their parents"),
@@ -98,14 +105,20 @@ struct Cdm {
   /// sent (as a fork, one CDM per target) when no unresolved child remains.
   std::vector<Replica> pending_refs;
 
-  std::vector<Observation> observations;
+  /// Every observation in the order it was made, consistent repeats
+  /// included: the verdict's cut list is built in this order, and the
+  /// message weight counts every entry.  Written only by observe().
+  [[nodiscard]] const std::vector<Observation>& observations() const noexcept {
+    return observations_;
+  }
 
   /// Records `obs`; returns false when a previous observation of the same
-  /// link carries a different counter (race detected).
+  /// link carries a different counter (race detected).  O(log links).
   bool observe(Observation obs);
 
   /// Records the dependency in the flat set (prop or ref) *and* the
-  /// attribution edge from `from`.
+  /// attribution edge from `from`, extending the candidate's closure when
+  /// `from` is in it.
   void require(const Element& from, const Element& on, bool prop);
 
   /// The candidate's requirement closure: every element transitively
@@ -116,17 +129,37 @@ struct Cdm {
   [[nodiscard]] util::FlatSet<Element> unresolved() const;
 
   /// The refined matching: every element the candidate's garbage-ness
-  /// depends on has been visited and found unreachable.
-  [[nodiscard]] bool cycle_complete() const { return unresolved().empty(); }
+  /// depends on has been visited and found unreachable.  One merge pass
+  /// over the maintained closure and the target set; allocates nothing
+  /// unless `candidate` changed since the last require().
+  [[nodiscard]] bool cycle_complete() const;
 
   /// The paper's flat matching (the verdict of the flat traversal,
   /// gc::Traversal::kFlat): every source-set element in the target set.
   [[nodiscard]] util::FlatSet<Element> flat_unresolved() const;
-  [[nodiscard]] bool flat_complete() const { return flat_unresolved().empty(); }
+  [[nodiscard]] bool flat_complete() const {
+    return prop_deps.subset_of(targets) && ref_deps.subset_of(targets);
+  }
 
   /// "{ {prop...}, {ref...} } -> { targets... }" — the paper's notation,
   /// used in tests that assert the worked examples.
   [[nodiscard]] std::string to_string() const;
+
+ private:
+  std::vector<std::pair<Element, Element>> dep_edges_;
+  std::vector<Observation> observations_;
+
+  // Indexes over the two lists above.  They are derived state, not part of
+  // the message: CdmMsg::weight() never counts them.
+  /// The first counter seen per link, sorted by link: observe()'s lookup.
+  std::vector<Observation> observed_;
+  /// Everything dep_edges_ reaches from closure_root_, closure_root_
+  /// itself excluded; grown by require().
+  util::FlatSet<Element> closure_;
+  /// The candidate closure_ was grown from.  require() regrows closure_
+  /// when `candidate` has changed since, and the readers walk dep_edges_
+  /// instead of trusting closure_ until it has.
+  Replica closure_root_;
 };
 
 /// How a CDM addresses its next entity.
@@ -147,8 +180,8 @@ struct CdmMsg final : net::Message {
   [[nodiscard]] const char* kind() const noexcept override { return "CDM"; }
   [[nodiscard]] std::size_t weight() const noexcept override {
     return 1 + cdm.prop_deps.size() + cdm.ref_deps.size() +
-           cdm.targets.size() + cdm.observations.size() +
-           cdm.pending_refs.size() + cdm.dep_edges.size();
+           cdm.targets.size() + cdm.observations().size() +
+           cdm.pending_refs.size() + cdm.dep_edges().size();
   }
   [[nodiscard]] std::unique_ptr<net::Message> clone() const override {
     return std::make_unique<CdmMsg>(*this);

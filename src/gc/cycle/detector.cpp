@@ -111,11 +111,12 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
     rec->detection(obs::RecKind::kDetectStart, self, cdm.detection_id,
                    candidate);
   }
-  conclude(cdm, remote_out);
-  return cdm.detection_id;
+  const std::uint64_t detection_id = cdm.detection_id;
+  conclude(cdm, remote_out);  // moves the payload into its last send
+  return detection_id;
 }
 
-void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
+void CycleDetector::on_cdm(const net::Envelope& env, CdmMsg& msg) {
   const util::ScopedTimerUs profile{profile_us_};
   counters_.cdms_received.inc();
   if (!summary_.has_value()) {
@@ -133,7 +134,8 @@ void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
             to_string(msg.entry),
             msg.via == EntryVia::kProp ? " forwarded via prop " : " via ref ",
             msg.cdm.to_string());
-  Cdm cdm = msg.cdm;
+  // The handler is the message's last reader: take the payload.
+  Cdm cdm = std::move(msg.cdm);
   ++cdm.hops;
   std::vector<rm::StubKey> remote_out;
   const Visit v =
@@ -522,7 +524,8 @@ bool CycleDetector::forward(Cdm& cdm, const std::vector<rm::StubKey>& remote_out
   };
   auto forward_to = [&](const Replica* dest) {
     if (dest == nullptr) return false;
-    send(cdm, *dest, EntryVia::kProp);
+    const Replica to = *dest;  // dest points into the payload being moved
+    send(std::move(cdm), to, EntryVia::kProp);
     counters_.forwards.inc();
     return true;
   };
@@ -538,7 +541,7 @@ bool CycleDetector::forward(Cdm& cdm, const std::vector<rm::StubKey>& remote_out
     }
     if (sends.empty()) return false;
     cdm.pending_refs.clear();
-    for (const Replica& target : sends) send(cdm, target, EntryVia::kRef);
+    send_all(cdm, sends, EntryVia::kRef);
     return true;
   };
 
@@ -557,22 +560,29 @@ bool CycleDetector::forward(Cdm& cdm, const std::vector<rm::StubKey>& remote_out
          forward_to(next_forward(cdm.forward_last));
 }
 
-bool CycleDetector::flood(const Cdm& cdm, std::vector<rm::StubKey> hops) {
+bool CycleDetector::flood(Cdm& cdm, std::vector<rm::StubKey> hops) {
   std::sort(hops.begin(), hops.end());
   hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
-  bool sent = false;
+  std::vector<Replica> dests;
   for (const rm::StubKey& hop : hops) {
     const Replica dest{hop.target, hop.target_process};
     if (cdm.targets.contains(Element::make(dest))) continue;  // visited there
-    send(cdm, dest, EntryVia::kRef);
-    sent = true;
+    dests.push_back(dest);
   }
-  return sent;
+  if (dests.empty()) return false;
+  send_all(cdm, dests, EntryVia::kRef);
+  return true;
 }
 
-void CycleDetector::send(const Cdm& cdm, const Replica& dest, EntryVia via) {
+void CycleDetector::send_all(Cdm& cdm, const std::vector<Replica>& dests,
+                             EntryVia via) {
+  for (std::size_t i = 0; i + 1 < dests.size(); ++i) send(cdm, dests[i], via);
+  send(std::move(cdm), dests.back(), via);
+}
+
+void CycleDetector::send(Cdm cdm, const Replica& dest, EntryVia via) {
   auto msg = std::make_unique<CdmMsg>();
-  msg->cdm = cdm;
+  msg->cdm = std::move(cdm);
   msg->entry = dest.object;
   msg->via = via;
   process_.network().send(process_.id(), dest.process, std::move(msg));
@@ -583,7 +593,7 @@ CutMsg CycleDetector::make_cut(const Cdm& cdm) {
   CutMsg cut;
   cut.candidate = cdm.candidate.object;
   cut.detection_id = cdm.detection_id;
-  for (const Observation& obs : cdm.observations) {
+  for (const Observation& obs : cdm.observations()) {
     // The same link is legitimately observed at both of its ends (with, by
     // construction of a completed detection, equal counters) — dedupe.
     if (const auto* ref = std::get_if<RefLink>(&obs.link)) {

@@ -106,7 +106,9 @@ class CycleDetector {
   std::optional<std::uint64_t> start_detection(ObjectId candidate);
 
   // Message handlers (wired by the Cluster dispatcher).
-  void on_cdm(const net::Envelope& env, const CdmMsg& msg);
+  /// Takes the payload: `msg` is left moved-from (the network delivers each
+  /// message to its handler last and destroys it right after).
+  void on_cdm(const net::Envelope& env, CdmMsg& msg);
   void on_cut(const net::Envelope& env, const CutMsg& msg);
   void on_prop_cut(const net::Envelope& env, const PropCutMsg& msg);
 
@@ -156,17 +158,22 @@ class CycleDetector {
   /// in the current snapshot.
   [[nodiscard]] bool locally_live(ObjectId obj) const;
 
-  /// Post-examination: verdict, flood or forward, or end of track.
+  /// Post-examination: verdict, flood or forward, or end of track.  A
+  /// track that sends moves `cdm` into its last message.
   void conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out);
 
   /// §3.3's traversal policy; false when nothing was left to send.
   bool forward(Cdm& cdm, const std::vector<rm::StubKey>& remote_out);
 
   /// One CDM per distinct unvisited hop; false when none was left.
-  bool flood(const Cdm& cdm, std::vector<rm::StubKey> hops);
+  bool flood(Cdm& cdm, std::vector<rm::StubKey> hops);
 
-  /// Sends a copy of `cdm` to `dest`.
-  void send(const Cdm& cdm, const Replica& dest, EntryVia via);
+  /// One CDM per entry of `dests` (non-empty): copies for all but the
+  /// last, which takes `cdm` itself.
+  void send_all(Cdm& cdm, const std::vector<Replica>& dests, EntryVia via);
+
+  /// Sends `cdm` to `dest`.
+  void send(Cdm cdm, const Replica& dest, EntryVia via);
 
   /// Counts the abort under its reason.
   void record_abort(Visit v);

@@ -223,7 +223,7 @@ bool Network::step() {
                 to_string(m.dst));
       const Envelope env{m.src, m.dst, m.seq, m.sent_at, m.msg.get()};
       emit_deliver(env);
-      it->second(env);
+      it->second(env, *m.msg);
     }
   }
 

@@ -40,7 +40,11 @@ struct NetworkConfig {
 
 class Network {
  public:
-  using Handler = std::function<void(const Envelope&)>;
+  /// Receives each delivered message.  The handler is the message's last
+  /// reader — every observer has already seen it, and the network destroys
+  /// it as soon as the handler returns — so it may move state out of `msg`
+  /// (the same object as `env.msg`) instead of copying it.
+  using Handler = std::function<void(const Envelope& env, Message& msg)>;
 
   /// Transport-event observer: sees every send/deliver/drop/duplicate with
   /// the full envelope, before any protocol handler runs.  Used by the

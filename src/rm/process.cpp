@@ -21,7 +21,10 @@ ProcessCounters::ProcessCounters(util::Metrics& metrics)
       inprops_created(metrics.counter("rm.inprops_created")),
       outprops_created(metrics.counter("rm.outprops_created")),
       lgc_collections(metrics.counter("lgc.collections")),
-      lgc_reclaimed(metrics.counter("lgc.reclaimed")) {}
+      lgc_reclaimed(metrics.counter("lgc.reclaimed")),
+      scions_deleted(metrics.counter("adgc.scions_deleted")),
+      lease_expirations(metrics.counter("gc.lease_expirations")),
+      summarize_reused(metrics.counter("cycle.summarize_reused")) {}
 
 Process::Process(ProcessId id, net::Network& network)
     : id_(id), network_(&network) {}

@@ -53,6 +53,9 @@ struct ProcessCounters {
   util::Counter outprops_created;
   util::Counter lgc_collections;
   util::Counter lgc_reclaimed;
+  util::Counter scions_deleted;
+  util::Counter lease_expirations;
+  util::Counter summarize_reused;
 
   explicit ProcessCounters(util::Metrics& metrics);
 };

@@ -199,6 +199,44 @@ TEST(Baseline, PaperComparisonNumbersArePinned) {
   }
 }
 
+TEST(Baseline, LongCycleCdmWeightIsPinned) {
+  // One detection around an R=2 mesh: the payload grows with every hop, so
+  // CDM weight is quadratic in D (about 11·D² for our traversal).  A change
+  // to how the payload is stored or carried must move neither the number
+  // of CDMs nor their wire weight.
+  struct Point {
+    std::size_t dependencies;
+    std::uint64_t ours_cdms, ours_weight;
+    std::uint64_t flat_cdms, flat_weight;
+  };
+  const Point points[] = {
+      {50, 49, 26999, 199, 60403},
+      {100, 99, 108999, 399, 240803},
+      {200, 199, 437999, 799, 961603},
+  };
+  for (const Point& p : points) {
+    for (const DetectorMode mode :
+         {DetectorMode::kReplicationAware, DetectorMode::kBaseline}) {
+      const bool ours = mode == DetectorMode::kReplicationAware;
+      SCOPED_TRACE("D=" + std::to_string(p.dependencies) +
+                   (ours ? " ours" : " baseline"));
+      ClusterConfig cfg;
+      cfg.mode = mode;
+      Cluster cluster{cfg};
+      const workload::Mesh mesh =
+          workload::build_mesh(cluster, {2, p.dependencies});
+      const util::Metrics& net = cluster.network().metrics();
+      const std::uint64_t cdms_before = net.get("net.sent.CDM");
+      const std::uint64_t weight_before = net.get("net.weight.CDM");
+      ASSERT_TRUE(detect_from_head(cluster, mesh).converged);
+      EXPECT_EQ(net.get("net.sent.CDM") - cdms_before,
+                ours ? p.ours_cdms : p.flat_cdms);
+      EXPECT_EQ(net.get("net.weight.CDM") - weight_before,
+                ours ? p.ours_weight : p.flat_weight);
+    }
+  }
+}
+
 TEST(Baseline, FloodRecordsTheDetectLayer) {
   // The flat traversal runs inside the one CycleDetector shell, so baseline
   // runs time their examinations and record steps-to-detection too.

@@ -49,7 +49,7 @@ TEST(CdmAlgebra, RequireFillsFlatSetsAndEdges) {
   cdm.require(rep(1, 1), link(3, 1, 1), /*prop=*/false);  // dedup
   EXPECT_TRUE(cdm.prop_deps.contains(rep(1, 2)));
   EXPECT_TRUE(cdm.ref_deps.contains(link(3, 1, 1)));
-  EXPECT_EQ(cdm.dep_edges.size(), 2u);
+  EXPECT_EQ(cdm.dep_edges().size(), 2u);
 }
 
 TEST(CdmAlgebra, ClosureFollowsAttributionFromTheCandidate) {
@@ -112,7 +112,7 @@ TEST(CdmAlgebra, ObserveAcceptsConsistentRepeats) {
   const RefLink l{ProcessId{1}, ObjectId{2}, ProcessId{3}};
   EXPECT_TRUE(cdm.observe({l, 5}));
   EXPECT_TRUE(cdm.observe({l, 5}));  // same counter, fine
-  EXPECT_EQ(cdm.observations.size(), 2u);
+  EXPECT_EQ(cdm.observations().size(), 2u);
 }
 
 TEST(CdmAlgebra, ObserveDetectsRefCounterMismatch) {
@@ -156,8 +156,8 @@ TEST(CdmAlgebra, MessageWeightsCountElements) {
   msg.cdm.prop_deps.insert(rep(1, 2));
   msg.cdm.ref_deps.insert(rep(1, 1));
   msg.cdm.targets.insert(rep(2, 4));
-  msg.cdm.observations.push_back(
-      {RefLink{ProcessId{1}, ObjectId{2}, ProcessId{3}}, 5});
+  ASSERT_TRUE(
+      msg.cdm.observe({RefLink{ProcessId{1}, ObjectId{2}, ProcessId{3}}, 5}));
   EXPECT_EQ(msg.weight(), 1u + 3u + 1u);
   EXPECT_STREQ(msg.kind(), "CDM");
   EXPECT_FALSE(msg.reliable());

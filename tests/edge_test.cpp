@@ -94,12 +94,12 @@ TEST(LgcEdge, KeepDeadStubsWhenConfigured) {
   net::Network net;
   rm::Process p1{ProcessId{1}, net};
   rm::Process p2{ProcessId{2}, net};
-  net.attach(ProcessId{1}, [&](const net::Envelope& e) {
+  net.attach(ProcessId{1}, [&](const net::Envelope& e, net::Message&) {
     if (const auto* m = dynamic_cast<const rm::PropagateMsg*>(e.msg)) {
       p1.on_propagate(e, *m);
     }
   });
-  net.attach(ProcessId{2}, [&](const net::Envelope& e) {
+  net.attach(ProcessId{2}, [&](const net::Envelope& e, net::Message&) {
     if (const auto* m = dynamic_cast<const rm::PropagateMsg*>(e.msg)) {
       p2.on_propagate(e, *m);
     }

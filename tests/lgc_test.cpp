@@ -43,8 +43,12 @@ struct LgcFixture : ::testing::Test {
   rm::Process p2{ProcessId{2}, net};
 
   void SetUp() override {
-    net.attach(ProcessId{1}, [this](const net::Envelope& env) { route(p1, env); });
-    net.attach(ProcessId{2}, [this](const net::Envelope& env) { route(p2, env); });
+    net.attach(ProcessId{1}, [this](const net::Envelope& env, net::Message&) {
+      route(p1, env);
+    });
+    net.attach(ProcessId{2}, [this](const net::Envelope& env, net::Message&) {
+      route(p2, env);
+    });
   }
 
   static void route(rm::Process& p, const net::Envelope& env) {
@@ -272,7 +276,7 @@ std::uint64_t allocations_per_collection(std::uint64_t n) {
   static constexpr std::uint64_t kStrides[] = {1, 7, 31, 107};
   net::Network net;
   rm::Process proc{ProcessId{0}, net};
-  net.attach(ProcessId{0}, [](const net::Envelope&) {});
+  net.attach(ProcessId{0}, [](const net::Envelope&, net::Message&) {});
   for (std::uint64_t i = 0; i < n; ++i) proc.create_object(ObjectId{i});
   for (std::uint64_t i = 0; i < n; ++i) {
     rm::Object* obj = proc.heap().find(ObjectId{i});

@@ -37,7 +37,7 @@ void drain(Network& net) {
 struct Recorder {
   std::vector<int> values;
   std::vector<std::uint64_t> seqs;
-  void operator()(const Envelope& env) {
+  void operator()(const Envelope& env, Message&) {
     values.push_back(static_cast<const TestMsg*>(env.msg)->value);
     seqs.push_back(env.seq);
   }
@@ -47,7 +47,7 @@ TEST(Network, DeliversAfterOneStep) {
   Network net;
   Recorder rec;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
   net.attach(b, std::ref(rec));
   net.send(a, b, make(42));
   EXPECT_TRUE(rec.values.empty());
@@ -60,8 +60,8 @@ TEST(Network, NeverDeliversInSendStep) {
   Network net;
   const ProcessId a{0}, b{1};
   int delivered = 0;
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [&](const Envelope&) { ++delivered; });
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [&](const Envelope&, Message&) { ++delivered; });
   net.send(a, b, make(1));
   EXPECT_EQ(delivered, 0);
 }
@@ -70,7 +70,7 @@ TEST(Network, SeqNumbersArePerLinkAndMonotonic) {
   Network net;
   Recorder rb, rc;
   const ProcessId a{0}, b{1}, c{2};
-  net.attach(a, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
   net.attach(b, std::ref(rb));
   net.attach(c, std::ref(rc));
   EXPECT_EQ(net.send(a, b, make(1)), 1u);
@@ -85,7 +85,7 @@ TEST(Network, FifoWithinOneLinkAtFixedDelay) {
   Network net;
   Recorder rec;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
   net.attach(b, std::ref(rec));
   for (int i = 0; i < 10; ++i) net.send(a, b, make(i));
   net.step();
@@ -96,8 +96,10 @@ TEST(Network, HandlerSendsAreDeliveredNextStep) {
   Network net;
   const ProcessId a{0}, b{1};
   std::vector<std::uint64_t> arrival_steps;
-  net.attach(a, [&](const Envelope&) { arrival_steps.push_back(net.now()); });
-  net.attach(b, [&](const Envelope& env) {
+  net.attach(a, [&](const Envelope&, Message&) {
+    arrival_steps.push_back(net.now());
+  });
+  net.attach(b, [&](const Envelope& env, Message&) {
     arrival_steps.push_back(net.now());
     // ping-pong once
     if (env.seq == 1) net.send(b, a, make(99));
@@ -111,8 +113,8 @@ TEST(Network, HandlerSendsAreDeliveredNextStep) {
 TEST(Network, MetricsCountSentAndDelivered) {
   Network net;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [](const Envelope&, Message&) {});
   net.send(a, b, make(1));
   net.send(a, b, make(2));
   drain(net);
@@ -124,8 +126,8 @@ TEST(Network, MetricsCountSentAndDelivered) {
 TEST(Network, PerStepSendAccounting) {
   Network net;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [&](const Envelope&) { net.send(b, a, make(7)); });
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [&](const Envelope&, Message&) { net.send(b, a, make(7)); });
   net.send(a, b, make(1));  // sent at step 0
   drain(net);
   EXPECT_EQ(net.sent_at_step("Test", 0), 1u);
@@ -140,8 +142,8 @@ TEST(Network, DropInjectionLosesUnreliableMessages) {
   Network net{cfg};
   const ProcessId a{0}, b{1};
   int delivered = 0;
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [&](const Envelope&) { ++delivered; });
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [&](const Envelope&, Message&) { ++delivered; });
   net.send(a, b, make(1));
   drain(net);
   EXPECT_EQ(delivered, 0);
@@ -155,8 +157,8 @@ TEST(Network, ReliableMessagesSurviveDropInjection) {
   Network net{cfg};
   const ProcessId a{0}, b{1};
   int delivered = 0;
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [&](const Envelope&) { ++delivered; });
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [&](const Envelope&, Message&) { ++delivered; });
   net.send(a, b, make(1, /*reliable=*/true));
   drain(net);
   EXPECT_EQ(delivered, 1);
@@ -169,8 +171,8 @@ TEST(Network, DuplicateInjectionDeliversTwice) {
   Network net{cfg};
   const ProcessId a{0}, b{1};
   int delivered = 0;
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [&](const Envelope&) { ++delivered; });
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [&](const Envelope&, Message&) { ++delivered; });
   net.send(a, b, make(1));
   drain(net);
   EXPECT_EQ(delivered, 2);
@@ -183,8 +185,8 @@ TEST(Network, ReliableNeverDuplicated) {
   Network net{cfg};
   const ProcessId a{0}, b{1};
   int delivered = 0;
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [&](const Envelope&) { ++delivered; });
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [&](const Envelope&, Message&) { ++delivered; });
   net.send(a, b, make(1, /*reliable=*/true));
   drain(net);
   EXPECT_EQ(delivered, 1);
@@ -198,7 +200,7 @@ TEST(Network, ReliableFifoUnderJitter) {
   Network net{cfg};
   Recorder rec;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
   net.attach(b, std::ref(rec));
   for (int i = 0; i < 20; ++i) net.send(a, b, make(i, /*reliable=*/true));
   drain(net);
@@ -214,7 +216,7 @@ TEST(Network, JitterCanReorderUnreliableMessages) {
   Network net{cfg};
   Recorder rec;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
   net.attach(b, std::ref(rec));
   for (int i = 0; i < 30; ++i) net.send(a, b, make(i));
   drain(net);
@@ -229,7 +231,7 @@ TEST(Network, JitterCanReorderUnreliableMessages) {
 TEST(Network, UnattachedDestinationThrows) {
   Network net;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
   net.send(a, b, make(1));
   EXPECT_THROW(net.step(), std::logic_error);
 }
@@ -243,7 +245,7 @@ TEST(Network, DeterministicAcrossRunsWithSameSeed) {
     Network net{cfg};
     Recorder rec;
     const ProcessId a{0}, b{1};
-    net.attach(a, [](const Envelope&) {});
+    net.attach(a, [](const Envelope&, Message&) {});
     net.attach(b, std::ref(rec));
     for (int i = 0; i < 25; ++i) net.send(a, b, make(i));
     drain(net);
@@ -256,8 +258,8 @@ TEST(Network, DeterministicAcrossRunsWithSameSeed) {
 TEST(Network, WeightMetricsAccumulate) {
   Network net;
   const ProcessId a{0}, b{1};
-  net.attach(a, [](const Envelope&) {});
-  net.attach(b, [](const Envelope&) {});
+  net.attach(a, [](const Envelope&, Message&) {});
+  net.attach(b, [](const Envelope&, Message&) {});
   net.send(a, b, make(1));
   EXPECT_EQ(net.metrics().get("net.weight.Test"), 1u);
 }

@@ -18,8 +18,12 @@ struct RmFixture : ::testing::Test {
   Process p2{ProcessId{2}, net};
 
   void SetUp() override {
-    net.attach(ProcessId{1}, [this](const net::Envelope& env) { route(p1, env); });
-    net.attach(ProcessId{2}, [this](const net::Envelope& env) { route(p2, env); });
+    net.attach(ProcessId{1}, [this](const net::Envelope& env, net::Message&) {
+      route(p1, env);
+    });
+    net.attach(ProcessId{2}, [this](const net::Envelope& env, net::Message&) {
+      route(p2, env);
+    });
   }
 
   static void route(Process& p, const net::Envelope& env) {
