@@ -45,7 +45,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   # ThreadSanitizer pass over the parallel GC phases: build the TSan tree
   # and run the determinism suite, which drives the worker pool with
   # threads=8 (full ctest under TSan is slow; the threaded paths all live
-  # behind Cluster::collect_all/snapshot_all, which this suite covers).
+  # behind Cluster::collect_all/snapshot_all, which this suite covers,
+  # finalizable shapes included, so the parallel heap scan feeding the
+  # serial finalizer runs under TSan too).
   echo "== thread sanitizer build + determinism tests =="
   cmake -B build-tsan -S . -DRGC_SANITIZE=thread "$WERROR"
   cmake --build build-tsan -j "$JOBS" --target determinism_test chaos_test recorder_test
@@ -109,12 +111,14 @@ if [[ "${1:-}" != "--fast" ]]; then
 
   # The benchmark that gates performance claims (perfbench/README.md,
   # BENCHMARK.json) compiles the library from src/ on its own: keep it
-  # building warning-free, its statistics self-tested, and two short runs
+  # building warning-free, its statistics self-tested, and three short runs
   # correct.  perfbench exits 0 whatever it finds, so each smoke reads the
   # verdict off its result line (the last line).  The traced
-  # spanning_cycles pass re-drives run_full_gc and diffs the deterministic
-  # fingerprints, so a nondeterministic detector fails here.
-  echo "== perfbench build + self-test + graph_store/spanning_cycles smokes =="
+  # spanning_cycles and big_heap passes re-drive run_full_gc and diff the
+  # deterministic fingerprints, so a nondeterministic detector, or a
+  # nondeterministic parallel mark/scan on the million-object heap, fails
+  # here.
+  echo "== perfbench build + self-test + graph_store/spanning_cycles/big_heap smokes =="
   cmake -S perfbench -B build-perfbench "$WERROR"
   cmake --build build-perfbench -j "$JOBS"
   ./build-perfbench/perfbench_selftest
@@ -132,6 +136,7 @@ if r.get("correct") is not True or r.get("failed") != 0:
   }
   perfbench_smoke --workload graph_store --trace 0
   perfbench_smoke --workload spanning_cycles --trace 1
+  perfbench_smoke --workload big_heap --trace 1
 fi
 
 echo "OK"

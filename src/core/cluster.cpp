@@ -4,6 +4,7 @@
 #include <bit>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "gc/cycle/snapshot_io.h"
 #include "obs/check.h"
@@ -346,47 +347,57 @@ std::vector<gc::LgcResult> Cluster::collect_nodes(
   const std::size_t n = nodes.size();
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
+  // Only the distance policy reads post-collection summaries and distance
+  // estimates; every other policy skips that machinery outright.
+  const bool distance = config_.candidates == CandidatePolicy::kDistance;
 
-  // Phase 1 — trace (read-only, parallel across processes).
+  // Phase 1 — trace, then the sweep's read-only heap scan (parallel across
+  // processes).  Everything proportional to the live heap happens here.
   std::vector<gc::LgcMark> marks(n);
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.mark_us")};
     pool().parallel_for(n, [&](std::size_t i) {
-      marks[i] = gc::Lgc::mark(*nodes[i]->process, cfg);
+      const rm::Process& proc = *nodes[i]->process;
+      marks[i] = gc::Lgc::mark(proc, cfg);
+      gc::Lgc::scan(proc, marks[i]);
     });
   }
 
-  // Phase 2 — sweep + finalize (mutating, shared finalizer: serial).
+  // Phase 2 — reclaim + finalize the unmarked objects (mutating, shared
+  // finalizer: serial).
   std::vector<gc::LgcResult> results(n);
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.apply_us")};
     for (std::size_t i = 0; i < n; ++i) {
       rm::Process& proc = *nodes[i]->process;
       util::ScopedProcess ctx{proc.id()};
-      results[i] = gc::Lgc::apply(proc, marks[i], cfg);
-      nodes[i]->distance->prune(proc);
+      results[i] = gc::Lgc::apply(proc, std::move(marks[i]), cfg);
+      if (distance) nodes[i]->distance->prune(proc);
     }
   }
 
   // Phase 3 — post-sweep summaries for the distance heuristic (read-only,
-  // parallel).  Nodes whose mutation epoch is unchanged since their last
-  // summary reuse it outright.
-  summarize_all(nodes, &profile_.histogram("lgc.summarize_us"));
+  // parallel), under kDistance only.  Nodes whose mutation epoch is
+  // unchanged since their last summary reuse it outright.
+  if (distance) summarize_all(nodes, &profile_.histogram("lgc.summarize_us"));
 
   // Phase 4 — heuristic digests + ADGC protocol messages (sends traffic:
-  // serial, pid order).  Candidate heuristics digest every collection
-  // regardless of policy — the distance announcements cost a few bytes on
-  // traffic that flows anyway, and tests/benches can inspect either
-  // tracker.
+  // serial, pid order).  The suspicion-age digest runs under every policy
+  // (its work follows the unrooted objects, not the heap); the distance
+  // digest and the estimates NewSetStubs carries run under kDistance only.
   util::ScopedTimerUs timer{&profile_.histogram("adgc.digest_us")};
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = *nodes[i];
     rm::Process& proc = *node.process;
     util::ScopedProcess ctx{proc.id()};
-    const auto announcements =
-        node.distance->after_collection(results[i], node.summary_cache);
     node.suspicion->after_collection(proc, results[i]);
-    gc::Adgc::after_collection(proc, results[i], &announcements);
+    if (distance) {
+      const auto announcements =
+          node.distance->after_collection(results[i], node.summary_cache);
+      gc::Adgc::after_collection(proc, results[i], &announcements);
+    } else {
+      gc::Adgc::after_collection(proc, results[i], nullptr);
+    }
   }
   return results;
 }
@@ -836,7 +847,7 @@ void Cluster::send_reconciliation(rm::Process& from, ProcessId peer) {
     nss->horizon = from.delivered_prop_seq(peer);
     nss->final_set = true;
     net_.send(self, peer, std::move(nss));
-    from.metrics().add("adgc.newsetstubs_sent");
+    from.counters().newsetstubs_sent.inc();
     from.stub_peers().erase(peer);
   }
   from.metrics().add("rm.reconciliations");

@@ -76,10 +76,11 @@ struct ClusterConfig {
   CandidatePolicy candidates{CandidatePolicy::kExhaustive};
   /// Threshold for the heuristic policies (distance / suspicion age).
   std::uint32_t candidate_threshold{3};
-  /// Worker threads for the read-only GC phases (LGC marking, snapshot
-  /// summarization) in collect_all/snapshot_all/run_full_gc.  Results are
-  /// bit-for-bit identical for any value: the mutating phases stay serial
-  /// in pid order, so network traffic, metrics, and traces don't change.
+  /// Worker threads for the read-only GC phases (LGC marking and heap
+  /// scan, snapshot summarization) in collect_all/snapshot_all/
+  /// run_full_gc.  Results are bit-for-bit identical for any value: the
+  /// mutating phases stay serial in pid order, so network traffic,
+  /// metrics, and traces don't change.
   /// 1 (default) keeps everything on the calling thread.
   std::size_t threads{1};
   /// Scheduled cadence of the online health auditor (obs/audit.h) in
@@ -325,10 +326,12 @@ class Cluster {
     std::unique_ptr<gc::DistanceHeuristic> distance;
     std::unique_ptr<gc::SuspicionAgeTracker> suspicion;
     /// Dirty-epoch snapshot reuse: the last summary computed for this
-    /// process (its mutation_epoch field records the epoch it captured).
-    /// summarize_all() keeps it verbatim — only the timestamp moves —
-    /// while the live process's epoch still matches, so a quiescent
-    /// process costs O(1) per snapshot round instead of a summarization.
+    /// process (its mutation_epoch field records the epoch it captured) —
+    /// by a snapshot, or by a collection under CandidatePolicy::kDistance,
+    /// the only policy that summarizes after collecting.  summarize_all()
+    /// keeps it verbatim — only the timestamp moves — while the live
+    /// process's epoch still matches, so a quiescent process costs O(1)
+    /// per snapshot round instead of a summarization.
     gc::ProcessSummary summary_cache;
     bool summary_cache_valid{false};
     /// Whether the most recent summarization of this node had to run fresh
@@ -357,9 +360,10 @@ class Cluster {
   /// Live nodes in pid order.
   [[nodiscard]] std::vector<Node*> live_nodes();
 
-  /// The phased collect behind collect()/collect_all(): parallel mark,
-  /// serial apply, parallel summarize, serial protocol digest.  Returns
-  /// each node's collection result.
+  /// The phased collect behind collect()/collect_all(): parallel mark and
+  /// heap scan, serial apply of the garbage, parallel summarize (kDistance
+  /// only), serial protocol digest.  Returns each node's collection
+  /// result.
   std::vector<gc::LgcResult> collect_nodes(const std::vector<Node*>& nodes);
 
   /// The snapshot behind snapshot()/snapshot_all(): parallel summarize

@@ -49,7 +49,7 @@ void Adgc::after_collection(
       }
     }
     net.send(self, peer, std::move(msg));
-    process.metrics().add("adgc.newsetstubs_sent");
+    process.counters().newsetstubs_sent.inc();
   }
   for (ProcessId peer : done_peers) process.stub_peers().erase(peer);
 
@@ -83,7 +83,7 @@ void Adgc::after_collection(
       net.send(self, e.process, std::move(msg));
       e.sent_umess = true;
       process.note_mutation();
-      process.metrics().add("adgc.unreachable_sent");
+      process.counters().unreachable_sent.inc();
       RGC_DEBUG("adgc: ", to_string(self), " reports ", to_string(obj),
                 " unreachable to ", to_string(e.process));
     }
@@ -100,7 +100,7 @@ void Adgc::after_collection(
         auto msg = std::make_unique<ReclaimMsg>();
         msg->object = obj;
         net.send(self, child, std::move(msg));
-        process.metrics().add("adgc.reclaim_sent");
+        process.counters().reclaim_sent.inc();
       }
       auto& outs = process.out_props();
       outs.erase(std::remove_if(outs.begin(), outs.end(),

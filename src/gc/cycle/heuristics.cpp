@@ -103,17 +103,17 @@ void DistanceHeuristic::prune(const rm::Process& process) {
 
 void SuspicionAgeTracker::after_collection(const rm::Process& process,
                                            const LgcResult& result) {
-  // Age survivors anchored only remotely; reset root-reachable ones.
-  for (const auto& [obj, mask] : result.object_reach) {
-    if ((mask & kReachRoot) != 0) {
-      ages_.erase(obj);
-    } else if ((mask & (kReachScion | kReachInProp | kReachOutProp)) != 0) {
-      ++ages_[obj];
-    }
-  }
-  // Drop entries for objects that were swept.
+  // Age survivors anchored only remotely (scions/props)...
+  for (ObjectId obj : result.unrooted) ++ages_[obj];
+  // ... and walk the table alone for the rest: root-reachable entries
+  // reset, swept ones drop.  An entry the collection did not classify (a
+  // finalizer resurrected it) keeps its age.
   for (auto it = ages_.begin(); it != ages_.end();) {
-    it = process.has_replica(it->first) ? std::next(it) : ages_.erase(it);
+    const auto reach = result.object_reach.find(it->first);
+    const bool rooted = reach != result.object_reach.end() &&
+                        (reach->second & kReachRoot) != 0;
+    it = rooted || !process.has_replica(it->first) ? ages_.erase(it)
+                                                    : std::next(it);
   }
 }
 

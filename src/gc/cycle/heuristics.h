@@ -62,8 +62,9 @@ class DistanceHeuristic {
   /// the reachability classification and ages prop-only replicas.
   /// Returns the per-anchor estimates to enclose in the next NewSetStubs
   /// round (anchor -> distance), keyed by peer process.
-  /// `summary` is the process's post-sweep summary (the cluster computes
-  /// it during its parallel phase, so this serial digest stays cheap).
+  /// `summary` is the process's post-sweep summary.  Only the kDistance
+  /// candidate policy reads these estimates, so the cluster summarizes
+  /// after a collection, and calls this digest, under that policy alone.
   [[nodiscard]] std::map<ProcessId, std::map<ObjectId, std::uint32_t>>
   after_collection(const LgcResult& result, const ProcessSummary& summary);
 
@@ -101,7 +102,9 @@ class SuspicionAgeTracker {
   [[nodiscard]] std::uint32_t threshold() const noexcept { return threshold_; }
 
   /// Digests one local collection: ages objects that survived anchored
-  /// only remotely (scions/props), resets the rest.
+  /// only remotely (scions/props; result.unrooted), resets root-reachable
+  /// ones and forgets swept ones.  Its work follows result.unrooted and
+  /// the tracked entries, never the live heap.
   void after_collection(const rm::Process& process, const LgcResult& result);
 
   [[nodiscard]] std::vector<ObjectId> suspects() const;

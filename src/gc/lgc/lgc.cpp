@@ -1,5 +1,7 @@
 #include "gc/lgc/lgc.h"
 
+#include <utility>
+
 #include "obs/ledger.h"
 #include "obs/recorder.h"
 #include "util/log.h"
@@ -83,7 +85,8 @@ void Lgc::trace(const rm::Process& process, std::span<const ObjectId> seeds,
 
 LgcMark Lgc::mark(const rm::Process& process, const LgcConfig& config) {
   rm::MarkScratch& scratch = process.begin_mark_epoch();
-  LgcMark marked{scratch.epoch, 0};
+  LgcMark marked;
+  marked.epoch = scratch.epoch;
 
   // Phase 1 — mutator roots (including transient invocation roots).
   for (ObjectId root : process.heap().roots()) seed(process, root, kReachRoot);
@@ -114,39 +117,52 @@ LgcMark Lgc::mark(const rm::Process& process, const LgcConfig& config) {
   return marked;
 }
 
-LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
+void Lgc::scan(const rm::Process& process, LgcMark& marked) {
+  // One in-order heap pass reads the masks: object_reach and unrooted come
+  // out in id order, and the unmarked objects are listed (id order too) for
+  // apply(), which then never touches a live object.
+  const rm::Heap& heap = process.heap();
+  marked.object_reach.reserve(heap.size());
+  heap.for_each([&](ObjectId id, std::uint32_t slot, const rm::Object&) {
+    if (const std::uint8_t mask = heap.marks(slot, marked.epoch)) {
+      marked.object_reach.append(id, mask);
+      if ((mask & kReachRoot) == 0) marked.unrooted.push_back(id);
+    } else {
+      marked.unmarked.push_back(id);
+    }
+  });
+}
+
+LgcResult Lgc::apply(rm::Process& process, LgcMark marked,
                      const LgcConfig& config) {
   const std::uint64_t epoch = marked.epoch;
   LgcResult result;
   result.traced = marked.traced;
+  result.object_reach = std::move(marked.object_reach);
+  result.unrooted = std::move(marked.unrooted);
 
-  // Sweep: one in-order heap pass reads the masks (building object_reach in
-  // id order) and collects the garbage.  Finalizable unreachable objects
-  // run the configured strategy and may resurrect (they stay in the heap,
-  // to be finalized again next time — the Figure 6/7 worst case).
+  // Sweep the objects scan() found unmarked, in id order.  Finalizable
+  // ones run the configured strategy and may resurrect (they stay in the
+  // heap, to be finalized again next time — the Figure 6/7 worst case).
   rm::Heap& heap = process.heap();
+  rm::ProcessCounters& counters = process.counters();
   const std::uint64_t now = process.network().now();
-  util::Histogram& reclaim_latency =
-      process.metrics().histogram("gc.reclaim_latency_steps");
-  result.object_reach.reserve(heap.size());
-  heap.for_each([&](ObjectId id, std::uint32_t slot, rm::Object& obj) {
-    if (const std::uint8_t mask = heap.marks(slot, epoch)) {
-      result.object_reach.append(id, mask);
-      return;
-    }
+  for (const ObjectId id : marked.unmarked) {
+    rm::Object& obj = *heap.find(id);
     if (obj.finalizable && config.finalizer != nullptr &&
         config.finalizer->strategy() != FinalizeStrategy::kNone) {
       obj.finalizable = false;
       if (config.finalizer->finalize(obj)) {
         ++result.resurrected;
-        return;
+        continue;
       }
     }
     // Reclaim-latency accounting: how long this replica floated between
     // losing its last reference (the mutator/auditor stamp) and the sweep
     // that frees it.  Unstamped objects (created-and-dropped inside one
     // step, or garbage from before auditing existed) record as 0.
-    reclaim_latency.record(obj.unlinked_at == 0 ? 0 : now - obj.unlinked_at);
+    counters.reclaim_latency->record(
+        obj.unlinked_at == 0 ? 0 : now - obj.unlinked_at);
     process.note_reclaimed(id, now);
     // The sweep runs in the serial phase, so the ledger stays deterministic.
     if (obs::Ledger* ledger = process.ledger(); ledger != nullptr) {
@@ -154,7 +170,7 @@ LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
     }
     result.reclaimed.push_back(id);
     heap.erase(id);
-  });
+  }
 
   // New stub set (§2.2.2): a stub survives only if some trace reached it.
   result.stub_reach.reserve(process.stubs().size());
@@ -174,11 +190,10 @@ LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
   if (!result.reclaimed.empty() || result.resurrected != 0) {
     process.note_mutation();
   }
-  process.counters().lgc_collections.inc();
-  process.counters().lgc_reclaimed.inc(result.reclaimed.size());
-  process.metrics().histogram("lgc.reclaimed_per_collection")
-      .record(result.reclaimed.size());
-  process.metrics().histogram("lgc.traced_per_collection").record(result.traced);
+  counters.lgc_collections.inc();
+  counters.lgc_reclaimed.inc(result.reclaimed.size());
+  counters.reclaimed_per_collection->record(result.reclaimed.size());
+  counters.traced_per_collection->record(result.traced);
   // Sweeps run in the serial phase, so the recorder's global event order
   // (and hence the .rgcrec bytes) is thread-count independent.
   if (obs::FlightRecorder* rec = process.recorder()) {
@@ -191,7 +206,9 @@ LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
 }
 
 LgcResult Lgc::collect(rm::Process& process, const LgcConfig& config) {
-  return apply(process, mark(process, config), config);
+  LgcMark marked = mark(process, config);
+  scan(process, marked);
+  return apply(process, std::move(marked), config);
 }
 
 }  // namespace rgc::gc

@@ -15,17 +15,24 @@
 // ("for each outgoing inter-process reference it creates a stub in the new
 // set of stubs").
 //
-// The collection is split into two halves so the cluster can overlap the
-// expensive part across processes (docs/PERFORMANCE.md):
+// The collection is split into three steps so the cluster can overlap
+// everything that is proportional to the live heap across processes
+// (docs/PERFORMANCE.md):
 //  - mark()  — the four trace families.  Logically read-only: reachability
 //    lands in the intrusive epoch-validated masks on Object/Stub
 //    (rm/object.h) and the process-owned scratch worklist (rm::MarkScratch),
 //    so it allocates nothing at steady state and is safe to run for
 //    different processes on different threads concurrently.
-//  - apply() — sweep, finalization, stub-set regeneration, metrics, and
-//    recording.  Mutates the process and touches shared sinks (recorder,
-//    ledger, Finalizer), so the cluster runs it serially in pid order.
-// collect() == mark() + apply() and is what single-process callers use.
+//  - scan()  — the sweep's read-only half: one id-ordered heap pass that
+//    reads the masks into the reachability classification and lists the
+//    unmarked objects.  Read-only too, so the cluster runs it beside mark().
+//  - apply() — finalization, reclamation of the listed objects, stub-set
+//    regeneration, metrics, and recording.  Mutates the process and touches
+//    shared sinks (recorder, ledger, Finalizer), so the cluster runs it
+//    serially in pid order; its cost follows the garbage and the stub
+//    table, not the live heap.
+// collect() == mark() + scan() + apply() and is what single-process callers
+// use.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +64,9 @@ struct LgcResult {
   util::FlatMap<rm::StubKey, std::uint8_t> stub_reach;
   /// The new stub set after the collection (§2.2.2).
   util::FlatSet<rm::StubKey> live_stubs;
+  /// Surviving objects that no root reached, only scions or propagation
+  /// entries (id order): the subset of object_reach lacking kReachRoot.
+  std::vector<ObjectId> unrooted;
   /// Objects swept by this collection.
   std::vector<ObjectId> reclaimed;
   /// Objects whose finalizer resurrected them (Figure 6/7 experiment).
@@ -65,11 +75,18 @@ struct LgcResult {
   std::uint64_t traced{0};
 };
 
-/// Token handed from mark() to apply(): identifies the mark epoch whose
-/// masks encode the reachability classification.
+/// Token handed from mark() through scan() to apply(): identifies the mark
+/// epoch whose masks encode the reachability classification, and carries
+/// what scan() read off those masks.
 struct LgcMark {
   std::uint64_t epoch{0};
   std::uint64_t traced{0};
+  /// Filled by scan(), moved into LgcResult by apply().
+  util::FlatMap<ObjectId, std::uint8_t> object_reach;
+  std::vector<ObjectId> unrooted;
+  /// Filled by scan(): every object no trace reached, in id order — the
+  /// only objects apply() visits.
+  std::vector<ObjectId> unmarked;
 };
 
 struct LgcConfig {
@@ -96,10 +113,17 @@ class Lgc {
   /// logging, tracing, or metrics).
   static LgcMark mark(const rm::Process& process, const LgcConfig& config = {});
 
-  /// Mutating half: sweeps the heap and regenerates the stub set from the
-  /// masks of `marked.epoch`, records metrics and the collection span.
-  /// Must run on the thread that owns the simulation (serial).
-  static LgcResult apply(rm::Process& process, const LgcMark& marked,
+  /// Read-only sweep half: one id-ordered heap pass over the masks of
+  /// `marked.epoch` that fills `marked.object_reach`, `marked.unrooted` and
+  /// `marked.unmarked`.  Thread-safe across different processes, like
+  /// mark(), and run right after it on the same thread.
+  static void scan(const rm::Process& process, LgcMark& marked);
+
+  /// Mutating half: finalizes or reclaims the objects scan() listed as
+  /// unmarked (in id order), regenerates the stub set from the masks of
+  /// `marked.epoch`, records metrics and the collection span.  Visits no
+  /// live object.  Must run on the thread that owns the simulation (serial).
+  static LgcResult apply(rm::Process& process, LgcMark marked,
                          const LgcConfig& config = {});
 
   // ---- Tracing primitives (shared with snapshot summarization) ---------

@@ -24,7 +24,14 @@ ProcessCounters::ProcessCounters(util::Metrics& metrics)
       lgc_reclaimed(metrics.counter("lgc.reclaimed")),
       scions_deleted(metrics.counter("adgc.scions_deleted")),
       lease_expirations(metrics.counter("gc.lease_expirations")),
-      summarize_reused(metrics.counter("cycle.summarize_reused")) {}
+      summarize_reused(metrics.counter("cycle.summarize_reused")),
+      newsetstubs_sent(metrics.counter("adgc.newsetstubs_sent")),
+      unreachable_sent(metrics.counter("adgc.unreachable_sent")),
+      reclaim_sent(metrics.counter("adgc.reclaim_sent")),
+      reclaim_latency(&metrics.histogram("gc.reclaim_latency_steps")),
+      reclaimed_per_collection(
+          &metrics.histogram("lgc.reclaimed_per_collection")),
+      traced_per_collection(&metrics.histogram("lgc.traced_per_collection")) {}
 
 Process::Process(ProcessId id, net::Network& network)
     : id_(id), network_(&network) {}

@@ -34,10 +34,10 @@ class Ledger;
 
 namespace rgc::rm {
 
-/// Pre-registered hot-path counter handles (see util/metrics.h): resolved
-/// once at process construction, incremented by pointer dereference.  The
-/// string Metrics API stays available for cold paths; both views share the
-/// same storage.
+/// Pre-registered hot-path counter and histogram handles (see
+/// util/metrics.h): resolved once at process construction, updated by
+/// pointer dereference.  The string Metrics API stays available for cold
+/// paths; both views share the same storage.
 struct ProcessCounters {
   util::Counter objects_created;
   util::Counter ref_assignments;
@@ -56,6 +56,12 @@ struct ProcessCounters {
   util::Counter scions_deleted;
   util::Counter lease_expirations;
   util::Counter summarize_reused;
+  util::Counter newsetstubs_sent;
+  util::Counter unreachable_sent;
+  util::Counter reclaim_sent;
+  util::Histogram* reclaim_latency;
+  util::Histogram* reclaimed_per_collection;
+  util::Histogram* traced_per_collection;
 
   explicit ProcessCounters(util::Metrics& metrics);
 };

@@ -72,7 +72,11 @@ TEST(Daemon, RunsTheClusterPhasedCollectAndSnapshot) {
 }
 
 TEST(Daemon, SweepAfterCollectionReusesTheCachedSummary) {
-  Cluster cluster;
+  // Collections summarize only for the distance policy's digest, so that
+  // is the policy under which a sweep can reuse a collection's summary.
+  ClusterConfig cluster_cfg;
+  cluster_cfg.candidates = CandidatePolicy::kDistance;
+  Cluster cluster{cluster_cfg};
   const ProcessId p = cluster.add_process();
   cluster.add_root(p, cluster.new_object(p));
   cluster.new_object(p);  // garbage for the collection to sweep

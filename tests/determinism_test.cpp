@@ -21,17 +21,24 @@
 namespace rgc::core {
 namespace {
 
-ClusterConfig config_with_threads(std::size_t threads) {
+ClusterConfig config_with_threads(
+    std::size_t threads,
+    gc::FinalizeStrategy finalize = gc::FinalizeStrategy::kNone) {
   ClusterConfig cfg;
   cfg.net.seed = 1234;
   cfg.threads = threads;
+  cfg.finalize = finalize;
   return cfg;
 }
 
 /// The shared workload: a garbage mesh plus some live survivors, driven
 /// through the full phased pipeline (collect_all + snapshot_all +
-/// run_full_gc).
-void drive(Cluster& cluster) {
+/// run_full_gc).  `finalizable` adds armed garbage on every process and an
+/// armed object that loses its last (remote) anchor midway, so under a
+/// resurrecting strategy the serial sweep finalizes what the parallel scan
+/// listed, round after round.  Returns that object (kNoObject without
+/// `finalizable`).
+ObjectId drive(Cluster& cluster, bool finalizable = false) {
   const workload::Mesh mesh =
       workload::build_mesh(cluster, {.processes = 6, .dependencies = 8,
                                      .extra_replicas = 1});
@@ -43,32 +50,70 @@ void drive(Cluster& cluster) {
   cluster.add_root(p0, keeper);
   cluster.propagate(keeper, p0, p1);
   cluster.run_until_quiescent();
+  ObjectId held = kNoObject;
+  if (finalizable) {
+    for (ProcessId pid : cluster.process_ids()) {
+      for (int i = 0; i < 3; ++i) {
+        const ObjectId obj = cluster.new_object(pid);
+        cluster.process(pid).heap().find(obj)->finalizable = true;
+      }
+    }
+    // held on p0 stays alive through p1's replica of keeper alone.
+    held = cluster.new_object(p0);
+    cluster.add_ref(p0, keeper, held);
+    cluster.propagate(keeper, p0, p1);
+    cluster.run_until_quiescent();
+    cluster.remove_ref(p0, keeper, held);
+    cluster.process(p0).heap().find(held)->finalizable = true;
+  }
 
   cluster.collect_all();
   cluster.run_until_quiescent();
+  if (finalizable) cluster.remove_ref(p1, keeper, held);
   cluster.snapshot_all();
   cluster.collect_all();
   cluster.run_until_quiescent();
   cluster.run_full_gc();
+  return held;
 }
 
 TEST(Determinism, ThreadCountDoesNotChangeResults) {
-  Cluster serial{config_with_threads(1)};
-  Cluster threaded{config_with_threads(8)};
-  drive(serial);
-  drive(threaded);
+  struct Shape {
+    gc::FinalizeStrategy finalize;
+    bool finalizable;
+  };
+  for (const Shape shape :
+       {Shape{gc::FinalizeStrategy::kNone, false},
+        Shape{gc::FinalizeStrategy::kNone, true},
+        Shape{gc::FinalizeStrategy::kReRegister, true},
+        Shape{gc::FinalizeStrategy::kReconstructionFresh, true}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "strategy " << static_cast<int>(shape.finalize)
+                 << (shape.finalizable ? ", finalizable objects" : ""));
+    Cluster serial{config_with_threads(1, shape.finalize)};
+    Cluster threaded{config_with_threads(8, shape.finalize)};
+    const ObjectId held = drive(serial, shape.finalizable);
+    drive(threaded, shape.finalizable);
 
-  EXPECT_EQ(serial.total_objects(), threaded.total_objects());
-  EXPECT_EQ(serial.now(), threaded.now());
-  ASSERT_EQ(serial.cycles_found().size(), threaded.cycles_found().size());
-  for (std::size_t i = 0; i < serial.cycles_found().size(); ++i) {
-    EXPECT_EQ(serial.cycles_found()[i].targets.size(),
-              threaded.cycles_found()[i].targets.size());
+    EXPECT_EQ(serial.total_objects(), threaded.total_objects());
+    EXPECT_EQ(serial.now(), threaded.now());
+    ASSERT_EQ(serial.cycles_found().size(), threaded.cycles_found().size());
+    for (std::size_t i = 0; i < serial.cycles_found().size(); ++i) {
+      EXPECT_EQ(serial.cycles_found()[i].targets.size(),
+                threaded.cycles_found()[i].targets.size());
+    }
+    // The strongest check: the full machine-readable report — per-process
+    // tables, traffic per message kind, GC counters, histogram buckets —
+    // must render to the identical JSON document.
+    EXPECT_EQ(make_report(serial).to_json(), make_report(threaded).to_json());
+    if (shape.finalizable) {
+      // Once unanchored, held is finalized: resurrected for good by a
+      // resurrecting strategy, reclaimed otherwise.
+      const ProcessId p0 = serial.process_ids().front();
+      EXPECT_EQ(serial.process(p0).has_replica(held),
+                shape.finalize != gc::FinalizeStrategy::kNone);
+    }
   }
-  // The strongest check: the full machine-readable report — per-process
-  // tables, traffic per message kind, GC counters, histogram buckets —
-  // must render to the identical JSON document.
-  EXPECT_EQ(make_report(serial).to_json(), make_report(threaded).to_json());
 }
 
 TEST(Determinism, PhasedCollectMatchesLegacyPerProcessLoop) {

@@ -149,7 +149,10 @@ TEST(HeuristicEdge, UnknownAnchorHasInfiniteEstimate) {
 }
 
 TEST(HeuristicEdge, PruneDropsRetiredAnchors) {
-  Cluster cluster;
+  // Estimates are announced and pruned under the distance policy only.
+  ClusterConfig cfg;
+  cfg.candidates = core::CandidatePolicy::kDistance;
+  Cluster cluster{cfg};
   const ProcessId p1 = cluster.add_process();
   const ProcessId p2 = cluster.add_process();
   const ObjectId a = cluster.new_object(p1);

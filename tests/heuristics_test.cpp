@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
+#include <utility>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/oracle.h"
+#include "gc/adgc/adgc.h"
 #include "gc/cycle/heuristics.h"
 #include "workload/figures.h"
 
@@ -206,6 +210,96 @@ TEST(Policies, DistanceHeuristicSkipsLiveRemotelyReferencedData) {
   const auto distance = detections(CandidatePolicy::kDistance);
   EXPECT_LT(distance, exhaustive)
       << "the distance heuristic must not keep suspecting live data";
+}
+
+// ---- Post-collection summaries feed the distance policy only -------------
+
+/// One NewSetStubs send: sender, receiver, stub anchors, estimates.
+struct NssSend {
+  std::uint64_t src;
+  std::uint64_t dst;
+  std::vector<std::uint64_t> anchors;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> distances;
+  bool operator==(const NssSend&) const = default;
+};
+
+void PrintTo(const NssSend& s, std::ostream* os) {
+  *os << "P" << s.src << "->P" << s.dst << " anchors[";
+  for (std::uint64_t a : s.anchors) *os << ' ' << a;
+  *os << " ] distances[";
+  for (const auto& [obj, d] : s.distances) *os << ' ' << obj << ':' << d;
+  *os << " ]";
+}
+
+struct NssTap final : net::Network::Observer {
+  std::vector<NssSend> sends;
+  void on_send(const net::Envelope& env) override {
+    if (const auto* m = dynamic_cast<const NewSetStubsMsg*>(env.msg)) {
+      NssSend s{raw(env.src), raw(env.dst), {}, {}};
+      for (ObjectId a : m->stub_anchors) s.anchors.push_back(raw(a));
+      for (const auto& [obj, d] : m->distances) {
+        s.distances.emplace_back(raw(obj), d);
+      }
+      sends.push_back(std::move(s));
+    }
+  }
+};
+
+/// Figure 2's garbage cycle beside a live anchor b on p1 held only by a
+/// rooted remote replica of a on p2, then two collect_all rounds with the
+/// NewSetStubs traffic tapped.  Returns how many lgc.summarize_us samples
+/// those two rounds recorded.
+std::uint64_t tap_collections(CandidatePolicy policy, NssTap& tap) {
+  Cluster cluster{with_policy(policy, 4)};
+  const auto f = workload::build_figure2(cluster);
+  const ObjectId a = cluster.new_object(f.p1);
+  const ObjectId b = cluster.new_object(f.p1);
+  cluster.add_root(f.p1, a);
+  cluster.add_ref(f.p1, a, b);
+  cluster.propagate(a, f.p1, f.p2);
+  cluster.run_until_quiescent();
+  cluster.add_root(f.p2, a);
+  cluster.remove_root(f.p1, a);
+
+  auto summarize_samples = [&cluster] {
+    const util::Histogram* h =
+        cluster.profile().find_histogram("lgc.summarize_us");
+    return h == nullptr ? 0 : h->count();
+  };
+  const std::uint64_t before = summarize_samples();
+  cluster.network().add_observer(&tap);
+  for (int i = 0; i < 2; ++i) {
+    cluster.collect_all();
+    cluster.run_until_quiescent();
+  }
+  return summarize_samples() - before;
+}
+
+TEST(Policies, OnlyTheDistancePolicySummarizesAfterCollection) {
+  NssTap exhaustive;
+  NssTap distance;
+  EXPECT_EQ(tap_collections(CandidatePolicy::kExhaustive, exhaustive), 0u)
+      << "no policy but kDistance reads a post-collection summary";
+  EXPECT_EQ(tap_collections(CandidatePolicy::kDistance, distance), 2u)
+      << "one summarize round per collect_all";
+
+  // The same stub sets flow under both policies; only kDistance attaches
+  // estimates.
+  ASSERT_EQ(exhaustive.sends.size(), distance.sends.size());
+  for (std::size_t i = 0; i < exhaustive.sends.size(); ++i) {
+    EXPECT_TRUE(exhaustive.sends[i].distances.empty());
+    NssSend stripped = distance.sends[i];
+    stripped.distances.clear();
+    EXPECT_EQ(exhaustive.sends[i], stripped);
+  }
+  // The distance announcements, as measured before collections stopped
+  // summarizing under the other policies.
+  constexpr std::uint32_t kInf = kInfiniteDistance;
+  const std::vector<NssSend> expected = {
+      {1, 0, {5}, {{5, 1}}}, {1, 3, {1}, {{1, kInf}}}, {2, 0, {0}, {{0, kInf}}},
+      {1, 0, {5}, {{5, 1}}}, {1, 3, {1}, {{1, kInf}}}, {2, 0, {0}, {{0, kInf}}},
+  };
+  EXPECT_EQ(distance.sends, expected);
 }
 
 }  // namespace
