@@ -81,8 +81,7 @@ struct Options {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--processes N] [--deps D] [--extra-replicas B]\n"
-      "          [--mode ours|baseline|both] [--policy "
-      "exhaustive|distance|suspicion]\n"
+      "          [--mode ours|baseline|both] [--policy exhaustive|distance]\n"
       "          [--seed S] [--full-gc] [--report]\n"
       "          [--trace-out=FILE] [--trace-jsonl=FILE] "
       "[--report-json=FILE]\n"
@@ -235,6 +234,14 @@ bool parse(int argc, char** argv, Options& opt) {
       return false;
     }
   }
+  if (opt.mode != "ours" && opt.mode != "baseline" && opt.mode != "both") {
+    std::fprintf(stderr, "unknown --mode: %s\n", opt.mode.c_str());
+    return false;
+  }
+  if (opt.policy != "exhaustive" && opt.policy != "distance") {
+    std::fprintf(stderr, "unknown --policy: %s\n", opt.policy.c_str());
+    return false;
+  }
   return opt.processes >= 2 && opt.deps >= 1;
 }
 
@@ -346,8 +353,6 @@ int run_one(const Options& opt, core::DetectorMode mode, const char* name) {
   cfg.record_capacity = opt.record_capacity;
   if (opt.policy == "distance") {
     cfg.candidates = core::CandidatePolicy::kDistance;
-  } else if (opt.policy == "suspicion") {
-    cfg.candidates = core::CandidatePolicy::kSuspicionAge;
   }
   cfg.audit_interval = opt.audit_interval;
   core::Cluster cluster{cfg};

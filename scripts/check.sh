@@ -34,8 +34,11 @@ if [[ "${1:-}" != "--fast" ]]; then
   # The paper comparison (Figs. 8/9, Table 2) from the optimized tree:
   # fig8 and table2 exit non-zero when a reproduced claim fails (same step
   # to within one, fewer CDMs); fig9 must simply run to completion.
-  echo "== paper checks (fig8, fig9, table2) =="
-  for paper_check in fig8_cdm_per_step fig9_cdm_totals table2_steps_to_detection; do
+  # ablation_candidates exits non-zero unless both candidate policies end
+  # clean with live data intact and distance starts fewer detections.
+  echo "== paper checks (fig8, fig9, table2, ablation_candidates) =="
+  for paper_check in fig8_cdm_per_step fig9_cdm_totals table2_steps_to_detection \
+      ablation_candidates; do
     ./build-release/bench/"$paper_check" > /dev/null
   done
 

@@ -76,8 +76,7 @@ void Cluster::build_node(ProcessId pid, Node& node) {
           : gc::Traversal::kReplicationAware);
   node.distance =
       std::make_unique<gc::DistanceHeuristic>(config_.candidate_threshold);
-  node.suspicion =
-      std::make_unique<gc::SuspicionAgeTracker>(config_.candidate_threshold);
+  node.suspicion = std::make_unique<gc::SuspicionAgeTracker>();
   node.detector->on_cycle_found = [this, pid](const gc::Cdm& cdm) {
     handle_cycle_found(pid, cdm);
   };
@@ -506,24 +505,17 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     // Cyclic phase: fresh snapshots, then one detection per suspect under
     // the configured candidate policy.
     snapshot_all();
-    std::uint64_t started = 0;
-    for (auto& [pid, node] : nodes_) {
-      if (!node.alive) continue;
-      util::ScopedProcess ctx{pid};
-      for (ObjectId suspect : pick_suspects(node, node.detector->summary())) {
-        if (detect(pid, suspect).has_value()) ++started;
-      }
+    for (ProcessId pid : process_ids()) {
+      stats.detections_started += start_detections(pid);
     }
-    stats.detections_started += started;
     run_until_quiescent();
 
     const std::uint64_t new_cycles = cycles_found_.size() - cycles_before;
     stats.cycles_found += new_cycles;
-    // Heuristic candidate policies need threshold-many collections before
-    // estimates/ages mature into suspects — don't give up before that.
-    const bool warming_up =
-        config_.candidates != CandidatePolicy::kExhaustive &&
-        round < config_.candidate_threshold + 1;
+    // The distance policy needs threshold-many collections before its
+    // estimates mature into suspects — don't give up before that.
+    const bool warming_up = config_.candidates == CandidatePolicy::kDistance &&
+                            round < config_.candidate_threshold + 1;
     if (reclaimed_this_round == 0 && new_cycles == 0 && !warming_up) break;
   }
   return stats;
@@ -533,11 +525,7 @@ std::set<ObjectId> Cluster::suspects(ProcessId id) {
   Node& node = nodes_.at(id);
   if (!node.alive) return {};
   if (!node.detector->has_snapshot()) return {};
-  return pick_suspects(node, node.detector->summary());
-}
-
-std::set<ObjectId> Cluster::pick_suspects(const Node& node,
-                                          const gc::ProcessSummary& s) {
+  const gc::ProcessSummary& s = node.detector->summary();
   std::set<ObjectId> suspects;
   switch (config_.candidates) {
     case CandidatePolicy::kExhaustive:
@@ -551,11 +539,30 @@ std::set<ObjectId> Cluster::pick_suspects(const Node& node,
     case CandidatePolicy::kDistance:
       for (ObjectId obj : node.distance->suspects()) suspects.insert(obj);
       break;
-    case CandidatePolicy::kSuspicionAge:
-      for (ObjectId obj : node.suspicion->suspects()) suspects.insert(obj);
-      break;
   }
   return suspects;
+}
+
+std::uint64_t Cluster::start_detections(ProcessId id, std::size_t budget) {
+  util::ScopedProcess ctx{id};
+  const std::set<ObjectId> picked = suspects(id);
+  std::vector<ObjectId> order(picked.begin(), picked.end());
+  if (budget != 0 && order.size() > budget) {
+    // Objects that survived the most collections anchored only remotely
+    // are the likeliest cycle members; sorting stably over the id-ordered
+    // set lets id order break ties, so the pick is deterministic.
+    const gc::SuspicionAgeTracker& tracker = *nodes_.at(id).suspicion;
+    std::stable_sort(order.begin(), order.end(),
+                     [&tracker](ObjectId a, ObjectId b) {
+                       return tracker.age(a) > tracker.age(b);
+                     });
+    order.resize(budget);
+  }
+  std::uint64_t started = 0;
+  for (ObjectId suspect : order) {
+    if (detect(id, suspect).has_value()) ++started;
+  }
+  return started;
 }
 
 std::uint64_t Cluster::total_objects() const {

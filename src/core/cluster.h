@@ -50,7 +50,7 @@ enum class DetectorMode {
   kBaseline,          // modified [23]: props flattened to reference pairs
 };
 
-/// How run_full_gc picks cycle-detection candidates (§3.1 leaves the
+/// How Cluster::suspects picks cycle-detection candidates (§3.1 leaves the
 /// heuristic open; [14] supplies the distance scheme).
 enum class CandidatePolicy {
   /// Every locally-unreachable scion anchor / replica, every round —
@@ -59,9 +59,6 @@ enum class CandidatePolicy {
   /// Maheshwari-style distance estimates piggybacked on NewSetStubs;
   /// detect only anchors whose estimates crossed the threshold.
   kDistance,
-  /// Objects that survived N consecutive collections anchored only
-  /// remotely.
-  kSuspicionAge,
 };
 
 struct ClusterConfig {
@@ -72,9 +69,9 @@ struct ClusterConfig {
   bool auto_cut{true};
   /// Finalization strategy used by collect()/collect_all() (Figure 6/7).
   gc::FinalizeStrategy finalize{gc::FinalizeStrategy::kNone};
-  /// Candidate selection for run_full_gc's detection sweeps.
+  /// Candidate selection for every detection start (start_detections).
   CandidatePolicy candidates{CandidatePolicy::kExhaustive};
-  /// Threshold for the heuristic policies (distance / suspicion age).
+  /// Distance threshold of CandidatePolicy::kDistance.
   std::uint32_t candidate_threshold{3};
   /// Worker threads for the read-only GC phases (LGC marking and heap
   /// scan, snapshot summarization) in collect_all/snapshot_all/
@@ -295,16 +292,21 @@ class Cluster {
   /// for `id` (empty when no snapshot has been taken yet).
   [[nodiscard]] std::set<ObjectId> suspects(ProcessId id);
 
+  /// The one detection-start path: detect() on every suspect of `id`, or,
+  /// with `budget != 0`, on the `budget` oldest by suspicion age (id order
+  /// breaks ties).  Returns how many detections started.
+  std::uint64_t start_detections(ProcessId id, std::size_t budget = 0);
+
   /// Cycles proven so far (verdict CDMs, in discovery order).
   [[nodiscard]] const std::vector<gc::Cdm>& cycles_found() const noexcept {
     return cycles_found_;
   }
 
-  /// Exhaustive multi-round GC driver: alternates acyclic rounds (LGC +
-  /// ADGC + message quiescence) with detection sweeps over every suspect
-  /// until a full iteration reclaims nothing and proves no new cycle.
-  /// Candidate selection is exhaustive — the paper leaves heuristics out
-  /// of scope; this is the completeness-oriented choice.
+  /// Multi-round full collection: alternates acyclic rounds (LGC + ADGC +
+  /// message quiescence) with detection sweeps over every suspect
+  /// (start_detections with no budget, under the configured
+  /// CandidatePolicy) until a full iteration reclaims nothing and proves
+  /// no new cycle.
   struct FullGcStats {
     std::uint64_t rounds{0};
     std::uint64_t reclaimed_objects{0};
@@ -348,11 +350,6 @@ class Cluster {
     /// Completed restarts (RecoverMsg::incarnation).
     std::uint64_t incarnations{0};
   };
-
-  /// Candidates for one process's detection sweep under the configured
-  /// policy, given its fresh summary.
-  [[nodiscard]] std::set<ObjectId> pick_suspects(const Node& node,
-                                                 const gc::ProcessSummary& s);
 
   /// The node of a live process; throws std::out_of_range for an unknown
   /// or crashed one.

@@ -1,7 +1,6 @@
 #include "core/daemon.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/trace.h"
 
@@ -45,32 +44,8 @@ std::uint64_t GcDaemon::sweep(ProcessId pid) {
   cluster_.snapshot(pid);
   ++sweeps_;
   sweeps_ctr_.inc();
-  std::uint64_t started = 0;
-  std::set<ObjectId> candidates = cluster_.suspects(pid);
-  const std::size_t budget = config_.adaptive.detect_budget;
-  if (config_.adaptive.enabled && budget != 0 && candidates.size() > budget) {
-    // Age-prioritized selection: objects that survived the most
-    // collections anchored only remotely go first (the long-lived suspects
-    // are the likeliest cycle members); id order breaks ties so the pick
-    // is deterministic.
-    const gc::SuspicionAgeTracker& tracker = cluster_.suspicion_tracker(pid);
-    std::vector<ObjectId> ordered(candidates.begin(), candidates.end());
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [&tracker](ObjectId a, ObjectId b) {
-                       const std::uint32_t aa = tracker.age(a);
-                       const std::uint32_t ab = tracker.age(b);
-                       if (aa != ab) return aa > ab;
-                       return a < b;
-                     });
-    ordered.resize(budget);
-    for (ObjectId suspect : ordered) {
-      if (cluster_.detect(pid, suspect).has_value()) ++started;
-    }
-  } else {
-    for (ObjectId suspect : candidates) {
-      if (cluster_.detect(pid, suspect).has_value()) ++started;
-    }
-  }
+  const std::uint64_t started = cluster_.start_detections(
+      pid, config_.adaptive.enabled ? config_.adaptive.detect_budget : 0);
   detections_ += started;
   detections_ctr_.inc(started);
   return started;

@@ -36,9 +36,10 @@
 // processes up), every policy input is deterministic, and the mutator
 // keeps running throughout — the daemon never stops the world.
 //
-// Detection sweeps no longer fire on every due suspect: candidates are
-// prioritized by suspicion age (oldest first — the paper's "survived N
-// collections anchored only remotely" signal) under a per-sweep budget.
+// Detection sweeps no longer fire on every due suspect: each sweep calls
+// Cluster::start_detections with a per-sweep budget, which starts the
+// oldest suspects by suspicion age first (objects that survived the most
+// collections anchored only remotely).
 //
 //   rgc::core::Cluster cluster;
 //   rgc::core::GcDaemon daemon{cluster, {}};   // adaptive by default

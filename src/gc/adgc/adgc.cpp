@@ -121,7 +121,7 @@ void Adgc::on_new_set_stubs(rm::Process& process, const net::Envelope& env,
   // older stub set must never retract a newer one.
   auto& last_epoch = process.newsetstubs_epochs()[env.src];
   if (msg.epoch <= last_epoch) {
-    process.metrics().add("adgc.newsetstubs_stale");
+    process.counters().newsetstubs_stale.inc();
     return;
   }
   last_epoch = msg.epoch;
@@ -154,14 +154,14 @@ void Adgc::on_unreachable(rm::Process& process, const net::Envelope& env,
   if (e->uc != msg.uc) {
     // Crossed by a re-propagation: the report describes an older replica
     // state and must not unlock the parent.
-    process.metrics().add("adgc.unreachable_stale");
+    process.counters().unreachable_stale.inc();
     return;
   }
   if (!e->rec_umess) {
     e->rec_umess = true;
     process.note_mutation();
   }
-  process.metrics().add("adgc.unreachable_received");
+  process.counters().unreachable_received.inc();
 }
 
 void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
@@ -195,7 +195,7 @@ void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
     auto fwd = std::make_unique<ReclaimMsg>();
     fwd->object = obj;
     process.network().send(process.id(), child, std::move(fwd));
-    process.metrics().add("adgc.reclaim_forwarded");
+    process.counters().reclaim_forwarded.inc();
   }
   auto& outs = process.out_props();
   const std::size_t outs_before = outs.size();
@@ -205,7 +205,7 @@ void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
                             }),
              outs.end());
   if (outs.size() != outs_before) process.note_mutation();
-  process.metrics().add("adgc.reclaim_received");
+  process.counters().reclaim_received.inc();
   if (obs::FlightRecorder* rec = process.recorder()) {
     rec->reclaim_decision(process.id(), env.src, obj);
   }
@@ -261,7 +261,7 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
                   [peer](const rm::InProp& e) { return e.process == peer; }),
               ins.end());
     if (ins.size() != ins_before) {
-      process.metrics().add("gc.lease_inprops_dropped", ins_before - ins.size());
+      process.counters().lease_inprops_dropped.inc(ins_before - ins.size());
       changed = true;
     }
     auto& outs = process.out_props();
@@ -271,12 +271,11 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
                    [peer](const rm::OutProp& e) { return e.process == peer; }),
                outs.end());
     if (outs.size() != outs_before) {
-      process.metrics().add("gc.lease_outprops_dropped",
-                            outs_before - outs.size());
+      process.counters().lease_outprops_dropped.inc(outs_before - outs.size());
       changed = true;
     }
     if (changed) {
-      process.metrics().add("gc.lease_peers_expired");
+      process.counters().lease_peers_expired.inc();
       process.note_mutation();
     }
   }

@@ -117,14 +117,6 @@ void SuspicionAgeTracker::after_collection(const rm::Process& process,
   }
 }
 
-std::vector<ObjectId> SuspicionAgeTracker::suspects() const {
-  std::vector<ObjectId> out;
-  for (const auto& [obj, age] : ages_) {
-    if (age >= threshold_) out.push_back(obj);
-  }
-  return out;
-}
-
 std::uint32_t SuspicionAgeTracker::age(ObjectId obj) const {
   auto it = ages_.find(obj);
   return it == ages_.end() ? 0 : it->second;

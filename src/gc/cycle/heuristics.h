@@ -9,11 +9,12 @@
 // objects' estimates stabilize.  Crossing a threshold makes an object a
 // detection candidate.
 //
-// Two selectors are provided:
+// Two per-collection digests are provided:
 //
 //  - DistanceHeuristic — the [14] scheme adapted to this system's
-//    structures.  Distances piggyback on traffic that already flows: each
-//    local collection assigns every live stub
+//    structures, and the selector behind core::CandidatePolicy::kDistance.
+//    Distances piggyback on traffic that already flows: each local
+//    collection assigns every live stub
 //        dist(stub) = 1 + min(dist of entities that reach it)
 //    (roots have distance 0, scions the distance their remote peer last
 //    announced), and the next NewSetStubs round carries the per-anchor
@@ -21,13 +22,11 @@
 //    threshold anchors a suspect.  Replicas held alive purely by
 //    propagation entries age the same way through their prop links.
 //
-//  - SuspicionAgeTracker — a simpler staple: an object that survives K
-//    consecutive collections anchored only by scions/props (never by a
-//    root) becomes a suspect; any root-reachable collection resets it.
-//
-// Both deliver the same interface: feed per-collection observations, ask
-// for suspects.  Cluster::run_full_gc can use either instead of the
-// exhaustive sweep (core::CandidatePolicy).
+//  - SuspicionAgeTracker — counts, per object, the consecutive
+//    collections it survived anchored only by scions/props (never by a
+//    root); any root-reachable collection resets it.  It selects nothing
+//    itself: Cluster::start_detections reads the ages to order suspects
+//    when a detection budget (the daemon's) cuts the set short.
 #pragma once
 
 #include <cstdint>
@@ -96,22 +95,15 @@ class DistanceHeuristic {
 
 class SuspicionAgeTracker {
  public:
-  explicit SuspicionAgeTracker(std::uint32_t threshold = 3)
-      : threshold_(threshold) {}
-
-  [[nodiscard]] std::uint32_t threshold() const noexcept { return threshold_; }
-
   /// Digests one local collection: ages objects that survived anchored
   /// only remotely (scions/props; result.unrooted), resets root-reachable
   /// ones and forgets swept ones.  Its work follows result.unrooted and
   /// the tracked entries, never the live heap.
   void after_collection(const rm::Process& process, const LgcResult& result);
 
-  [[nodiscard]] std::vector<ObjectId> suspects() const;
   [[nodiscard]] std::uint32_t age(ObjectId obj) const;
 
  private:
-  std::uint32_t threshold_;
   std::map<ObjectId, std::uint32_t> ages_;
 };
 

@@ -28,6 +28,14 @@ ProcessCounters::ProcessCounters(util::Metrics& metrics)
       newsetstubs_sent(metrics.counter("adgc.newsetstubs_sent")),
       unreachable_sent(metrics.counter("adgc.unreachable_sent")),
       reclaim_sent(metrics.counter("adgc.reclaim_sent")),
+      newsetstubs_stale(metrics.counter("adgc.newsetstubs_stale")),
+      unreachable_stale(metrics.counter("adgc.unreachable_stale")),
+      unreachable_received(metrics.counter("adgc.unreachable_received")),
+      reclaim_forwarded(metrics.counter("adgc.reclaim_forwarded")),
+      reclaim_received(metrics.counter("adgc.reclaim_received")),
+      lease_inprops_dropped(metrics.counter("gc.lease_inprops_dropped")),
+      lease_outprops_dropped(metrics.counter("gc.lease_outprops_dropped")),
+      lease_peers_expired(metrics.counter("gc.lease_peers_expired")),
       reclaim_latency(&metrics.histogram("gc.reclaim_latency_steps")),
       reclaimed_per_collection(
           &metrics.histogram("lgc.reclaimed_per_collection")),

@@ -59,6 +59,14 @@ struct ProcessCounters {
   util::Counter newsetstubs_sent;
   util::Counter unreachable_sent;
   util::Counter reclaim_sent;
+  util::Counter newsetstubs_stale;
+  util::Counter unreachable_stale;
+  util::Counter unreachable_received;
+  util::Counter reclaim_forwarded;
+  util::Counter reclaim_received;
+  util::Counter lease_inprops_dropped;
+  util::Counter lease_outprops_dropped;
+  util::Counter lease_peers_expired;
   util::Histogram* reclaim_latency;
   util::Histogram* reclaimed_per_collection;
   util::Histogram* traced_per_collection;

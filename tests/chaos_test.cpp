@@ -169,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
         ChaosCase{103, 4, 0.0, 0.3, 4, CandidatePolicy::kExhaustive},
         ChaosCase{104, 5, 0.3, 0.2, 5, CandidatePolicy::kExhaustive},
         ChaosCase{105, 3, 0.2, 0.1, 3, CandidatePolicy::kDistance},
-        ChaosCase{106, 4, 0.2, 0.1, 3, CandidatePolicy::kSuspicionAge}),
+        ChaosCase{106, 4, 0.2, 0.1, 3, CandidatePolicy::kExhaustive}),
     [](const ::testing::TestParamInfo<ChaosCase>& info) {
       return "seed" + std::to_string(info.param.seed);
     });

@@ -130,18 +130,14 @@ TEST(Daemon, ConvergesOnceMutationStops) {
 }
 
 TEST(Daemon, HeuristicPoliciesWorkUnderTheDaemon) {
-  for (const CandidatePolicy policy :
-       {CandidatePolicy::kDistance, CandidatePolicy::kSuspicionAge}) {
-    ClusterConfig cfg;
-    cfg.candidates = policy;
-    cfg.candidate_threshold = 2;
-    Cluster cluster{cfg};
-    workload::build_figure2(cluster);
-    GcDaemon daemon{cluster};
-    daemon.run(400);
-    EXPECT_EQ(cluster.total_objects(), 0u)
-        << "policy " << static_cast<int>(policy);
-  }
+  ClusterConfig cfg;
+  cfg.candidates = CandidatePolicy::kDistance;
+  cfg.candidate_threshold = 2;
+  Cluster cluster{cfg};
+  workload::build_figure2(cluster);
+  GcDaemon daemon{cluster};
+  daemon.run(400);
+  EXPECT_EQ(cluster.total_objects(), 0u);
 }
 
 TEST(Daemon, ZeroPeriodsAreSanitized) {

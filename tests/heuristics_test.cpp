@@ -42,7 +42,6 @@ TEST(SuspicionAge, RemoteOnlySurvivorsAge) {
     cluster.run_until_quiescent();
   }
   EXPECT_GE(tracker.age(f.x), age0 + 3) << "cycle member ages every collection";
-  EXPECT_FALSE(tracker.suspects().empty());
 }
 
 TEST(SuspicionAge, RootReachabilityResetsTheAge) {
@@ -179,8 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, PolicyDriven,
     ::testing::Values(
         PolicyCase{.policy = CandidatePolicy::kExhaustive, .name = "exhaustive"},
-        PolicyCase{.policy = CandidatePolicy::kDistance, .name = "distance"},
-        PolicyCase{.policy = CandidatePolicy::kSuspicionAge, .name = "suspicion"}),
+        PolicyCase{.policy = CandidatePolicy::kDistance, .name = "distance"}),
     [](const ::testing::TestParamInfo<PolicyCase>& info) {
       return info.param.name;
     });

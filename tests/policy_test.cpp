@@ -7,6 +7,7 @@
 // and across event-skip vs per-step schedules.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -168,18 +169,59 @@ TEST(AdaptivePolicy, ProductiveWorkResetsTheDeferral) {
 }
 
 TEST(AdaptivePolicy, BudgetPrioritizesOldestSuspects) {
-  // Suspicion-age candidates with a budget of 1: the daemon must pick the
-  // oldest suspect deterministically and still reclaim everything.
-  ClusterConfig ccfg;
-  ccfg.candidates = core::CandidatePolicy::kSuspicionAge;
-  ccfg.candidate_threshold = 2;
-  Cluster cluster{ccfg};
-  workload::build_figure2(cluster);
-  DaemonConfig cfg;
-  cfg.adaptive.detect_budget = 1;
-  GcDaemon daemon{cluster, cfg};
-  daemon.run(400);
-  EXPECT_EQ(cluster.total_objects(), 0u);
+  // Three objects on p1 anchored only by p2's rooted holder: x (lowest id)
+  // becomes remote last, so it is the youngest suspect; y and z share the
+  // oldest age.  A budget of 1 must start y — the oldest, with id order
+  // breaking the y/z tie — and nothing else.
+  Cluster cluster;
+  const ProcessId p1 = cluster.add_process();
+  const ProcessId p2 = cluster.add_process();
+  const ObjectId x = cluster.new_object(p1);
+  const ObjectId y = cluster.new_object(p1);
+  const ObjectId z = cluster.new_object(p1);
+  const ObjectId holder = cluster.new_object(p2);
+  cluster.add_root(p2, holder);
+  cluster.add_root(p1, x);  // kept live locally until it turns remote
+  workload::make_remote_ref(cluster, p2, holder, p1, y);
+  workload::make_remote_ref(cluster, p2, holder, p1, z);
+  workload::settle(cluster, 3);
+  workload::make_remote_ref(cluster, p2, holder, p1, x);
+  cluster.remove_root(p1, x);
+  workload::settle(cluster, 2);
+
+  const gc::SuspicionAgeTracker& tracker = cluster.suspicion_tracker(p1);
+  ASSERT_GT(tracker.age(x), 0u);
+  ASSERT_GT(tracker.age(y), tracker.age(x));
+  ASSERT_EQ(tracker.age(z), tracker.age(y));
+  cluster.snapshot(p1);
+  const std::set<ObjectId> suspects = cluster.suspects(p1);
+  ASSERT_TRUE(suspects.contains(x) && suspects.contains(y) &&
+              suspects.contains(z));
+
+  auto detect_starts = [&cluster] {
+    const auto run =
+        obs::FlightRecorder::decode(cluster.recorder()->encode({}));
+    std::vector<obs::RecEvent> starts;
+    for (const obs::RecEvent& e : run->events) {
+      if (e.kind == static_cast<std::uint8_t>(obs::RecKind::kDetectStart)) {
+        starts.push_back(e);
+      }
+    }
+    return starts;
+  };
+  const std::size_t starts_before = detect_starts().size();
+  EXPECT_EQ(cluster.start_detections(p1, 1), 1u);
+  const std::vector<obs::RecEvent> starts = detect_starts();
+  ASSERT_EQ(starts.size(), starts_before + 1);
+  EXPECT_EQ(starts.back().pid, raw(p1));
+  EXPECT_EQ(starts.back().a, raw(y));
+
+  // With no budget, every suspect of a fresh snapshot starts.
+  cluster.run_until_quiescent();
+  cluster.snapshot(p1);
+  const std::size_t expected = cluster.suspects(p1).size();
+  EXPECT_EQ(cluster.start_detections(p1), expected);
+  EXPECT_EQ(detect_starts().size(), starts.size() + expected);
 }
 
 TEST(AdaptivePolicy, FixedModeReproducesLegacyCadence) {

@@ -48,7 +48,6 @@ void expect_same_result(const LgcResult& got, const LgcResult& want,
 void expect_same_ages(const SuspicionAgeTracker& got,
                       const SuspicionAgesReference& want,
                       const LgcResult& result) {
-  EXPECT_EQ(got.suspects(), want.suspects());
   for (const auto& [obj, age] : want.ages()) EXPECT_EQ(got.age(obj), age);
   for (const auto& [obj, mask] : result.object_reach) {
     EXPECT_EQ(got.age(obj), want.age(obj));

@@ -79,14 +79,6 @@ void SuspicionAgesReference::after_collection(const rm::Process& process,
   }
 }
 
-std::vector<ObjectId> SuspicionAgesReference::suspects() const {
-  std::vector<ObjectId> out;
-  for (const auto& [obj, age] : ages_) {
-    if (age >= threshold_) out.push_back(obj);
-  }
-  return out;
-}
-
 std::uint32_t SuspicionAgesReference::age(ObjectId obj) const {
   auto it = ages_.find(obj);
   return it == ages_.end() ? 0 : it->second;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "gc/lgc/lgc.h"
 #include "rm/process.h"
@@ -25,18 +24,13 @@ namespace rgc::gc {
 /// The original suspicion-age digest over every classified object.
 class SuspicionAgesReference {
  public:
-  explicit SuspicionAgesReference(std::uint32_t threshold = 3)
-      : threshold_(threshold) {}
-
   void after_collection(const rm::Process& process, const LgcResult& result);
-  [[nodiscard]] std::vector<ObjectId> suspects() const;
   [[nodiscard]] std::uint32_t age(ObjectId obj) const;
   [[nodiscard]] const std::map<ObjectId, std::uint32_t>& ages() const {
     return ages_;
   }
 
  private:
-  std::uint32_t threshold_;
   std::map<ObjectId, std::uint32_t> ages_;
 };
 

@@ -96,18 +96,13 @@ TEST(Trees, PartiallyLiveRingKeepsItsLiveTree) {
 }
 
 TEST(Trees, HeuristicPoliciesHandleTheRing) {
-  for (const core::CandidatePolicy policy :
-       {core::CandidatePolicy::kDistance,
-        core::CandidatePolicy::kSuspicionAge}) {
-    core::ClusterConfig cfg;
-    cfg.candidates = policy;
-    cfg.candidate_threshold = 2;
-    Cluster cluster{cfg};
-    build_tree_ring(cluster, {2, 2, 3}, 2);
-    cluster.run_full_gc();
-    EXPECT_EQ(cluster.total_objects(), 0u)
-        << "policy " << static_cast<int>(policy);
-  }
+  core::ClusterConfig cfg;
+  cfg.candidates = core::CandidatePolicy::kDistance;
+  cfg.candidate_threshold = 2;
+  Cluster cluster{cfg};
+  build_tree_ring(cluster, {2, 2, 3}, 2);
+  cluster.run_full_gc();
+  EXPECT_EQ(cluster.total_objects(), 0u);
 }
 
 }  // namespace
