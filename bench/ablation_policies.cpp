@@ -20,6 +20,11 @@
 //     zero audit errors) by GC bytes (CDM wire weight + snapshot bytes) per
 //     reclaimed cycle and by the ledger's unlink->reclaim p90 — the
 //     headline numbers for the adaptive policy.
+//
+// The safety claims are checks: the bench exits 1 when the Union Rule row
+// loses a live object, or when an Ablation 4/5 run leaves garbage behind
+// (`left`, oracle) or ends with audit errors (`errs`).  The adaptive-vs-fixed
+// verdict is a measurement and gates nothing.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -76,6 +81,8 @@ struct CadenceScore {
   double mean_full{0};             // steps, unlink -> candidate reclaimed
   std::uint64_t cdm_weight{0};     // ledger-attributed CDM bytes
   std::uint64_t steps{0};
+  std::uint64_t leftover{0};       // oracle: dead objects still present
+  std::uint64_t audit_errors{0};
 };
 
 /// Garbage arrives in waves (a fresh mesh every 6 collection rounds) while
@@ -114,6 +121,8 @@ CadenceScore run_cadence(std::uint64_t cadence) {
 
   CadenceScore score;
   score.steps = cluster.now() - start;
+  score.leftover = core::Oracle::analyze(cluster).garbage_objects().size();
+  score.audit_errors = cluster.audit().errors();
   const obs::Ledger* ledger = cluster.ledger();
   for (const obs::LedgerEntry* e : ledger->entries()) {
     if (!e->complete || e->unlinked_step == 0) continue;
@@ -244,6 +253,7 @@ DaemonScore run_daemon(bool adaptive) {
 }  // namespace
 
 int main() {
+  bool safe = true;
   std::printf("Ablation 1 — forwarding policy (ring mesh)\n");
   std::printf("%4s %6s | %18s | %18s\n", "R", "deps", "children-first",
               "parents-first");
@@ -284,6 +294,7 @@ int main() {
     std::printf("  union_rule=%-5s -> live objects lost: %zu %s\n",
                 union_rule ? "on" : "off", lost,
                 lost == 0 ? "(safe)" : "(REFERENTIAL INTEGRITY BROKEN)");
+    if (union_rule && lost != 0) safe = false;
     (void)fig;
   }
 
@@ -319,17 +330,23 @@ int main() {
   }
 
   std::printf("\nAblation 4 — detector cadence, scored by the cost ledger\n");
-  std::printf("%8s | %6s %9s | %8s %8s %8s | %10s\n", "cadence", "cycles",
-              "reclaimed", "pending", "detect", "full", "cdm bytes");
+  std::printf("%8s | %6s %9s | %8s %8s %8s | %10s | %5s %5s\n", "cadence",
+              "cycles", "reclaimed", "pending", "detect", "full", "cdm bytes",
+              "left", "errs");
   for (const std::uint64_t cadence : {1ull, 2ull, 4ull, 8ull}) {
     const CadenceScore s = run_cadence(cadence);
-    std::printf("%8llu | %6llu %9llu | %8.1f %8.1f %8.1f | %10llu%s\n",
-                static_cast<unsigned long long>(cadence),
-                static_cast<unsigned long long>(s.cycles),
-                static_cast<unsigned long long>(s.reclaimed), s.mean_pending,
-                s.mean_detect, s.mean_full,
-                static_cast<unsigned long long>(s.cdm_weight),
-                s.cycles == 0 ? "  (!)" : "");
+    const bool clean = s.leftover == 0 && s.audit_errors == 0;
+    safe = safe && clean;
+    std::printf(
+        "%8llu | %6llu %9llu | %8.1f %8.1f %8.1f | %10llu | %5llu %5llu%s\n",
+        static_cast<unsigned long long>(cadence),
+        static_cast<unsigned long long>(s.cycles),
+        static_cast<unsigned long long>(s.reclaimed), s.mean_pending,
+        s.mean_detect, s.mean_full,
+        static_cast<unsigned long long>(s.cdm_weight),
+        static_cast<unsigned long long>(s.leftover),
+        static_cast<unsigned long long>(s.audit_errors),
+        s.cycles == 0 || !clean ? "  (!)" : "");
   }
   std::printf("  (ledger means in steps: pending = unlink -> detection "
               "start, detect = CDM critical path, full = unlink -> "
@@ -348,6 +365,7 @@ int main() {
   for (int i = 0; i < 2; ++i) {
     const DaemonScore s = run_daemon(/*adaptive=*/i == 1);
     scores[i] = s;
+    safe = safe && s.leftover == 0 && s.audit_errors == 0;
     std::printf("%-9s | %6llu %9llu | %8.1f %8llu %8.1f | %10llu %10llu "
                 "%10.0f | %6llu %6llu %8llu | %5llu %5llu%s\n",
                 names[i], static_cast<unsigned long long>(s.cycles),
@@ -376,5 +394,9 @@ int main() {
               static_cast<unsigned long long>(scores[0].p90_e2e),
               cheaper && no_slower ? "adaptive wins"
                                    : "ADAPTIVE DOES NOT WIN (!)");
+  if (!safe) {
+    std::printf("FAIL: a safety or completeness claim above does not hold\n");
+    return 1;
+  }
   return 0;
 }

@@ -20,6 +20,7 @@
 #include <functional>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -62,9 +63,12 @@ struct Options {
   std::string record_out;            // .rgcrec to write
   std::string replay_in;             // .rgcrec to replay against
   std::string bisect_files;          // "A.rgcrec,B.rgcrec"
-  double drop{0.0};                  // chaos drop probability
-  double dup{0.0};                   // chaos duplicate probability
-  std::uint32_t max_delay{2};        // chaos max delivery delay
+  // Network faults: the --record chaos workload defaults them to 0, 0
+  // and 2; the other runs apply only the ones given (the network's own
+  // defaults are 0, 0 and 1).
+  std::optional<double> drop;            // drop probability
+  std::optional<double> dup;             // duplicate probability
+  std::optional<std::uint32_t> max_delay;  // max delivery delay
   std::uint32_t rounds{60};          // chaos workload rounds
   std::uint32_t record_capacity{4096};  // recorder ring capacity
   std::size_t threads{1};            // worker-pool width for replay
@@ -273,9 +277,9 @@ obs::ChaosRunSpec chaos_spec(const Options& opt) {
   obs::ChaosRunSpec spec;
   spec.seed = opt.seed;
   spec.processes = static_cast<std::uint32_t>(opt.processes);
-  spec.drop = opt.drop;
-  spec.dup = opt.dup;
-  spec.max_delay = opt.max_delay;
+  spec.drop = opt.drop.value_or(0.0);
+  spec.dup = opt.dup.value_or(0.0);
+  spec.max_delay = opt.max_delay.value_or(2);
   spec.rounds = opt.rounds;
   spec.ring_capacity = opt.record_capacity;
   spec.threads = opt.threads;
@@ -346,10 +350,18 @@ int run_bisect(const Options& opt) {
   return outcome.identical ? 0 : 4;
 }
 
+/// The network faults the command line gave; unset ones keep the default.
+void apply_net_flags(const Options& opt, net::NetworkConfig& net) {
+  if (opt.drop) net.drop_probability = *opt.drop;
+  if (opt.dup) net.duplicate_probability = *opt.dup;
+  if (opt.max_delay) net.max_delay = *opt.max_delay;
+}
+
 int run_one(const Options& opt, core::DetectorMode mode, const char* name) {
   core::ClusterConfig cfg;
   cfg.mode = mode;
   cfg.net.seed = opt.seed;
+  apply_net_flags(opt, cfg.net);
   cfg.record_capacity = opt.record_capacity;
   if (opt.policy == "distance") {
     cfg.candidates = core::CandidatePolicy::kDistance;
@@ -483,6 +495,7 @@ int run_one(const Options& opt, core::DetectorMode mode, const char* name) {
 int run_watch(const Options& opt) {
   core::ClusterConfig cfg;
   cfg.net.seed = opt.seed;
+  apply_net_flags(opt, cfg.net);
   cfg.audit_interval = opt.audit_interval;
   core::Cluster cluster{cfg};
   const workload::Mesh mesh = workload::build_mesh(

@@ -32,6 +32,8 @@ Cluster::Cluster(ClusterConfig config)
     ledger_->bind(&net_);
     net_.add_observer(ledger_.get());
   }
+  starts_covered_ = net_.metrics().counter("cycle.starts_covered");
+  starts_queued_ = net_.metrics().counter("cycle.starts_queued");
   quiescence_timeout_ = net_.metrics().counter("cluster.quiescence_timeout");
   quiescence_dead_pids_ = net_.metrics().gauge("cluster.quiescence_dead_pids");
   quiescence_truncated_ = net_.metrics().gauge("cluster.quiescence_truncated");
@@ -86,6 +88,9 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   node.summary_cache_valid = false;
   node.last_summary_fresh = true;
   node.alive = true;
+  node.covered.clear();
+  node.detecting = false;
+  node.queued.clear();
   net_.attach(pid, [this, pid](const net::Envelope& env, net::Message& msg) {
     dispatch(pid, env, msg);
   });
@@ -227,6 +232,7 @@ void Cluster::advance_clock(std::uint64_t delta) {
       }
     }
   }
+  if (net_.idle()) start_waves();
 }
 
 std::uint64_t Cluster::heartbeat_interval() const noexcept {
@@ -236,6 +242,9 @@ std::uint64_t Cluster::heartbeat_interval() const noexcept {
 }
 
 std::uint64_t Cluster::next_event_delta() const {
+  // Queued detection starts on an idle network begin at the end of the
+  // next step, as they would under step().
+  if (net_.idle() && starts_queued()) return 1;
   const std::uint64_t at = now();
   std::uint64_t delta = ~std::uint64_t{0};
   const auto clamp_at = [&](std::uint64_t event_step) {
@@ -275,12 +284,15 @@ void Cluster::advance(std::uint64_t steps) {
 
 QuiescenceStatus Cluster::run_until_quiescent(std::uint64_t max_steps) {
   const std::uint64_t start = now();
+  // Queued starts whose predecessors sent nothing begin here; later waves
+  // begin inside advance_clock, whenever the network drains.
+  if (net_.idle()) start_waves();
   while (!net_.idle() && now() - start < max_steps) {
     const std::uint64_t budget = max_steps - (now() - start);
     advance_clock(std::min(next_event_delta(), budget));
   }
   const std::uint64_t steps = now() - start;
-  const bool quiescent = net_.idle();
+  const bool quiescent = net_.idle() && !starts_queued();
   const std::size_t in_flight = net_.in_flight();
   if (!quiescent) {
     // Giving up with traffic still queued means protocol rounds (ADGC
@@ -464,11 +476,61 @@ void Cluster::snapshot_nodes(const std::vector<Node*>& nodes) {
     const ProcessId pid = node->process->id();
     util::ScopedProcess ctx{pid};
     node->detector->install_snapshot(node->summary_cache);
+    // A new snapshot may see what the old one hid (a cut that went stale,
+    // a suspect that became garbage): nothing stays covered or queued.
+    node->covered.clear();
+    node->detecting = false;
+    node->queued.clear();
   }
 }
 
 std::optional<std::uint64_t> Cluster::detect(ProcessId at, ObjectId candidate) {
-  return detector(at).start_detection(candidate);
+  return start_detection(live_node(at), candidate, /*paced=*/true);
+}
+
+std::optional<std::uint64_t> Cluster::start_detection(Node& node,
+                                                      ObjectId candidate,
+                                                      bool paced) {
+  // Skipping never cuts anything, so neither branch touches safety.  Only a
+  // verdict covers, and run_full_gc runs another round (fresh snapshots,
+  // nothing covered) after any round that proved a cycle.
+  if (node.covered.contains(candidate)) {
+    starts_covered_.inc();
+    return std::nullopt;
+  }
+  if (paced && node.detecting) {
+    node.queued.push_back(candidate);
+    starts_queued_.inc();
+    return std::nullopt;
+  }
+  const auto id = node.detector->start_detection(candidate);
+  if (paced && id.has_value()) node.detecting = true;
+  return id;
+}
+
+bool Cluster::starts_queued() const {
+  return std::any_of(nodes_.begin(), nodes_.end(), [](const auto& entry) {
+    return !entry.second.queued.empty();
+  });
+}
+
+void Cluster::start_waves() {
+  while (net_.idle() && starts_queued()) {
+    for (auto& [pid, node] : nodes_) {
+      // A queued suspect that is covered, or that no longer starts (its
+      // snapshot sees it locally live), gives its turn to the next one.
+      while (!node.queued.empty()) {
+        const ObjectId suspect = node.queued.front();
+        node.queued.pop_front();
+        if (node.covered.contains(suspect)) {
+          starts_covered_.inc();
+          continue;
+        }
+        util::ScopedProcess ctx{pid};
+        if (node.detector->start_detection(suspect).has_value()) break;
+      }
+    }
+  }
 }
 
 Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
@@ -502,8 +564,10 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     }
     stats.reclaimed_objects += reclaimed_this_round;
 
-    // Cyclic phase: fresh snapshots, then one detection per suspect under
-    // the configured candidate policy.
+    // Cyclic phase: fresh snapshots, then every suspect under the
+    // configured candidate policy goes to detect(): one detection per
+    // process starts now, the rest follow in waves while the network
+    // drains, and suspects a verdict has covered are skipped.
     snapshot_all();
     for (ProcessId pid : process_ids()) {
       stats.detections_started += start_detections(pid);
@@ -558,9 +622,12 @@ std::uint64_t Cluster::start_detections(ProcessId id, std::size_t budget) {
                      });
     order.resize(budget);
   }
+  Node& node = nodes_.at(id);  // a dead one has no suspects
   std::uint64_t started = 0;
   for (ObjectId suspect : order) {
-    if (detect(id, suspect).has_value()) ++started;
+    if (start_detection(node, suspect, /*paced=*/budget == 0).has_value()) {
+      ++started;
+    }
   }
   return started;
 }
@@ -659,6 +726,7 @@ void Cluster::kill(ProcessId pid) {
   node.suspicion.reset();
   node.summary_cache_valid = false;
   node.alive = false;
+  node.queued.clear();  // no wave may start on a dead process
   net_.metrics().add("cluster.crashes");
   RGC_INFO("cluster: killed ", to_string(pid));
 }
@@ -862,6 +930,16 @@ void Cluster::send_reconciliation(rm::Process& from, ProcessId peer) {
 
 void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {
   cycles_found_.push_back(cdm);
+  // The verdict proves the candidate's whole requirement closure garbage:
+  // every member is covered until its process snapshots again.  Reference
+  // link elements count by their target replica — some members (a strand's
+  // tail) appear in the closure only as a link.
+  for (const gc::Element& e : cdm.required_closure()) {
+    if (const auto it = nodes_.find(e.replica.process);
+        it != nodes_.end() && it->second.alive) {
+      it->second.covered.insert(e.replica.object);
+    }
+  }
   // Before the Cut send, which the timeline parents on this verdict.
   if (recorder_) {
     recorder_->detection(obs::RecKind::kVerdict, at, cdm.detection_id,
@@ -882,8 +960,9 @@ void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {
     ledger_->cycle_proven(at, cdm, unlinked);
   }
   if (!config_.auto_cut) return;
-  auto cut = std::make_unique<gc::CutMsg>(gc::CycleDetector::make_cut(cdm));
-  net_.send(at, cdm.candidate.process, std::move(cut));
+  for (auto& [member, cut] : gc::CycleDetector::make_cuts(cdm)) {
+    net_.send(at, member.process, std::make_unique<gc::CutMsg>(std::move(cut)));
+  }
 }
 
 }  // namespace rgc::core

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -224,10 +225,11 @@ class Cluster {
   /// step it would under step()-stepping — the two schedules are
   /// observably identical (same events, same order, same virtual times).
   void advance(std::uint64_t steps);
-  /// Drains the network with the same event-skipping scheduler; returns how
-  /// many virtual steps elapsed and whether the network drained (converts
-  /// to the step count).  O(events), not O(virtual time), on idle-heavy
-  /// workloads.
+  /// Drains the network with the same event-skipping scheduler, starting
+  /// queued detection waves (detect()) as it goes; returns how many virtual
+  /// steps elapsed and whether the cluster quiesced: the network drained
+  /// and no queued start remains.  O(events), not O(virtual time), on
+  /// idle-heavy workloads.
   QuiescenceStatus run_until_quiescent(std::uint64_t max_steps = 100000);
   [[nodiscard]] std::uint64_t now() const noexcept { return net_.now(); }
 
@@ -286,6 +288,13 @@ class Cluster {
   /// Summarization runs on the worker pool when config.threads > 1.
   void snapshot_all();
   /// Starts a detection with `candidate` (owned by `at`) as suspect.
+  /// One verdict per cycle (DESIGN.md): returns nullopt without starting
+  /// anything when `candidate` is covered — inside the closure of a verdict
+  /// proven since `at`'s last snapshot (counted in cycle.starts_covered) —
+  /// and when a detection has already started at `at` since that snapshot:
+  /// `candidate` then waits in `at`'s queue (cycle.starts_queued), and
+  /// every time the network goes idle each process starts its first
+  /// uncovered queued suspect, one wave at a time.
   std::optional<std::uint64_t> detect(ProcessId at, ObjectId candidate);
 
   /// Detection candidates the configured CandidatePolicy currently yields
@@ -293,8 +302,9 @@ class Cluster {
   [[nodiscard]] std::set<ObjectId> suspects(ProcessId id);
 
   /// The one detection-start path: detect() on every suspect of `id`, or,
-  /// with `budget != 0`, on the `budget` oldest by suspicion age (id order
-  /// breaks ties).  Returns how many detections started.
+  /// with `budget != 0`, a start on each of the `budget` oldest by
+  /// suspicion age (id order breaks ties) that skips covered suspects but
+  /// never queues.  Returns how many detections started.
   std::uint64_t start_detections(ProcessId id, std::size_t budget = 0);
 
   /// Cycles proven so far (verdict CDMs, in discovery order).
@@ -305,8 +315,8 @@ class Cluster {
   /// Multi-round full collection: alternates acyclic rounds (LGC + ADGC +
   /// message quiescence) with detection sweeps over every suspect
   /// (start_detections with no budget, under the configured
-  /// CandidatePolicy) until a full iteration reclaims nothing and proves
-  /// no new cycle.
+  /// CandidatePolicy, drained wave by wave) until a full iteration
+  /// reclaims nothing and proves no new cycle.
   struct FullGcStats {
     std::uint64_t rounds{0};
     std::uint64_t reclaimed_objects{0};
@@ -349,6 +359,13 @@ class Cluster {
     std::uint64_t image_epoch{0};
     /// Completed restarts (RecoverMsg::incarnation).
     std::uint64_t incarnations{0};
+    /// One verdict per cycle, reset by every snapshot of this process:
+    /// objects here inside a proven closure (detect() skips them), whether
+    /// a detect() has started a detection here, and the suspects detect()
+    /// queued behind it.
+    std::set<ObjectId> covered;
+    bool detecting{false};
+    std::deque<ObjectId> queued;
   };
 
   /// The node of a live process; throws std::out_of_range for an unknown
@@ -387,7 +404,16 @@ class Cluster {
   /// Routes a delivered message to its protocol handler; `msg` is
   /// env.msg, handed over mutable so the CDM handler can take its payload.
   void dispatch(ProcessId pid, const net::Envelope& env, net::Message& msg);
+  /// Records the verdict, covers its closure, and sends its cuts.
   void handle_cycle_found(ProcessId at, const gc::Cdm& cdm);
+
+  /// The start behind detect() (`paced`) and budgeted start_detections.
+  std::optional<std::uint64_t> start_detection(Node& node, ObjectId candidate,
+                                               bool paced);
+  /// While the network is idle and starts are queued: one wave, each
+  /// process starting its first uncovered queued suspect.
+  void start_waves();
+  [[nodiscard]] bool starts_queued() const;
 
   /// (Re)creates the live half of a Node for `pid` (process + detector +
   /// dispatch attachment) — shared by add_process and restart.
@@ -414,9 +440,10 @@ class Cluster {
 
   /// Steps until the next scheduled event: the network's next due
   /// delivery, the next audit/heartbeat boundary, the earliest lease
-  /// expiry, or the earliest transient-root expiry — whichever comes
-  /// first.  Always >= 1; UINT64_MAX-ish when nothing is scheduled (the
-  /// caller clamps to its own budget).
+  /// expiry, the earliest transient-root expiry, or the next wave of
+  /// queued detection starts — whichever comes first.  Always >= 1;
+  /// UINT64_MAX-ish when nothing is scheduled (the caller clamps to its own
+  /// budget).
   [[nodiscard]] std::uint64_t next_event_delta() const;
 
   ClusterConfig config_;
@@ -438,6 +465,9 @@ class Cluster {
   std::unique_ptr<obs::FlightRecorder> recorder_;
   /// Per-cycle cost ledger; also a net_ observer (add_observer).
   std::unique_ptr<obs::Ledger> ledger_;
+  /// Starts detect() skipped (covered) or queued.
+  util::Counter starts_covered_;
+  util::Counter starts_queued_;
   /// run_until_quiescent's registered counter and gauges.
   util::Counter quiescence_timeout_;
   util::Gauge quiescence_dead_pids_;

@@ -188,17 +188,19 @@ struct CdmMsg final : net::Message {
   }
 };
 
-/// Verdict: instructs the candidate's process to break the detected cycle
-/// by deleting the candidate's incoming dependencies recorded at detection
-/// time (§3.3: "it is safe to instruct the acyclic GC to delete the scion
-/// accounting for the remote reference").  Counter expectations ride along
-/// so a cut that raced a mutation is skipped, never misapplied.
+/// Verdict: instructs one process to break the detected cycle by deleting
+/// the incoming dependencies one member of the proven closure had at
+/// detection time (§3.3: "it is safe to instruct the acyclic GC to delete
+/// the scion accounting for the remote reference").  A verdict sends one
+/// per member (gc::CycleDetector::make_cuts).  Counter expectations ride
+/// along so a cut that raced a mutation is skipped, never misapplied.
 struct CutMsg final : net::Message {
+  /// The closure member to cut (the detection's candidate in its own cut).
   ObjectId candidate{kNoObject};
   std::uint64_t detection_id{0};
-  /// Expected ICs of the candidate's scions at detection time.
+  /// Expected ICs of the member's scions at detection time.
   std::vector<std::pair<rm::ScionKey, std::uint64_t>> scion_cuts;
-  /// Expected UCs of the candidate's inProp links at detection time.
+  /// Expected UCs of the member's inProp links at detection time.
   std::vector<std::pair<ProcessId, std::uint64_t>> prop_cuts;
 
   [[nodiscard]] const char* kind() const noexcept override { return "Cut"; }

@@ -589,36 +589,58 @@ void CycleDetector::send(Cdm cdm, const Replica& dest, EntryVia via) {
   counters_.cdms_sent.inc();
 }
 
-CutMsg CycleDetector::make_cut(const Cdm& cdm) {
-  CutMsg cut;
-  cut.candidate = cdm.candidate.object;
-  cut.detection_id = cdm.detection_id;
+std::vector<std::pair<Replica, CutMsg>> CycleDetector::make_cuts(
+    const Cdm& cdm) {
+  // Members in replica order; the candidate's slot is moved to the front
+  // at the end.
+  std::vector<Replica> members;
+  for (const Element& e : cdm.required_closure()) members.push_back(e.replica);
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  std::vector<std::pair<Replica, CutMsg>> cuts(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    cuts[i].first = members[i];
+    cuts[i].second.candidate = members[i].object;
+    cuts[i].second.detection_id = cdm.detection_id;
+  }
+  const auto cut_of = [&](const Replica& r) -> CutMsg* {
+    const auto it = std::lower_bound(members.begin(), members.end(), r);
+    if (it == members.end() || *it != r) return nullptr;
+    return &cuts[static_cast<std::size_t>(it - members.begin())].second;
+  };
+  const auto add = [](auto& list, const auto& entry) {
+    if (std::find(list.begin(), list.end(), entry) == list.end()) {
+      list.push_back(entry);
+    }
+  };
   for (const Observation& obs : cdm.observations()) {
     // The same link is legitimately observed at both of its ends (with, by
     // construction of a completed detection, equal counters) — dedupe.
     if (const auto* ref = std::get_if<RefLink>(&obs.link)) {
-      if (ref->target == cdm.candidate.object &&
-          ref->target_process == cdm.candidate.process) {
-        const std::pair<rm::ScionKey, std::uint64_t> entry{
-            rm::ScionKey{ref->holder, ref->target}, obs.counter};
-        if (std::find(cut.scion_cuts.begin(), cut.scion_cuts.end(), entry) ==
-            cut.scion_cuts.end()) {
-          cut.scion_cuts.push_back(entry);
-        }
+      if (CutMsg* cut = cut_of(Replica{ref->target, ref->target_process})) {
+        add(cut->scion_cuts, std::pair<rm::ScionKey, std::uint64_t>{
+                                 rm::ScionKey{ref->holder, ref->target},
+                                 obs.counter});
       }
     } else if (const auto* prop = std::get_if<PropLink>(&obs.link)) {
-      if (prop->object == cdm.candidate.object &&
-          prop->child == cdm.candidate.process) {
-        const std::pair<ProcessId, std::uint64_t> entry{prop->parent,
-                                                        obs.counter};
-        if (std::find(cut.prop_cuts.begin(), cut.prop_cuts.end(), entry) ==
-            cut.prop_cuts.end()) {
-          cut.prop_cuts.push_back(entry);
-        }
+      if (CutMsg* cut = cut_of(Replica{prop->object, prop->child})) {
+        add(cut->prop_cuts,
+            std::pair<ProcessId, std::uint64_t>{prop->parent, obs.counter});
       }
     }
   }
-  return cut;
+  std::stable_partition(cuts.begin(), cuts.end(), [&](const auto& c) {
+    return c.first == cdm.candidate;
+  });
+  std::erase_if(cuts, [&](const auto& c) {
+    return c.first != cdm.candidate && c.second.scion_cuts.empty() &&
+           c.second.prop_cuts.empty();
+  });
+  return cuts;
+}
+
+CutMsg CycleDetector::make_cut(const Cdm& cdm) {
+  return std::move(make_cuts(cdm).front().second);
 }
 
 void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {

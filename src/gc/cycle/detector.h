@@ -24,9 +24,10 @@
 //       replicas before parents (§3.3's traversal policy, and the reason
 //       this traversal floods less than the flat one below);
 //     - matching: when every dependency appears in the target set, a
-//       garbage cycle is proven; the candidate's recorded incoming
-//       dependencies (scions / prop links) are cut, and the acyclic
-//       machinery reclaims the whole cycle.
+//       garbage cycle is proven; the recorded incoming dependencies
+//       (scions / prop links) of every member of the candidate's
+//       requirement closure are cut, and the acyclic machinery reclaims
+//       the whole cycle.
 //
 // Flat traversal: the paper's comparator is its precursor (IPDPS'05 [23])
 // "modified to support replicas in a trivial way" — each propagation link
@@ -97,7 +98,7 @@ class CycleDetector {
   [[nodiscard]] const ProcessSummary& summary() const { return *summary_; }
 
   /// Invoked (on the process where matching completed) with the proven
-  /// cycle; the Cluster turns it into a CutMsg for the candidate process.
+  /// cycle; the Cluster turns it into the CutMsgs of make_cuts.
   std::function<void(const Cdm&)> on_cycle_found;
 
   /// Starts a detection with `candidate` (a local object) as the suspect.
@@ -112,8 +113,19 @@ class CycleDetector {
   void on_cut(const net::Envelope& env, const CutMsg& msg);
   void on_prop_cut(const net::Envelope& env, const PropCutMsg& msg);
 
-  /// Builds the cut instruction for a proven cycle from the verdict CDM's
-  /// observations (exposed for the Cluster and for tests).
+  /// The cut instructions a verdict orders, one per replica of the
+  /// candidate's requirement closure (the replica part of every closure
+  /// element, reference links included), candidate first, then in replica
+  /// order.  Each carries that replica's observed scion ICs and inProp UCs;
+  /// members with nothing to cut are left out, the candidate never is.
+  /// The verdict proved the whole closure a garbage island (closed under
+  /// incoming dependencies, every element visited, none locally live), so
+  /// every member may be cut, each guarded by its own counters.  The flat
+  /// traversal records no attribution edges: its closure, and so its cut,
+  /// is the candidate alone.
+  [[nodiscard]] static std::vector<std::pair<Replica, CutMsg>> make_cuts(
+      const Cdm& cdm);
+  /// The candidate's cut: make_cuts(cdm).front().second.
   [[nodiscard]] static CutMsg make_cut(const Cdm& cdm);
 
   /// Installs a wall-clock histogram (owned by the caller) that receives

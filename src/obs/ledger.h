@@ -165,7 +165,8 @@ class Ledger final : public net::Network::Observer {
   /// verdict wins; duplicates are counted and ignored.
   void cycle_proven(ProcessId at, const gc::Cdm& cdm,
                     std::uint64_t unlinked_step);
-  /// The candidate's process applied (or skipped) a Cut verdict.
+  /// A closure member's process applied (or skipped) one of a verdict's
+  /// Cuts; a verdict's cuts accumulate on its entry.
   void cut_applied(std::uint64_t detection_id, std::uint64_t scions_cut,
                    std::uint64_t props_cut, std::uint64_t stale);
   /// The LGC sweep on `pid` freed `object` at `step`.  The candidate's

@@ -60,16 +60,17 @@ std::size_t CdmReference::weight(std::size_t pending_refs) const {
          observations.size() + pending_refs + dep_edges.size();
 }
 
-CutMsg make_cut_reference(const CdmReference& cdm, std::uint64_t detection_id) {
+CutMsg make_cut_reference(const CdmReference& cdm, std::uint64_t detection_id,
+                          const Replica& member) {
   CutMsg cut;
-  cut.candidate = cdm.candidate.object;
+  cut.candidate = member.object;
   cut.detection_id = detection_id;
   for (const Observation& obs : cdm.observations) {
     // The same link is legitimately observed at both of its ends (with, by
     // construction of a completed detection, equal counters) — dedupe.
     if (const auto* ref = std::get_if<RefLink>(&obs.link)) {
-      if (ref->target == cdm.candidate.object &&
-          ref->target_process == cdm.candidate.process) {
+      if (ref->target == member.object &&
+          ref->target_process == member.process) {
         const std::pair<rm::ScionKey, std::uint64_t> entry{
             rm::ScionKey{ref->holder, ref->target}, obs.counter};
         if (std::find(cut.scion_cuts.begin(), cut.scion_cuts.end(), entry) ==
@@ -78,8 +79,7 @@ CutMsg make_cut_reference(const CdmReference& cdm, std::uint64_t detection_id) {
         }
       }
     } else if (const auto* prop = std::get_if<PropLink>(&obs.link)) {
-      if (prop->object == cdm.candidate.object &&
-          prop->child == cdm.candidate.process) {
+      if (prop->object == member.object && prop->child == member.process) {
         const std::pair<ProcessId, std::uint64_t> entry{prop->parent,
                                                         obs.counter};
         if (std::find(cut.prop_cuts.begin(), cut.prop_cuts.end(), entry) ==

@@ -38,8 +38,11 @@ struct CdmReference {
   [[nodiscard]] std::size_t weight(std::size_t pending_refs = 0) const;
 };
 
-/// The original CycleDetector::make_cut over the reference's observations.
+/// The original CycleDetector::make_cut over the reference's observations,
+/// aimed at `member` (one replica of the verdict's closure) instead of the
+/// candidate: every observed scion IC into it and inProp UC toward it.
 [[nodiscard]] CutMsg make_cut_reference(const CdmReference& cdm,
-                                        std::uint64_t detection_id);
+                                        std::uint64_t detection_id,
+                                        const Replica& member);
 
 }  // namespace rgc::gc

@@ -172,7 +172,7 @@ TEST(AdaptivePolicy, BudgetPrioritizesOldestSuspects) {
   // Three objects on p1 anchored only by p2's rooted holder: x (lowest id)
   // becomes remote last, so it is the youngest suspect; y and z share the
   // oldest age.  A budget of 1 must start y — the oldest, with id order
-  // breaking the y/z tie — and nothing else.
+  // breaking the y/z tie — and nothing else: budgeted starts never queue.
   Cluster cluster;
   const ProcessId p1 = cluster.add_process();
   const ProcessId p2 = cluster.add_process();
@@ -215,13 +215,32 @@ TEST(AdaptivePolicy, BudgetPrioritizesOldestSuspects) {
   ASSERT_EQ(starts.size(), starts_before + 1);
   EXPECT_EQ(starts.back().pid, raw(p1));
   EXPECT_EQ(starts.back().a, raw(y));
+  // Nor does a budgeted start wait behind a paced one in flight.
+  const util::Metrics& nm = cluster.network().metrics();
+  ASSERT_TRUE(cluster.detect(p1, x).has_value());
+  EXPECT_EQ(cluster.start_detections(p1, 1), 1u);
+  EXPECT_EQ(nm.get("cycle.starts_queued"), 0u);
 
-  // With no budget, every suspect of a fresh snapshot starts.
+  // With no budget, suspects start in waves: on a fresh snapshot only the
+  // first (x, lowest id) starts at once and the others queue; draining the
+  // network starts one more per wave, in queue order.  None of the three
+  // has an outgoing link, so no detection sends anything and the waves run
+  // back to back at the same step; none is proven, so none covers.
   cluster.run_until_quiescent();
   cluster.snapshot(p1);
-  const std::size_t expected = cluster.suspects(p1).size();
-  EXPECT_EQ(cluster.start_detections(p1), expected);
-  EXPECT_EQ(detect_starts().size(), starts.size() + expected);
+  ASSERT_EQ(cluster.suspects(p1), suspects);
+  const std::size_t base = detect_starts().size();
+  EXPECT_EQ(cluster.start_detections(p1), 1u);
+  EXPECT_EQ(nm.get("cycle.starts_queued"), 2u);
+  ASSERT_EQ(detect_starts().size(), base + 1);
+  EXPECT_EQ(detect_starts().back().a, raw(x));
+  EXPECT_TRUE(cluster.run_until_quiescent().quiescent);
+  const std::vector<obs::RecEvent> waves = detect_starts();
+  ASSERT_EQ(waves.size(), base + 3);
+  EXPECT_EQ(waves[base + 1].a, raw(y));
+  EXPECT_EQ(waves[base + 2].a, raw(z));
+  EXPECT_EQ(waves[base].step, waves[base + 2].step);
+  EXPECT_EQ(nm.get("cycle.starts_covered"), 0u);
 }
 
 TEST(AdaptivePolicy, FixedModeReproducesLegacyCadence) {
