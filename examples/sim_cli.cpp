@@ -1,7 +1,6 @@
 // rgc simulator CLI — parameterized scalability runs from the shell.
 //
 //   $ ./example_sim_cli --processes 4 --deps 50 --mode both --report
-//   $ ./example_sim_cli --processes 3 --deps 25 --mode ours --policy distance
 //   $ ./example_sim_cli --processes 3 --full-gc --trace-out=run.json
 //
 // Builds the §5.2 triangle-mesh ring, runs one cycle detection (ours,
@@ -43,7 +42,6 @@ struct Options {
   std::size_t deps{10};
   std::size_t extra_replicas{0};
   std::string mode{"both"};     // ours | baseline | both
-  std::string policy{"exhaustive"};
   std::uint64_t seed{1};
   bool report{false};
   bool full_gc{false};
@@ -85,7 +83,7 @@ struct Options {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--processes N] [--deps D] [--extra-replicas B]\n"
-      "          [--mode ours|baseline|both] [--policy exhaustive|distance]\n"
+      "          [--mode ours|baseline|both]\n"
       "          [--seed S] [--full-gc] [--report]\n"
       "          [--trace-out=FILE] [--trace-jsonl=FILE] "
       "[--report-json=FILE]\n"
@@ -133,10 +131,6 @@ bool parse(int argc, char** argv, Options& opt) {
       const char* v = value();
       if (!v) return false;
       opt.mode = v;
-    } else if (arg == "--policy") {
-      const char* v = value();
-      if (!v) return false;
-      opt.policy = v;
     } else if (arg == "--seed") {
       const char* v = value();
       if (!v) return false;
@@ -240,10 +234,6 @@ bool parse(int argc, char** argv, Options& opt) {
   }
   if (opt.mode != "ours" && opt.mode != "baseline" && opt.mode != "both") {
     std::fprintf(stderr, "unknown --mode: %s\n", opt.mode.c_str());
-    return false;
-  }
-  if (opt.policy != "exhaustive" && opt.policy != "distance") {
-    std::fprintf(stderr, "unknown --policy: %s\n", opt.policy.c_str());
     return false;
   }
   return opt.processes >= 2 && opt.deps >= 1;
@@ -363,9 +353,6 @@ int run_one(const Options& opt, core::DetectorMode mode, const char* name) {
   cfg.net.seed = opt.seed;
   apply_net_flags(opt, cfg.net);
   cfg.record_capacity = opt.record_capacity;
-  if (opt.policy == "distance") {
-    cfg.candidates = core::CandidatePolicy::kDistance;
-  }
   cfg.audit_interval = opt.audit_interval;
   core::Cluster cluster{cfg};
   const workload::Mesh mesh = workload::build_mesh(
@@ -382,7 +369,7 @@ int run_one(const Options& opt, core::DetectorMode mode, const char* name) {
     steps = cluster.now() - start;
     converged = cluster.total_objects() == 0;
     drain = cluster.run_until_quiescent();
-    std::printf("%-9s full gc: rounds=%llu detections=%llu", name,
+    std::printf("%-9s full gc: rounds=%llu detections=%llu\n", name,
                 static_cast<unsigned long long>(stats.rounds),
                 static_cast<unsigned long long>(stats.detections_started));
   } else {

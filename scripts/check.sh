@@ -34,13 +34,12 @@ if [[ "${1:-}" != "--fast" ]]; then
   # The paper comparison (Figs. 8/9, Table 2) from the optimized tree:
   # fig8 and table2 exit non-zero when a reproduced claim fails (same step
   # to within one, fewer CDMs); fig9 must simply run to completion.
-  # ablation_candidates exits non-zero unless both candidate policies end
-  # clean with live data intact and distance starts fewer detections;
-  # ablation_policies unless the Union Rule keeps live data and every
-  # cadence and daemon-schedule run ends clean (no garbage, no audit error).
-  echo "== paper checks (fig8, fig9, table2, ablation_candidates, ablation_policies) =="
+  # ablation_policies exits non-zero unless the Union Rule keeps live data
+  # and every cadence and daemon-schedule run ends clean (no garbage, no
+  # audit error).
+  echo "== paper checks (fig8, fig9, table2, ablation_policies) =="
   for paper_check in fig8_cdm_per_step fig9_cdm_totals table2_steps_to_detection \
-      ablation_candidates ablation_policies; do
+      ablation_policies; do
     ./build-release/bench/"$paper_check" > /dev/null
   done
 

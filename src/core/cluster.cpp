@@ -76,8 +76,6 @@ void Cluster::build_node(ProcessId pid, Node& node) {
       config_.mode == DetectorMode::kBaseline
           ? gc::Traversal::kFlat
           : gc::Traversal::kReplicationAware);
-  node.distance =
-      std::make_unique<gc::DistanceHeuristic>(config_.candidate_threshold);
   node.suspicion = std::make_unique<gc::SuspicionAgeTracker>();
   node.detector->on_cycle_found = [this, pid](const gc::Cdm& cdm) {
     handle_cycle_found(pid, cdm);
@@ -133,10 +131,6 @@ Cluster::Node& Cluster::live_node(ProcessId id) {
 
 gc::CycleDetector& Cluster::detector(ProcessId id) {
   return *live_node(id).detector;
-}
-
-gc::DistanceHeuristic& Cluster::distance_heuristic(ProcessId id) {
-  return *live_node(id).distance;
 }
 
 gc::SuspicionAgeTracker& Cluster::suspicion_tracker(ProcessId id) {
@@ -358,9 +352,6 @@ std::vector<gc::LgcResult> Cluster::collect_nodes(
   const std::size_t n = nodes.size();
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
-  // Only the distance policy reads post-collection summaries and distance
-  // estimates; every other policy skips that machinery outright.
-  const bool distance = config_.candidates == CandidatePolicy::kDistance;
 
   // Phase 1 — trace, then the sweep's read-only heap scan (parallel across
   // processes).  Everything proportional to the live heap happens here.
@@ -383,42 +374,28 @@ std::vector<gc::LgcResult> Cluster::collect_nodes(
       rm::Process& proc = *nodes[i]->process;
       util::ScopedProcess ctx{proc.id()};
       results[i] = gc::Lgc::apply(proc, std::move(marks[i]), cfg);
-      if (distance) nodes[i]->distance->prune(proc);
     }
   }
 
-  // Phase 3 — post-sweep summaries for the distance heuristic (read-only,
-  // parallel), under kDistance only.  Nodes whose mutation epoch is
-  // unchanged since their last summary reuse it outright.
-  if (distance) summarize_all(nodes, &profile_.histogram("lgc.summarize_us"));
-
-  // Phase 4 — heuristic digests + ADGC protocol messages (sends traffic:
-  // serial, pid order).  The suspicion-age digest runs under every policy
-  // (its work follows the unrooted objects, not the heap); the distance
-  // digest and the estimates NewSetStubs carries run under kDistance only.
+  // Phase 3 — suspicion-age digest + ADGC protocol messages (sends
+  // traffic: serial, pid order).  The digest's work follows the unrooted
+  // objects, not the heap.
   util::ScopedTimerUs timer{&profile_.histogram("adgc.digest_us")};
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = *nodes[i];
     rm::Process& proc = *node.process;
     util::ScopedProcess ctx{proc.id()};
     node.suspicion->after_collection(proc, results[i]);
-    if (distance) {
-      const auto announcements =
-          node.distance->after_collection(results[i], node.summary_cache);
-      gc::Adgc::after_collection(proc, results[i], &announcements);
-    } else {
-      gc::Adgc::after_collection(proc, results[i], nullptr);
-    }
+    gc::Adgc::after_collection(proc, results[i]);
   }
   return results;
 }
 
-void Cluster::summarize_all(const std::vector<Node*>& nodes,
-                            util::Histogram* timer_hist) {
+void Cluster::summarize_all(const std::vector<Node*>& nodes) {
   const std::size_t n = nodes.size();
   std::vector<std::uint8_t> reused(n, 0);
   {
-    util::ScopedTimerUs timer{timer_hist};
+    util::ScopedTimerUs timer{&profile_.histogram("cycle.summarize_us")};
     pool().parallel_for(n, [&](std::size_t i) {
       Node& nd = *nodes[i];
       const rm::Process& proc = *nd.process;
@@ -470,7 +447,7 @@ void Cluster::snapshot_nodes(const std::vector<Node*>& nodes) {
   // Summarize concurrently (read-only per process, dirty-epoch reuse for
   // quiescent ones), install copies serially so detector bookkeeping and
   // metrics land in pid order.
-  summarize_all(nodes, &profile_.histogram("cycle.summarize_us"));
+  summarize_all(nodes);
   util::ScopedTimerUs install_timer{&profile_.histogram("cycle.install_us")};
   for (Node* node : nodes) {
     const ProcessId pid = node->process->id();
@@ -564,10 +541,9 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     }
     stats.reclaimed_objects += reclaimed_this_round;
 
-    // Cyclic phase: fresh snapshots, then every suspect under the
-    // configured candidate policy goes to detect(): one detection per
-    // process starts now, the rest follow in waves while the network
-    // drains, and suspects a verdict has covered are skipped.
+    // Cyclic phase: fresh snapshots, then every suspect goes to detect():
+    // one detection per process starts now, the rest follow in waves while
+    // the network drains, and suspects a verdict has covered are skipped.
     snapshot_all();
     for (ProcessId pid : process_ids()) {
       stats.detections_started += start_detections(pid);
@@ -576,11 +552,7 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
 
     const std::uint64_t new_cycles = cycles_found_.size() - cycles_before;
     stats.cycles_found += new_cycles;
-    // The distance policy needs threshold-many collections before its
-    // estimates mature into suspects — don't give up before that.
-    const bool warming_up = config_.candidates == CandidatePolicy::kDistance &&
-                            round < config_.candidate_threshold + 1;
-    if (reclaimed_this_round == 0 && new_cycles == 0 && !warming_up) break;
+    if (reclaimed_this_round == 0 && new_cycles == 0) break;
   }
   return stats;
 }
@@ -591,18 +563,11 @@ std::set<ObjectId> Cluster::suspects(ProcessId id) {
   if (!node.detector->has_snapshot()) return {};
   const gc::ProcessSummary& s = node.detector->summary();
   std::set<ObjectId> suspects;
-  switch (config_.candidates) {
-    case CandidatePolicy::kExhaustive:
-      for (const auto& [key, scion] : s.scions) {
-        if (!scion.local_reach) suspects.insert(key.anchor);
-      }
-      for (const auto& [obj, rep] : s.replicas) {
-        if (!rep.local_reach) suspects.insert(obj);
-      }
-      break;
-    case CandidatePolicy::kDistance:
-      for (ObjectId obj : node.distance->suspects()) suspects.insert(obj);
-      break;
+  for (const auto& [key, scion] : s.scions) {
+    if (!scion.local_reach) suspects.insert(key.anchor);
+  }
+  for (const auto& [obj, rep] : s.replicas) {
+    if (!rep.local_reach) suspects.insert(obj);
   }
   return suspects;
 }
@@ -679,11 +644,6 @@ void Cluster::dispatch(ProcessId pid, const net::Envelope& env,
     node.process->on_prop_sync(env, *p);
   } else if (const auto* p = dynamic_cast<const gc::NewSetStubsMsg*>(m)) {
     gc::Adgc::on_new_set_stubs(*node.process, env, *p);
-    if (!p->distances.empty()) {
-      const std::map<ObjectId, std::uint32_t> estimates(p->distances.begin(),
-                                                        p->distances.end());
-      node.distance->apply_remote_estimates(*node.process, env.src, estimates);
-    }
   } else if (const auto* p = dynamic_cast<const gc::UnreachableMsg*>(m)) {
     gc::Adgc::on_unreachable(*node.process, env, *p);
   } else if (const auto* p = dynamic_cast<const gc::ReclaimMsg*>(m)) {
@@ -722,7 +682,6 @@ void Cluster::kill(ProcessId pid) {
   net_.detach(pid);  // purges its in-flight traffic, both directions
   node.process.reset();
   node.detector.reset();
-  node.distance.reset();
   node.suspicion.reset();
   node.summary_cache_valid = false;
   node.alive = false;

@@ -51,17 +51,6 @@ enum class DetectorMode {
   kBaseline,          // modified [23]: props flattened to reference pairs
 };
 
-/// How Cluster::suspects picks cycle-detection candidates (§3.1 leaves the
-/// heuristic open; [14] supplies the distance scheme).
-enum class CandidatePolicy {
-  /// Every locally-unreachable scion anchor / replica, every round —
-  /// maximal completeness per round, maximal wasted detections.
-  kExhaustive,
-  /// Maheshwari-style distance estimates piggybacked on NewSetStubs;
-  /// detect only anchors whose estimates crossed the threshold.
-  kDistance,
-};
-
 struct ClusterConfig {
   net::NetworkConfig net{};
   DetectorMode mode{DetectorMode::kReplicationAware};
@@ -70,10 +59,6 @@ struct ClusterConfig {
   bool auto_cut{true};
   /// Finalization strategy used by collect()/collect_all() (Figure 6/7).
   gc::FinalizeStrategy finalize{gc::FinalizeStrategy::kNone};
-  /// Candidate selection for every detection start (start_detections).
-  CandidatePolicy candidates{CandidatePolicy::kExhaustive};
-  /// Distance threshold of CandidatePolicy::kDistance.
-  std::uint32_t candidate_threshold{3};
   /// Worker threads for the read-only GC phases (LGC marking and heap
   /// scan, snapshot summarization) in collect_all/snapshot_all/
   /// run_full_gc.  Results are bit-for-bit identical for any value: the
@@ -146,7 +131,6 @@ class Cluster {
   [[nodiscard]] rm::Process& process(ProcessId id);
   [[nodiscard]] const rm::Process& process(ProcessId id) const;
   [[nodiscard]] gc::CycleDetector& detector(ProcessId id);
-  [[nodiscard]] gc::DistanceHeuristic& distance_heuristic(ProcessId id);
   [[nodiscard]] gc::SuspicionAgeTracker& suspicion_tracker(ProcessId id);
   [[nodiscard]] net::Network& network() noexcept { return net_; }
   [[nodiscard]] const net::Network& network() const noexcept { return net_; }
@@ -297,8 +281,9 @@ class Cluster {
   /// uncovered queued suspect, one wave at a time.
   std::optional<std::uint64_t> detect(ProcessId at, ObjectId candidate);
 
-  /// Detection candidates the configured CandidatePolicy currently yields
-  /// for `id` (empty when no snapshot has been taken yet).
+  /// Detection candidates of `id`: every locally-unreachable scion anchor
+  /// and replica in its snapshot (empty when no snapshot has been taken
+  /// yet).  §3.1 leaves candidate selection out of scope.
   [[nodiscard]] std::set<ObjectId> suspects(ProcessId id);
 
   /// The one detection-start path: detect() on every suspect of `id`, or,
@@ -314,9 +299,8 @@ class Cluster {
 
   /// Multi-round full collection: alternates acyclic rounds (LGC + ADGC +
   /// message quiescence) with detection sweeps over every suspect
-  /// (start_detections with no budget, under the configured
-  /// CandidatePolicy, drained wave by wave) until a full iteration
-  /// reclaims nothing and proves no new cycle.
+  /// (start_detections with no budget, drained wave by wave) until a full
+  /// iteration reclaims nothing and proves no new cycle.
   struct FullGcStats {
     std::uint64_t rounds{0};
     std::uint64_t reclaimed_objects{0};
@@ -335,15 +319,14 @@ class Cluster {
   struct Node {
     std::unique_ptr<rm::Process> process;
     std::unique_ptr<gc::CycleDetector> detector;
-    std::unique_ptr<gc::DistanceHeuristic> distance;
     std::unique_ptr<gc::SuspicionAgeTracker> suspicion;
-    /// Dirty-epoch snapshot reuse: the last summary computed for this
-    /// process (its mutation_epoch field records the epoch it captured) —
-    /// by a snapshot, or by a collection under CandidatePolicy::kDistance,
-    /// the only policy that summarizes after collecting.  summarize_all()
-    /// keeps it verbatim — only the timestamp moves — while the live
-    /// process's epoch still matches, so a quiescent process costs O(1)
-    /// per snapshot round instead of a summarization.
+    /// Dirty-epoch snapshot reuse: the summary this process's last
+    /// snapshot computed (its mutation_epoch field records the epoch it
+    /// captured).  It serves snapshots only — a collection never
+    /// summarizes.  summarize_all() keeps it verbatim — only the timestamp
+    /// moves — while the live process's epoch still matches, so a
+    /// quiescent process costs O(1) per snapshot round instead of a
+    /// summarization.
     gc::ProcessSummary summary_cache;
     bool summary_cache_valid{false};
     /// Whether the most recent summarization of this node had to run fresh
@@ -375,9 +358,8 @@ class Cluster {
   [[nodiscard]] std::vector<Node*> live_nodes();
 
   /// The phased collect behind collect()/collect_all(): parallel mark and
-  /// heap scan, serial apply of the garbage, parallel summarize (kDistance
-  /// only), serial protocol digest.  Returns each node's collection
-  /// result.
+  /// heap scan, serial apply of the garbage, serial protocol digest.
+  /// Returns each node's collection result.
   std::vector<gc::LgcResult> collect_nodes(const std::vector<Node*>& nodes);
 
   /// The snapshot behind snapshot()/snapshot_all(): parallel summarize
@@ -389,8 +371,7 @@ class Cluster {
   /// the cached summary.  Serially records "cycle.summarize_reused" per
   /// reused node and the "cycle.summary_dirty_fraction" gauge (percent of
   /// nodes that needed a fresh summarization).
-  void summarize_all(const std::vector<Node*>& nodes,
-                     util::Histogram* timer_hist);
+  void summarize_all(const std::vector<Node*>& nodes);
 
   /// Recomputes the cycle.summary_dirty_fraction gauge (percent of nodes
   /// whose latest summarization ran fresh) from the per-node freshness

@@ -20,9 +20,7 @@ bool locally_anchored(const LgcResult& result, ObjectId obj) {
 
 }  // namespace
 
-void Adgc::after_collection(
-    rm::Process& process, const LgcResult& result,
-    const std::map<ProcessId, std::map<ObjectId, std::uint32_t>>* distances) {
+void Adgc::after_collection(rm::Process& process, const LgcResult& result) {
   auto& net = process.network();
   const ProcessId self = process.id();
 
@@ -43,11 +41,6 @@ void Adgc::after_collection(
     }
     msg->horizon = process.delivered_prop_seq(peer);
     msg->epoch = epoch;
-    if (distances != nullptr) {
-      if (auto it = distances->find(peer); it != distances->end()) {
-        msg->distances.assign(it->second.begin(), it->second.end());
-      }
-    }
     net.send(self, peer, std::move(msg));
     process.counters().newsetstubs_sent.inc();
   }

@@ -58,15 +58,11 @@ struct NewSetStubsMsg final : net::Message {
   /// the peer relation is forgotten right after — so unlike the periodic
   /// sets it must not be lost, or the peer's scions leak forever.
   bool final_set{false};
-  /// Optional Maheshwari-style distance estimates per anchor (the cycle
-  /// candidate heuristic, gc/cycle/heuristics.h) — piggybacked on the
-  /// round that already flows to exactly the right peer.
-  std::vector<std::pair<ObjectId, std::uint32_t>> distances;
 
   [[nodiscard]] const char* kind() const noexcept override { return "NewSetStubs"; }
   [[nodiscard]] bool reliable() const noexcept override { return final_set; }
   [[nodiscard]] std::size_t weight() const noexcept override {
-    return 1 + stub_anchors.size() + distances.size();
+    return 1 + stub_anchors.size();
   }
   [[nodiscard]] std::unique_ptr<net::Message> clone() const override {
     return std::make_unique<NewSetStubsMsg>(*this);
@@ -101,12 +97,8 @@ class Adgc {
   /// Runs the acyclic protocol's send side right after a local collection:
   /// ships NewSetStubs to every stub peer and applies the Union-Rule
   /// reporting rules to every replicated object, based on the collection's
-  /// reachability classification.  `distances`, when given, piggybacks
-  /// per-peer anchor estimates from the candidate heuristic.
-  static void after_collection(
-      rm::Process& process, const LgcResult& result,
-      const std::map<ProcessId, std::map<ObjectId, std::uint32_t>>*
-          distances = nullptr);
+  /// reachability classification.
+  static void after_collection(rm::Process& process, const LgcResult& result);
 
   // Receive side, wired by the Cluster dispatcher.
   static void on_new_set_stubs(rm::Process& process, const net::Envelope& env,

@@ -26,7 +26,6 @@ std::string run_chaos(const ChaosRunSpec& spec, const RecordedRun* reference,
   cfg.net.duplicate_probability = spec.dup;
   cfg.net.min_delay = 1;
   cfg.net.max_delay = spec.max_delay;
-  cfg.candidate_threshold = 2;
   cfg.lease_timeout = spec.lease_timeout;
   cfg.threads = spec.threads;
   cfg.record_capacity = spec.ring_capacity;

@@ -72,24 +72,34 @@ TEST(Daemon, RunsTheClusterPhasedCollectAndSnapshot) {
 }
 
 TEST(Daemon, SweepAfterCollectionReusesTheCachedSummary) {
-  // Collections summarize only for the distance policy's digest, so that
-  // is the policy under which a sweep can reuse a collection's summary.
-  ClusterConfig cluster_cfg;
-  cluster_cfg.candidates = CandidatePolicy::kDistance;
-  Cluster cluster{cluster_cfg};
+  // A collection never summarizes; the summary cache serves sweeps only.
+  // A sweep after a collection that swept garbage must summarize fresh,
+  // and a sweep with no mutation since the previous one reuses its cache.
+  Cluster cluster;
   const ProcessId p = cluster.add_process();
   cluster.add_root(p, cluster.new_object(p));
   cluster.new_object(p);  // garbage for the collection to sweep
+  const auto reused = [&] {
+    return cluster.process(p).metrics().get("cycle.summarize_reused");
+  };
   DaemonConfig cfg;
-  cfg.collect_period = 16;
+  cfg.collect_period = 32;
   cfg.snapshot_period = 16;
   cfg.adaptive.enabled = false;
   GcDaemon daemon{cluster, cfg};
-  daemon.run(16);  // step 16: one collection, then one sweep, no mutation
-  ASSERT_EQ(daemon.collections(), 1u);
+  daemon.run(16);  // step 16: a sweep, nothing collected yet
+  ASSERT_EQ(daemon.collections(), 0u);
   ASSERT_EQ(daemon.sweeps(), 1u);
+  EXPECT_EQ(reused(), 0u);
+  daemon.run(16);  // step 32: a collection sweeps the garbage, then a sweep
+  ASSERT_EQ(daemon.collections(), 1u);
+  ASSERT_EQ(daemon.sweeps(), 2u);
   EXPECT_EQ(cluster.total_objects(), 1u);
-  EXPECT_EQ(cluster.process(p).metrics().get("cycle.summarize_reused"), 1u);
+  EXPECT_EQ(reused(), 0u) << "the collection's sweep moved the epoch";
+  daemon.run(16);  // step 48: a sweep, nothing changed since step 32
+  ASSERT_EQ(daemon.collections(), 1u);
+  ASSERT_EQ(daemon.sweeps(), 3u);
+  EXPECT_EQ(reused(), 1u);
 }
 
 TEST(Daemon, NeverHarmsLiveDataWhileMutatorRuns) {
@@ -127,17 +137,6 @@ TEST(Daemon, ConvergesOnceMutationStops) {
   EXPECT_TRUE(report.garbage_objects().empty())
       << report.garbage_objects().size()
       << " dead objects survived the background daemon";
-}
-
-TEST(Daemon, HeuristicPoliciesWorkUnderTheDaemon) {
-  ClusterConfig cfg;
-  cfg.candidates = CandidatePolicy::kDistance;
-  cfg.candidate_threshold = 2;
-  Cluster cluster{cfg};
-  workload::build_figure2(cluster);
-  GcDaemon daemon{cluster};
-  daemon.run(400);
-  EXPECT_EQ(cluster.total_objects(), 0u);
 }
 
 TEST(Daemon, ZeroPeriodsAreSanitized) {

@@ -1,10 +1,9 @@
 // Edge-case tests across modules: detector configuration variants, chain
-// summaries, LGC options, message weights, heuristic internals.
+// summaries, LGC options, message weights, finalizer internals.
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
 #include "core/oracle.h"
-#include "gc/cycle/heuristics.h"
 #include "gc/lgc/lgc.h"
 #include "workload/figures.h"
 #include "workload/mesh.h"
@@ -132,51 +131,15 @@ TEST(MessageEdge, CdmWeightTracksAllSections) {
   EXPECT_EQ(msg.weight(), base + 3);  // +1 dep, +1 edge
 }
 
-TEST(MessageEdge, NewSetStubsWeightIncludesDistances) {
+TEST(MessageEdge, NewSetStubsWeightCountsStubAnchors) {
   gc::NewSetStubsMsg msg;
-  const std::size_t base = msg.weight();
+  EXPECT_EQ(msg.weight(), 1u);
   msg.stub_anchors.push_back(ObjectId{1});
-  msg.distances.emplace_back(ObjectId{1}, 3u);
-  EXPECT_EQ(msg.weight(), base + 2);
+  msg.stub_anchors.push_back(ObjectId{2});
+  EXPECT_EQ(msg.weight(), 1 + msg.stub_anchors.size());
 }
 
-// ---- Heuristic internals ------------------------------------------------------
-
-TEST(HeuristicEdge, UnknownAnchorHasInfiniteEstimate) {
-  gc::DistanceHeuristic h{4};
-  EXPECT_EQ(h.estimate(ObjectId{42}), gc::kInfiniteDistance);
-  EXPECT_TRUE(h.suspects().empty());
-}
-
-TEST(HeuristicEdge, PruneDropsRetiredAnchors) {
-  // Estimates are announced and pruned under the distance policy only.
-  ClusterConfig cfg;
-  cfg.candidates = core::CandidatePolicy::kDistance;
-  Cluster cluster{cfg};
-  const ProcessId p1 = cluster.add_process();
-  const ProcessId p2 = cluster.add_process();
-  const ObjectId a = cluster.new_object(p1);
-  const ObjectId b = cluster.new_object(p1);
-  cluster.add_root(p1, a);
-  cluster.add_ref(p1, a, b);
-  cluster.propagate(a, p1, p2);
-  cluster.run_until_quiescent();
-  cluster.add_root(p2, a);  // live remote holder: p2 announces distance 1
-  cluster.collect_all();
-  cluster.run_until_quiescent();
-  cluster.collect_all();
-  cluster.run_until_quiescent();
-  auto& h = cluster.distance_heuristic(p1);
-  ASSERT_NE(h.estimate(b), gc::kInfiniteDistance) << "announced by p2";
-
-  // Retire the scion (p2 drops its interest), then collect: prune runs.
-  cluster.remove_ref(p2, a, b);
-  for (int i = 0; i < 3; ++i) {
-    cluster.collect_all();
-    cluster.run_until_quiescent();
-  }
-  EXPECT_EQ(h.estimate(b), gc::kInfiniteDistance);
-}
+// ---- Finalizer internals --------------------------------------------------------
 
 TEST(HeuristicEdge, FinalizerResetClearsState) {
   gc::Finalizer fin{gc::FinalizeStrategy::kReRegister};

@@ -1,6 +1,5 @@
 // Scale/structure tests: replicated trees and tree rings — the acyclic
-// machinery at volume, the acyclic/cyclic hand-off, and heuristics on
-// larger graphs.
+// machinery at volume and the acyclic/cyclic hand-off.
 #include <gtest/gtest.h>
 
 #include "core/oracle.h"
@@ -95,11 +94,8 @@ TEST(Trees, PartiallyLiveRingKeepsItsLiveTree) {
   EXPECT_EQ(cluster.total_objects(), 0u);
 }
 
-TEST(Trees, HeuristicPoliciesHandleTheRing) {
-  core::ClusterConfig cfg;
-  cfg.candidates = core::CandidatePolicy::kDistance;
-  cfg.candidate_threshold = 2;
-  Cluster cluster{cfg};
+TEST(Trees, TwoTreeRingIsReclaimed) {
+  Cluster cluster;
   build_tree_ring(cluster, {2, 2, 3}, 2);
   cluster.run_full_gc();
   EXPECT_EQ(cluster.total_objects(), 0u);
