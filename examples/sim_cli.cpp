@@ -8,7 +8,8 @@
 // cluster state report.  With --trace-out / --trace-jsonl the run writes
 // the timeline view of its flight recording (CDM lineage, transport, GC
 // phases, queue depth — see docs/OBSERVABILITY.md); with --mode both the
-// files hold the *last* run.
+// files hold the *last* run.  --record, --replay, --bisect and --watch
+// refuse output flags they do not write (usage, exit 2).
 #include <unistd.h>
 
 #include <chrono>
@@ -21,7 +22,9 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "core/report.h"
 #include "obs/dashboard.h"
@@ -96,6 +99,37 @@ void usage(const char* argv0) {
       "          [--record-capacity N] [--threads N] [--perturb-step S]\n"
       "          [--explain-cycle[=ID]] [--ledger-jsonl=FILE]\n",
       argv0);
+}
+
+/// The flag that selects the run main() dispatches to, or "" for the mesh
+/// runs.
+const char* run_kind(const Options& opt) {
+  if (!opt.record_out.empty()) return "--record";
+  if (!opt.replay_in.empty()) return "--replay";
+  if (!opt.bisect_files.empty()) return "--bisect";
+  if (opt.watch) return "--watch";
+  return "";
+}
+
+/// The first output flag given that the selected run does not write, or
+/// null.  The mesh runs write every output; --watch writes --prom-out
+/// only; --record, --replay and --bisect write none of them.
+const char* unwritten_output(const Options& opt) {
+  const std::string_view kind = run_kind(opt);
+  if (kind.empty()) return nullptr;
+  const std::pair<bool, const char*> outputs[] = {
+      {!opt.trace_out.empty(), "--trace-out"},
+      {!opt.trace_jsonl.empty(), "--trace-jsonl"},
+      {!opt.report_json.empty(), "--report-json"},
+      {!opt.ledger_jsonl.empty(), "--ledger-jsonl"},
+      {opt.explain_cycle, "--explain-cycle"},
+      {opt.report, "--report"},
+      {!opt.prom_out.empty() && kind != "--watch", "--prom-out"},
+  };
+  for (const auto& [given, flag] : outputs) {
+    if (given) return flag;
+  }
+  return nullptr;
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -234,6 +268,10 @@ bool parse(int argc, char** argv, Options& opt) {
   }
   if (opt.mode != "ours" && opt.mode != "baseline" && opt.mode != "both") {
     std::fprintf(stderr, "unknown --mode: %s\n", opt.mode.c_str());
+    return false;
+  }
+  if (const char* flag = unwritten_output(opt)) {
+    std::fprintf(stderr, "%s is not written by %s\n", flag, run_kind(opt));
     return false;
   }
   return opt.processes >= 2 && opt.deps >= 1;

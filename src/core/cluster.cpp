@@ -323,24 +323,22 @@ std::vector<Cluster::Node*> Cluster::live_nodes() {
   return nodes;
 }
 
-gc::LgcResult Cluster::collect(ProcessId id) {
-  return std::move(collect_nodes({&live_node(id)}).front());
+const gc::LgcResult& Cluster::collect(ProcessId id) {
+  Node& node = live_node(id);
+  collect_nodes({&node});
+  return node.last_collection;
 }
 
 std::uint64_t Cluster::collect_all() {
   const std::vector<Node*> nodes = live_nodes();
-  std::uint64_t reclaimed = 0;
-  for (const gc::LgcResult& r : collect_nodes(nodes)) {
-    reclaimed += r.reclaimed.size();
-  }
+  const std::uint64_t reclaimed = collect_nodes(nodes);
   if (recorder_) {
     recorder_->phase(obs::kPhaseCollectRound, reclaimed, nodes.size());
   }
   return reclaimed;
 }
 
-std::vector<gc::LgcResult> Cluster::collect_nodes(
-    const std::vector<Node*>& nodes) {
+std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
   // Equivalent to a one-node collect on every node in pid order: each
   // process's state is private, and cross-process effects travel only
   // through messages queued on the network (delivered at a later step()),
@@ -353,42 +351,76 @@ std::vector<gc::LgcResult> Cluster::collect_nodes(
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
 
+  // A node whose process is still at the epoch its kept result is tagged
+  // with reuses it: nothing a trace reads changed since that result was
+  // applied, so a fresh mark would reproduce it, with nothing to sweep.
+  std::vector<std::uint8_t> reused(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    reused[i] = nodes[i]->last_collection_epoch ==
+                nodes[i]->process->mutation_epoch();
+  }
+
   // Phase 1 — trace, then the sweep's read-only heap scan (parallel across
-  // processes).  Everything proportional to the live heap happens here.
+  // processes), for every node that cannot reuse its mark.  Everything
+  // proportional to the live heap happens here.
   std::vector<gc::LgcMark> marks(n);
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.mark_us")};
     pool().parallel_for(n, [&](std::size_t i) {
+      if (reused[i] != 0) return;
       const rm::Process& proc = *nodes[i]->process;
       marks[i] = gc::Lgc::mark(proc, cfg);
+      // The scan refills the stale result's buffers, so the classes of a
+      // process never live twice and are not reallocated.
+      gc::LgcResult& stale = nodes[i]->last_collection;
+      marks[i].object_reach = std::move(stale.object_reach);
+      marks[i].unrooted = std::move(stale.unrooted);
       gc::Lgc::scan(proc, marks[i]);
     });
   }
 
   // Phase 2 — reclaim + finalize the unmarked objects (mutating, shared
-  // finalizer: serial).
-  std::vector<gc::LgcResult> results(n);
+  // finalizer: serial); a reused mark has none, so it only re-records the
+  // kept result.  The reuse tag is the epoch right after this phase: the
+  // sweep and stub drops it makes do not change the survivors' marks.
+  std::uint64_t reclaimed = 0;
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.apply_us")};
     for (std::size_t i = 0; i < n; ++i) {
-      rm::Process& proc = *nodes[i]->process;
+      Node& node = *nodes[i];
+      rm::Process& proc = *node.process;
       util::ScopedProcess ctx{proc.id()};
-      results[i] = gc::Lgc::apply(proc, std::move(marks[i]), cfg);
+      if (reused[i] != 0) {
+        gc::Lgc::reuse(proc, node.last_collection);
+      } else {
+        node.last_collection = gc::Lgc::apply(proc, std::move(marks[i]), cfg);
+      }
+      node.last_collection_epoch = proc.mutation_epoch();
+      reclaimed += node.last_collection.reclaimed.size();
     }
   }
 
   // Phase 3 — suspicion-age digest + ADGC protocol messages (sends
-  // traffic: serial, pid order).  The digest's work follows the unrooted
-  // objects, not the heap.
+  // traffic: serial, pid order), on the fresh or the kept result alike, so
+  // NewSetStubs resends, lease cadence and suspicion ages do not depend on
+  // reuse.  The digest's work follows the unrooted objects, not the heap.
+  // The result is kept for reuse only if this phase left the epoch at the
+  // tag (dismantling a propagation tree unlinks what the mark saw) and no
+  // finalizer resurrected an object (it stays unmarked, to be swept by the
+  // next fresh collection).
   util::ScopedTimerUs timer{&profile_.histogram("adgc.digest_us")};
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = *nodes[i];
     rm::Process& proc = *node.process;
     util::ScopedProcess ctx{proc.id()};
-    node.suspicion->after_collection(proc, results[i]);
-    gc::Adgc::after_collection(proc, results[i]);
+    node.suspicion->after_collection(proc, node.last_collection);
+    gc::Adgc::after_collection(proc, node.last_collection);
+    if (node.last_collection_epoch != proc.mutation_epoch() ||
+        node.last_collection.resurrected != 0) {
+      node.last_collection_epoch.reset();
+    }
   }
-  return results;
+  return reclaimed;
 }
 
 void Cluster::summarize_all(const std::vector<Node*>& nodes) {
@@ -684,6 +716,8 @@ void Cluster::kill(ProcessId pid) {
   node.detector.reset();
   node.suspicion.reset();
   node.summary_cache_valid = false;
+  node.last_collection = {};
+  node.last_collection_epoch.reset();
   node.alive = false;
   node.queued.clear();  // no wave may start on a dead process
   net_.metrics().add("cluster.crashes");

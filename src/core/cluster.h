@@ -256,8 +256,9 @@ class Cluster {
 
   // ---- Garbage collection -------------------------------------------------
   /// One local collection + acyclic-protocol round on one process: the
-  /// phased collect over just `id`.
-  gc::LgcResult collect(ProcessId id);
+  /// phased collect over just `id`.  Returns the result `id`'s node keeps
+  /// (no copy); it stays valid until `id` is collected again or killed.
+  const gc::LgcResult& collect(ProcessId id);
   /// The phased collect over every live process, equivalent to collect()
   /// on each in id order.  With config.threads > 1 the trace phase runs
   /// concurrently across processes; sweeps and protocol messages are
@@ -329,6 +330,14 @@ class Cluster {
     /// summarization.
     gc::ProcessSummary summary_cache;
     bool summary_cache_valid{false};
+    /// Mark reuse: the last collection's result, and the mutation epoch it
+    /// is valid for.  The tag is the epoch right after that collection's
+    /// apply, kept only when the protocol digest after it left the epoch
+    /// there and no finalizer resurrected an object; kill() drops it.  A
+    /// collection whose process still has that epoch reuses the classes,
+    /// unrooted list and stub set instead of tracing (collect_nodes).
+    gc::LgcResult last_collection;
+    std::optional<std::uint64_t> last_collection_epoch;
     /// Whether the most recent summarization of this node had to run fresh
     /// (true) or reused the cache (false).  Feeds the cluster-wide
     /// cycle.summary_dirty_fraction gauge.
@@ -358,9 +367,10 @@ class Cluster {
   [[nodiscard]] std::vector<Node*> live_nodes();
 
   /// The phased collect behind collect()/collect_all(): parallel mark and
-  /// heap scan, serial apply of the garbage, serial protocol digest.
-  /// Returns each node's collection result.
-  std::vector<gc::LgcResult> collect_nodes(const std::vector<Node*>& nodes);
+  /// heap scan (skipped for a node whose kept mark still holds), serial
+  /// apply of the garbage, serial protocol digest.  Each node's result
+  /// lands in its last_collection; returns the objects reclaimed in total.
+  std::uint64_t collect_nodes(const std::vector<Node*>& nodes);
 
   /// The snapshot behind snapshot()/snapshot_all(): parallel summarize
   /// (cached), serial install in pid order.

@@ -32,6 +32,24 @@ void mark_stub_chain(const rm::Process& process, rm::MarkScratch& scratch,
       target, [&](const rm::Stub& stub) { mark_stub(stub, scratch, bit); });
 }
 
+/// The bookkeeping every collection ends with, fresh or reused: counters,
+/// histograms and the sweep event.
+void record_collection(rm::Process& process, const LgcResult& result) {
+  rm::ProcessCounters& counters = process.counters();
+  counters.lgc_collections.inc();
+  counters.lgc_reclaimed.inc(result.reclaimed.size());
+  counters.reclaimed_per_collection->record(result.reclaimed.size());
+  counters.traced_per_collection->record(result.traced);
+  // Sweeps run in the serial phase, so the recorder's global event order
+  // (and hence the .rgcrec bytes) is thread-count independent.
+  if (obs::FlightRecorder* rec = process.recorder()) {
+    rec->sweep(process.id(), result.reclaimed.size(), result.traced);
+  }
+  RGC_DEBUG("lgc: ", to_string(process.id()), " reclaimed ",
+            result.reclaimed.size(), " objects, ", result.live_stubs.size(),
+            " live stubs");
+}
+
 }  // namespace
 
 void Lgc::seed(const rm::Process& process, ObjectId id, std::uint8_t bit) {
@@ -122,6 +140,9 @@ void Lgc::scan(const rm::Process& process, LgcMark& marked) {
   // out in id order, and the unmarked objects are listed (id order too) for
   // apply(), which then never touches a live object.
   const rm::Heap& heap = process.heap();
+  marked.object_reach.clear();
+  marked.unrooted.clear();
+  marked.unmarked.clear();
   marked.object_reach.reserve(heap.size());
   heap.for_each([&](ObjectId id, std::uint32_t slot, const rm::Object&) {
     if (const std::uint8_t mask = heap.marks(slot, marked.epoch)) {
@@ -190,19 +211,16 @@ LgcResult Lgc::apply(rm::Process& process, LgcMark marked,
   if (!result.reclaimed.empty() || result.resurrected != 0) {
     process.note_mutation();
   }
-  counters.lgc_collections.inc();
-  counters.lgc_reclaimed.inc(result.reclaimed.size());
-  counters.reclaimed_per_collection->record(result.reclaimed.size());
-  counters.traced_per_collection->record(result.traced);
-  // Sweeps run in the serial phase, so the recorder's global event order
-  // (and hence the .rgcrec bytes) is thread-count independent.
-  if (obs::FlightRecorder* rec = process.recorder()) {
-    rec->sweep(process.id(), result.reclaimed.size(), result.traced);
-  }
-  RGC_DEBUG("lgc: ", to_string(process.id()), " reclaimed ",
-            result.reclaimed.size(), " objects, ", result.live_stubs.size(),
-            " live stubs");
+  record_collection(process, result);
   return result;
+}
+
+void Lgc::reuse(rm::Process& process, LgcResult& kept) {
+  kept.reclaimed.clear();
+  kept.resurrected = 0;
+  kept.traced = 0;
+  process.counters().marks_reused.inc();
+  record_collection(process, kept);
 }
 
 LgcResult Lgc::collect(rm::Process& process, const LgcConfig& config) {

@@ -32,7 +32,9 @@
 //    serially in pid order; its cost follows the garbage and the stub
 //    table, not the live heap.
 // collect() == mark() + scan() + apply() and is what single-process callers
-// use.
+// use.  reuse() stands in for all three when the process has not changed
+// since the last apply(): the cluster keeps that result and re-records it
+// (Cluster::collect_nodes states when that is safe).
 #pragma once
 
 #include <cstdint>
@@ -71,7 +73,8 @@ struct LgcResult {
   std::vector<ObjectId> reclaimed;
   /// Objects whose finalizer resurrected them (Figure 6/7 experiment).
   std::uint64_t resurrected{0};
-  /// Objects visited across all traces (cost proxy).
+  /// Objects this collection visited across all traces (cost proxy); 0
+  /// for a collection that reused the previous mark.
   std::uint64_t traced{0};
 };
 
@@ -114,8 +117,9 @@ class Lgc {
   static LgcMark mark(const rm::Process& process, const LgcConfig& config = {});
 
   /// Read-only sweep half: one id-ordered heap pass over the masks of
-  /// `marked.epoch` that fills `marked.object_reach`, `marked.unrooted` and
-  /// `marked.unmarked`.  Thread-safe across different processes, like
+  /// `marked.epoch` that refills `marked.object_reach`, `marked.unrooted`
+  /// and `marked.unmarked` (cleared first, so a caller can hand in buffers
+  /// to reuse).  Thread-safe across different processes, like
   /// mark(), and run right after it on the same thread.
   static void scan(const rm::Process& process, LgcMark& marked);
 
@@ -125,6 +129,13 @@ class Lgc {
   /// live object.  Must run on the thread that owns the simulation (serial).
   static LgcResult apply(rm::Process& process, LgcMark marked,
                          const LgcConfig& config = {});
+
+  /// A collection of a process unchanged since `kept` was applied: the
+  /// classes, unrooted list and stub set stand, nothing is traced, swept
+  /// or resurrected.  Clears `kept`'s sweep outcome and records the same
+  /// metrics and sweep event a fresh apply() would, with 0 traced, plus
+  /// "lgc.marks_reused".  Serial, like apply().
+  static void reuse(rm::Process& process, LgcResult& kept);
 
   // ---- Tracing primitives (shared with snapshot summarization) ---------
   //

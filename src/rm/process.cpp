@@ -22,6 +22,7 @@ ProcessCounters::ProcessCounters(util::Metrics& metrics)
       outprops_created(metrics.counter("rm.outprops_created")),
       lgc_collections(metrics.counter("lgc.collections")),
       lgc_reclaimed(metrics.counter("lgc.reclaimed")),
+      marks_reused(metrics.counter("lgc.marks_reused")),
       scions_deleted(metrics.counter("adgc.scions_deleted")),
       lease_expirations(metrics.counter("gc.lease_expirations")),
       summarize_reused(metrics.counter("cycle.summarize_reused")),

@@ -53,6 +53,7 @@ struct ProcessCounters {
   util::Counter outprops_created;
   util::Counter lgc_collections;
   util::Counter lgc_reclaimed;
+  util::Counter marks_reused;
   util::Counter scions_deleted;
   util::Counter lease_expirations;
   util::Counter summarize_reused;

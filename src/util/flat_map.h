@@ -26,6 +26,8 @@ class FlatMap {
   FlatMap() = default;
 
   void reserve(std::size_t n) { items_.reserve(n); }
+  /// Drops every entry, keeping the capacity.
+  void clear() noexcept { items_.clear(); }
 
   /// Appends an entry; `key` must be strictly greater than every key
   /// already present (in-order bulk construction).
