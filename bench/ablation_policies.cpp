@@ -14,17 +14,15 @@
 //     CDM traffic (ledger per-cycle attribution) — the aggregate counters
 //     alone cannot separate "slow because waiting for the detector" from
 //     "slow because the strand is long"; the ledger can.
-//  5. Adaptive vs fixed GcDaemon scheduling: the same garbage waves driven
-//     end-to-end by the background daemon, fixed cadence vs the Pony-style
-//     deferred policy.  Scored at matched safety (oracle-verified complete,
-//     zero audit errors) by GC bytes (CDM wire weight + snapshot bytes) per
-//     reclaimed cycle and by the ledger's unlink->reclaim p90 — the
-//     headline numbers for the adaptive policy.
+//  5. The background GcDaemon alone: the same garbage waves driven
+//     end-to-end by the daemon's schedule (fixed collection cadence,
+//     backed-off sweeps, budgeted detections).  Scored by GC bytes (CDM
+//     wire weight + snapshot bytes) per reclaimed cycle and by the
+//     ledger's unlink->reclaim p90, once the oracle confirms it complete.
 //
 // The safety claims are checks: the bench exits 1 when the Union Rule row
 // loses a live object, or when an Ablation 4/5 run leaves garbage behind
-// (`left`, oracle) or ends with audit errors (`errs`).  The adaptive-vs-fixed
-// verdict is a measurement and gates nothing.
+// (`left`, oracle) or ends with audit errors (`errs`).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -143,7 +141,7 @@ CadenceScore run_cadence(std::uint64_t cadence) {
   return score;
 }
 
-// ---- Ablation 5: adaptive vs fixed daemon scheduling -----------------------
+// ---- Ablation 5: the background daemon -------------------------------------
 
 struct DaemonScore {
   std::uint64_t cycles{0};          // completed ledger entries
@@ -155,15 +153,15 @@ struct DaemonScore {
   std::uint64_t snapshot_bytes{0};  // daemon.snapshot_bytes
   std::uint64_t collections{0};
   std::uint64_t sweeps{0};
-  std::uint64_t skipped{0};         // skipped collections + sweeps
+  std::uint64_t skipped{0};         // sweeps the backoff deferred
   std::uint64_t waves{0};           // spanning garbage cycles built
   std::uint64_t leftover{0};        // oracle: dead objects still present
   std::uint64_t audit_errors{0};
 
   /// GC bytes per reclaimed spanning cycle.  Each wave builds exactly one
   /// garbage cycle, and leftover == 0 certifies every wave was reclaimed —
-  /// normalizing by waves, not ledger entries, keeps a policy from looking
-  /// cheaper by splitting the same garbage across more detections.
+  /// normalizing by waves, not ledger entries, keeps a schedule from
+  /// looking cheaper by splitting the same garbage across more detections.
   [[nodiscard]] double bytes_per_cycle() const {
     return static_cast<double>(cdm_bytes + snapshot_bytes) /
            static_cast<double>(waves == 0 ? 1 : waves);
@@ -172,17 +170,15 @@ struct DaemonScore {
 
 /// The same garbage waves as Ablation 4, but driven entirely by the
 /// background GcDaemon — no explicit collect/snapshot/detect calls, so the
-/// scheduling policy alone decides what GC work runs.  Mutation then stops
-/// and the daemon must finish the job on its own (the adaptive ceilings'
-/// completeness guarantee).  Both variants run the identical workload and
-/// are scored only after the oracle confirms nothing is left.
-DaemonScore run_daemon(bool adaptive) {
+/// daemon's schedule alone decides what GC work runs.  Mutation then stops
+/// and the daemon must finish the job on its own (the sweep ceiling's
+/// completeness guarantee); the run is scored only after the oracle
+/// confirms nothing is left.
+DaemonScore run_daemon() {
   core::ClusterConfig cfg;
   cfg.net.seed = 5;
   core::Cluster cluster{cfg};
-  core::DaemonConfig dcfg;
-  dcfg.adaptive.enabled = adaptive;
-  core::GcDaemon daemon{cluster, dcfg};
+  core::GcDaemon daemon{cluster};
 
   constexpr int kRounds = 24;
   std::vector<std::uint64_t> wave_steps;
@@ -194,8 +190,8 @@ DaemonScore run_daemon(bool adaptive) {
     daemon.run(30);
   }
   // Endgame: mutation has stopped; keep the daemon running until the
-  // oracle reports the cluster clean (bounded — both policies converge,
-  // the bound only caps a regression).
+  // oracle reports the cluster clean (bounded — the bound only caps a
+  // regression).
   std::uint64_t leftover = 0;
   for (int i = 0; i < 8; ++i) {
     daemon.run(250);
@@ -246,7 +242,7 @@ DaemonScore run_daemon(bool adaptive) {
   s.snapshot_bytes = nm.get("daemon.snapshot_bytes");
   s.collections = daemon.collections();
   s.sweeps = daemon.sweeps();
-  s.skipped = daemon.skipped_collections() + daemon.skipped_sweeps();
+  s.skipped = daemon.skipped_sweeps();
   return s;
 }
 
@@ -353,47 +349,27 @@ int main() {
               "reclaimed; rarer detection defers reclaim onto pending wait, "
               "denser detection spends CDM bytes re-proving live strands)\n");
 
-  std::printf("\nAblation 5 — GcDaemon scheduling: fixed cadence vs adaptive "
-              "deferred detection\n");
-  std::printf("%-9s | %6s %9s | %8s %8s %8s | %10s %10s %10s | %6s %6s %8s "
+  std::printf("\nAblation 5 — the background GcDaemon alone\n");
+  std::printf("%6s %9s | %8s %8s %8s | %10s %10s %10s | %6s %6s %8s "
               "| %5s %5s\n",
-              "policy", "cycles", "reclaimed", "mean e2e", "p90 e2e",
-              "wave lag", "cdm bytes", "snap bytes", "bytes/cyc", "sweeps",
-              "colls", "skipped", "left", "errs");
-  DaemonScore scores[2];
-  const char* names[2] = {"fixed", "adaptive"};
-  for (int i = 0; i < 2; ++i) {
-    const DaemonScore s = run_daemon(/*adaptive=*/i == 1);
-    scores[i] = s;
-    safe = safe && s.leftover == 0 && s.audit_errors == 0;
-    std::printf("%-9s | %6llu %9llu | %8.1f %8llu %8.1f | %10llu %10llu "
-                "%10.0f | %6llu %6llu %8llu | %5llu %5llu%s\n",
-                names[i], static_cast<unsigned long long>(s.cycles),
-                static_cast<unsigned long long>(s.reclaimed), s.mean_e2e,
-                static_cast<unsigned long long>(s.p90_e2e), s.wave_lag,
-                static_cast<unsigned long long>(s.cdm_bytes),
-                static_cast<unsigned long long>(s.snapshot_bytes),
-                s.bytes_per_cycle(),
-                static_cast<unsigned long long>(s.sweeps),
-                static_cast<unsigned long long>(s.collections),
-                static_cast<unsigned long long>(s.skipped),
-                static_cast<unsigned long long>(s.leftover),
-                static_cast<unsigned long long>(s.audit_errors),
-                s.leftover == 0 && s.audit_errors == 0 ? "" : "  (!)");
-  }
-  const bool cheaper =
-      scores[1].bytes_per_cycle() < scores[0].bytes_per_cycle();
-  const bool no_slower = scores[1].p90_e2e <= scores[0].p90_e2e;
-  std::printf("  adaptive vs fixed at matched safety: %.0f%% of the GC bytes "
-              "per reclaimed cycle, p90 e2e %llu vs %llu steps -> %s\n",
-              100.0 * scores[1].bytes_per_cycle() /
-                  (scores[0].bytes_per_cycle() == 0.0
-                       ? 1.0
-                       : scores[0].bytes_per_cycle()),
-              static_cast<unsigned long long>(scores[1].p90_e2e),
-              static_cast<unsigned long long>(scores[0].p90_e2e),
-              cheaper && no_slower ? "adaptive wins"
-                                   : "ADAPTIVE DOES NOT WIN (!)");
+              "cycles", "reclaimed", "mean e2e", "p90 e2e", "wave lag",
+              "cdm bytes", "snap bytes", "bytes/cyc", "sweeps", "colls",
+              "skipped", "left", "errs");
+  const DaemonScore s = run_daemon();
+  safe = safe && s.leftover == 0 && s.audit_errors == 0;
+  std::printf("%6llu %9llu | %8.1f %8llu %8.1f | %10llu %10llu %10.0f "
+              "| %6llu %6llu %8llu | %5llu %5llu%s\n",
+              static_cast<unsigned long long>(s.cycles),
+              static_cast<unsigned long long>(s.reclaimed), s.mean_e2e,
+              static_cast<unsigned long long>(s.p90_e2e), s.wave_lag,
+              static_cast<unsigned long long>(s.cdm_bytes),
+              static_cast<unsigned long long>(s.snapshot_bytes),
+              s.bytes_per_cycle(), static_cast<unsigned long long>(s.sweeps),
+              static_cast<unsigned long long>(s.collections),
+              static_cast<unsigned long long>(s.skipped),
+              static_cast<unsigned long long>(s.leftover),
+              static_cast<unsigned long long>(s.audit_errors),
+              s.leftover == 0 && s.audit_errors == 0 ? "" : "  (!)");
   if (!safe) {
     std::printf("FAIL: a safety or completeness claim above does not hold\n");
     return 1;

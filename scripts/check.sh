@@ -102,12 +102,11 @@ if [[ "${1:-}" != "--fast" ]]; then
   ./build/tests/ledger_test \
     --gtest_filter='LedgerTest.JsonlByteIdenticalAcrossThreadCounts:LedgerTest.JsonlByteIdenticalAcrossSchedules:LedgerTest.DecompositionIdentityHoldsOnJitteredMeshes'
 
-  # Adaptive scheduling + quiescence (docs/DESIGN.md "Adaptive deferred
-  # detection"): the policy-labelled suite under both sanitizers — the
-  # daemon's per-lane deferral arithmetic and lane maps, and the
-  # quiescence status across kill/restart (dead-pid counting), are exactly
-  # where a sanitizer finds the lie.  (The chaos runs above already cover
-  # both daemon schedules.)
+  # Daemon schedule + quiescence (docs/DESIGN.md "Daemon schedule"): the
+  # policy-labelled suite under both sanitizers — the daemon's per-lane
+  # deferral arithmetic and lane maps, and the quiescence status across
+  # kill/restart (dead-pid counting), are exactly where a sanitizer finds
+  # the lie.  (The chaos runs above already drive the daemon.)
   echo "== policy suite under ASan/UBSan + TSan =="
   ctest --test-dir build-asan -L policy --output-on-failure -j "$JOBS"
   cmake --build build-tsan -j "$JOBS" --target policy_test

@@ -10,27 +10,15 @@ GcDaemon::GcDaemon(Cluster& cluster, DaemonConfig config)
     : cluster_(cluster), config_(config) {
   if (config_.collect_period == 0) config_.collect_period = 1;
   if (config_.snapshot_period == 0) config_.snapshot_period = 1;
-  collect_max_deferred_ = kCollectCeiling * config_.collect_period;
   sweep_max_deferred_ = kSweepCeiling * config_.snapshot_period;
   util::Metrics& registry = cluster_.network().metrics();
-  collections_ctr_ = registry.counter("daemon.collections");
-  sweeps_ctr_ = registry.counter("daemon.sweeps");
-  detections_ctr_ = registry.counter("daemon.detections_started");
+  collections_ = registry.counter("daemon.collections");
+  sweeps_ = registry.counter("daemon.sweeps");
+  detections_ = registry.counter("daemon.detections_started");
   skipped_sweeps_ = registry.counter("daemon.skipped_sweeps");
-  skipped_collections_ = registry.counter("daemon.skipped_collections");
   forced_sweeps_ = registry.counter("daemon.forced_sweeps");
   snapshot_bytes_ = registry.counter("daemon.snapshot_bytes");
   deferred_budget_ = registry.gauge("daemon.deferred_budget");
-}
-
-void GcDaemon::step() {
-  cluster_.step();
-  const std::uint64_t now = cluster_.now();
-  if (config_.adaptive.enabled) {
-    step_adaptive(now);
-  } else {
-    step_fixed(now);
-  }
 }
 
 std::uint64_t GcDaemon::sweep(ProcessId pid) {
@@ -42,35 +30,18 @@ std::uint64_t GcDaemon::sweep(ProcessId pid) {
   cluster_.persist(pid);
   snapshot_bytes_.inc(cluster_.image(pid).size());
   cluster_.snapshot(pid);
-  ++sweeps_;
-  sweeps_ctr_.inc();
-  const std::uint64_t started = cluster_.start_detections(
-      pid, config_.adaptive.enabled ? config_.adaptive.detect_budget : 0);
-  detections_ += started;
-  detections_ctr_.inc(started);
+  sweeps_.inc();
+  const std::uint64_t started =
+      cluster_.start_detections(pid, config_.detect_budget);
+  detections_.inc(started);
   return started;
-}
-
-void GcDaemon::step_fixed(std::uint64_t now) {
-  for (ProcessId pid : cluster_.process_ids()) {
-    // Staggered by id, so processes never line up cluster-wide.
-    const std::uint64_t phase = now + raw(pid);
-    if (phase % config_.collect_period == 0) {
-      cluster_.collect(pid);
-      ++collections_;
-      collections_ctr_.inc();
-    }
-    if (phase % config_.snapshot_period == 0) sweep(pid);
-  }
 }
 
 GcDaemon::Lane& GcDaemon::lane(ProcessId pid, std::uint64_t now) {
   auto [it, inserted] = lanes_.try_emplace(pid);
   Lane& ln = it->second;
   if (inserted) {
-    // Stagger first due-points by id, like the fixed schedule, so lanes
-    // never line up cluster-wide.
-    ln.collect_backoff = config_.collect_period;
+    // Stagger first due-points by id, so lanes never line up cluster-wide.
     ln.collect_due = now + raw(pid) % config_.collect_period;
     ln.sweep_backoff = config_.snapshot_period;
     ln.sweep_due = now + raw(pid) % config_.snapshot_period;
@@ -79,60 +50,25 @@ GcDaemon::Lane& GcDaemon::lane(ProcessId pid, std::uint64_t now) {
   return ln;
 }
 
-void GcDaemon::step_adaptive(std::uint64_t now) {
-  const DaemonConfig::Adaptive& ad = config_.adaptive;
-  const std::uint64_t collect_min = config_.collect_period;
+void GcDaemon::step() {
+  cluster_.step();
+  const std::uint64_t now = cluster_.now();
   const std::uint64_t sweep_min = config_.snapshot_period;
   // The forced-sweep safety valve reads the auditor's floating-garbage age
   // gauge (deterministic: the audit cadence is part of virtual time).
   const std::uint64_t floating_age =
-      ad.max_floating_age == 0
+      config_.max_floating_age == 0
           ? 0
           : cluster_.auditor().metrics().gauge_value("gc.floating_garbage_age");
   std::uint64_t deferral_high_water = 0;
   for (ProcessId pid : cluster_.process_ids()) {
     Lane& ln = lane(pid, now);
 
-    // ---- Collection lane: epoch-gated, Pony-style backoff. ---------------
-    // Wake-on-message: any mutation observed on a deferred lane — including
-    // a Cut landing on an otherwise-quiet process — snaps the next
-    // collection back to the floor.  Deferral only ever spans true quiet;
-    // without this, garbage proven by a detection would sit reclaimable for
-    // up to a full ceiling waiting on a backed-off schedule.
-    // The woken collect runs this step: the lane was quiet, so this is one
-    // prompt collection per wake, after which the lane re-enters the
-    // normal min-cadence/backoff regime.
-    if (ln.has_collected && ln.collect_backoff > collect_min &&
-        cluster_.process(pid).mutation_epoch() != ln.last_collect_epoch) {
-      ln.collect_backoff = collect_min;
-      ln.collect_due = now;
-    }
+    // ---- Collection lane: every collect_period steps. --------------------
     if (now >= ln.collect_due) {
-      const std::uint64_t epoch = cluster_.process(pid).mutation_epoch();
-      const bool untouched = ln.has_collected && epoch == ln.last_collect_epoch;
-      const bool at_max = ln.collect_backoff >= collect_max_deferred_;
-      if (untouched && !at_max) {
-        // Untouched since the last collection — it cannot have produced
-        // new local garbage.  Defer, but never past the ceiling: the
-        // acyclic protocol's rounds (NewSetStubs/Unreachable/Reclaim)
-        // piggyback on collections and converge over *multiple* rounds,
-        // so a lane at max backoff always collects when due.
-        skipped_collections_.inc();
-        ln.collect_backoff =
-            std::min(ln.collect_backoff * 2, collect_max_deferred_);
-      } else {
-        cluster_.collect(pid);
-        ++collections_;
-        collections_ctr_.inc();
-        // Re-read: the collection's own sweep/stub edits bump the epoch.
-        ln.last_collect_epoch = cluster_.process(pid).mutation_epoch();
-        ln.has_collected = true;
-        // Mutations since last time reset the deferral (Pony's
-        // productivity rule); a ceiling-forced round on a quiet heap
-        // stays amortized at the ceiling.
-        ln.collect_backoff = untouched ? collect_max_deferred_ : collect_min;
-      }
-      ln.collect_due = now + ln.collect_backoff;
+      cluster_.collect(pid);
+      collections_.inc();
+      ln.collect_due = now + config_.collect_period;
     }
 
     // ---- Sweep lane: snapshot + budgeted detection. ----------------------
@@ -140,8 +76,8 @@ void GcDaemon::step_adaptive(std::uint64_t now) {
     // Safety valve: proven garbage has floated past the age bound — sweep
     // even before the backoff expires, rate-limited to the min cadence so
     // a sticky gauge (deep audits refresh it sparsely) cannot thrash.
-    const bool forced = ad.max_floating_age != 0 &&
-                        floating_age >= ad.max_floating_age &&
+    const bool forced = config_.max_floating_age != 0 &&
+                        floating_age >= config_.max_floating_age &&
                         now - ln.last_sweep_at >= sweep_min;
     if (due || forced) {
       const std::uint64_t epoch = cluster_.process(pid).mutation_epoch();

@@ -2,52 +2,40 @@
 //
 // §2.2.3: "From time to time, possibly after a local collection, the ADGC
 // sends a message NewSetStubs…"; §3.5: "periodically, each process stores
-// a snapshot of its internal object graph".  The daemon drives exactly
-// that cadence on virtual time — and, by default, *adapts* it per process
-// instead of firing blindly: a fixed cadence pays for snapshot and
-// detection work whether or not it can possibly find anything, which is
-// precisely the cost the cycle cost ledger (obs/ledger.h) showed dominates
-// detection latency and CDM/snapshot traffic.
+// a snapshot of its internal object graph".  The daemon drives that
+// cadence on virtual time, one lane per process, each staggered by its id
+// so nothing ever lines the processes up:
 //
-// The adaptive policy follows the Pony/encore cycle detector's deferred
-// scheme (min/max exponential backoff, reset on productive work) using
-// signals the system already exports, all deterministic:
+//   - Collections run every `collect_period` steps.  A lane keeps its next
+//     due-point and collects on the first daemon step at or past it, so a
+//     due-point the event-skipping clock jumped over (inside a graph
+//     write's `run_until_quiescent`, say) is paid late, never missed.  A
+//     collection of an unchanged process reuses its last mark
+//     (Cluster::collect), so collecting a quiet lane costs next to nothing
+//     and the ADGC rounds that ride on collections keep converging.
+//   - Snapshot + detection sweeps back off Pony-style (the encore cycle
+//     detector's min/max deferral), on signals the system already exports,
+//     all deterministic:
+//       - mutation *rate*: a hot process would dirty its summary again at
+//         once, and an idle one would snapshot a byte-identical graph —
+//         both defer, doubling up to kSweepCeiling x snapshot_period;
+//       - productivity: a sweep that starts detections (or proves a cycle)
+//         resets its deferral to the minimum; a sweep that finds nothing
+//         backs off;
+//       - `gc.floating_garbage_age` (auditor gauge): proven-garbage age
+//         crossing `max_floating_age` forces a sweep regardless of backoff
+//         — the valve that bounds detection latency under adversarial
+//         mutation.
+//     A due lane at the ceiling always sweeps, so sweeps never stop.
+//   - Each sweep starts at most `detect_budget` detections through
+//     Cluster::start_detections, oldest suspects by suspicion age first.
 //
-//   - `mutation_epoch` deltas: a process whose epoch is unchanged since
-//     its last collection cannot have new local garbage — skip and back
-//     off.  Quiescent processes thus decay toward the max deferral, where
-//     the O(1) dirty-epoch summary cache makes what remains nearly free.
-//     Any fresh mutation on a deferred lane (a Cut landing, a message
-//     delivery that edits references) wakes it back to the floor, so
-//     deferral only ever spans true quiet.
-//   - mutation *rate*: a hot process would dirty its summary again
-//     immediately, so snapshot sweeps back off (bounded — see below).
-//   - productivity: a sweep that starts detections (or proves a cycle)
-//     resets its deferral to the minimum, Pony's "collected a cycle →
-//     detect eagerly again"; a sweep that finds no suspects backs off.
-//   - `gc.floating_garbage_age` (auditor gauge): proven-garbage age
-//     crossing a bound forces a sweep regardless of backoff — the safety
-//     valve that bounds detection latency under adversarial mutation.
-//
-// Completeness is preserved: deferrals stretch toward max_* but sweeps
-// never stop — a due lane at maximum backoff always runs, and the forced
-// sweep triggers on aging floating garbage.  Each process's schedule
-// remains staggered by its id (decentralization: nothing ever lines the
-// processes up), every policy input is deterministic, and the mutator
-// keeps running throughout — the daemon never stops the world.
-//
-// Detection sweeps no longer fire on every due suspect: each sweep calls
-// Cluster::start_detections with a per-sweep budget, which starts the
-// oldest suspects by suspicion age first (objects that survived the most
-// collections anchored only remotely).
+// The mutator keeps running throughout — the daemon never stops the world.
 //
 //   rgc::core::Cluster cluster;
-//   rgc::core::GcDaemon daemon{cluster, {}};   // adaptive by default
+//   rgc::core::GcDaemon daemon{cluster, {}};
 //   ... mutate ...
 //   daemon.run(200);        // 200 simulation steps with background GC
-//
-// `adaptive.enabled = false` reproduces the pre-adaptive fixed cadence
-// exactly (the ablation baseline, and what cadence-asserting tests pin).
 #pragma once
 
 #include <cstdint>
@@ -58,33 +46,23 @@
 namespace rgc::core {
 
 struct DaemonConfig {
-  /// Steps between local collections per process (adaptive: the *minimum*
-  /// deferral — the cadence a busy process gets).
+  /// Steps between local collections per process.
   std::uint64_t collect_period{8};
-  /// Steps between snapshot + detection sweeps per process (adaptive: the
-  /// minimum sweep deferral).
+  /// Steps between snapshot + detection sweeps per process — the minimum
+  /// sweep deferral, the cadence a productive lane gets.
   std::uint64_t snapshot_period{24};
-
-  /// Pony-style adaptive deferred detection (header comment).  Deferral
-  /// doubles per unproductive due-point, up to kCollectCeiling x
-  /// collect_period for collections and kSweepCeiling x snapshot_period
-  /// for sweeps.
-  struct Adaptive {
-    bool enabled{true};
-    /// Max detections started per sweep, oldest suspects first (0 = no
-    /// budget — every due suspect, the pre-adaptive behavior).
-    std::size_t detect_budget{8};
-    /// Force a sweep (ignoring backoff) when the auditor's
-    /// gc.floating_garbage_age gauge reaches this many steps.  0 disables
-    /// the forced-sweep safety valve.
-    std::uint64_t max_floating_age{128};
-  } adaptive{};
+  /// Max detections started per sweep, oldest suspects first (0 = no
+  /// budget: every due suspect).
+  std::size_t detect_budget{8};
+  /// Force a sweep (ignoring backoff) when the auditor's
+  /// gc.floating_garbage_age gauge reaches this many steps.  0 disables
+  /// the forced-sweep safety valve.
+  std::uint64_t max_floating_age{128};
 };
 
 class GcDaemon {
  public:
-  /// Deferral ceilings, as multiples of the fixed periods.
-  static constexpr std::uint64_t kCollectCeiling = 4;
+  /// Sweep deferral ceiling, as a multiple of snapshot_period.
   static constexpr std::uint64_t kSweepCeiling = 8;
   /// A process is "hot" when its mutation-epoch delta per elapsed step, in
   /// percent, reaches this (100 = one mutation per step).  Hot lanes defer
@@ -99,27 +77,24 @@ class GcDaemon {
   /// step(), `steps` times.
   void run(std::uint64_t steps);
 
-  [[nodiscard]] std::uint64_t collections() const noexcept { return collections_; }
-  [[nodiscard]] std::uint64_t sweeps() const noexcept { return sweeps_; }
-  [[nodiscard]] std::uint64_t detections_started() const noexcept {
-    return detections_;
+  // The daemon.* counters in the cluster's network registry (one daemon
+  // per cluster).
+  [[nodiscard]] std::uint64_t collections() const noexcept {
+    return collections_.value();
   }
-  /// Due-points the adaptive policy skipped (work that a fixed cadence
-  /// would have paid for).
+  [[nodiscard]] std::uint64_t sweeps() const noexcept { return sweeps_.value(); }
+  [[nodiscard]] std::uint64_t detections_started() const noexcept {
+    return detections_.value();
+  }
+  /// Sweep due-points the backoff deferred.
   [[nodiscard]] std::uint64_t skipped_sweeps() const noexcept {
     return skipped_sweeps_.value();
   }
-  [[nodiscard]] std::uint64_t skipped_collections() const noexcept {
-    return skipped_collections_.value();
-  }
 
  private:
-  /// Per-process adaptive schedule state.
+  /// Per-process schedule state.
   struct Lane {
     std::uint64_t collect_due{0};
-    std::uint64_t collect_backoff{0};
-    std::uint64_t last_collect_epoch{0};
-    bool has_collected{false};
     std::uint64_t sweep_due{0};
     std::uint64_t sweep_backoff{0};
     std::uint64_t last_sweep_epoch{0};
@@ -127,29 +102,21 @@ class GcDaemon {
     bool has_swept{false};
   };
 
-  void step_fixed(std::uint64_t now);
-  void step_adaptive(std::uint64_t now);
-  /// The snapshot + persist + budgeted detection sweep shared by both
-  /// paths.  Returns the number of detections started.
+  /// Snapshot + persist + budgeted detection sweep.  Returns the number of
+  /// detections started.
   std::uint64_t sweep(ProcessId pid);
   Lane& lane(ProcessId pid, std::uint64_t now);
 
   Cluster& cluster_;
   DaemonConfig config_;
-  std::uint64_t collect_max_deferred_;
   std::uint64_t sweep_max_deferred_;
-  std::uint64_t collections_{0};
-  std::uint64_t sweeps_{0};
-  std::uint64_t detections_{0};
   std::map<ProcessId, Lane> lanes_;
-  /// daemon.* counters in the cluster's network registry — the fix for
-  /// "daemon counters are invisible to observability" (report/Prometheus/
-  /// dashboard all read that registry).
-  util::Counter collections_ctr_;
-  util::Counter sweeps_ctr_;
-  util::Counter detections_ctr_;
+  /// daemon.* counters in the cluster's network registry, so the report,
+  /// Prometheus and the dashboard see them.
+  util::Counter collections_;
+  util::Counter sweeps_;
+  util::Counter detections_;
   util::Counter skipped_sweeps_;
-  util::Counter skipped_collections_;
   util::Counter forced_sweeps_;
   util::Counter snapshot_bytes_;
   util::Gauge deferred_budget_;

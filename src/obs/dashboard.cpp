@@ -82,17 +82,16 @@ std::string render_dashboard(const core::Cluster& cluster,
               cluster.profile().gauge_value("cluster.peak_rss_bytes")) /
               (1024.0 * 1024.0));
 
-  // ---- GC daemon / adaptive policy ------------------------------------
+  // ---- GC daemon ------------------------------------------------------
   // Only present when a GcDaemon drives this cluster (the counters live in
   // the network registry, zero otherwise).
   const util::Metrics& nm = cluster.network().metrics();
   if (nm.get("daemon.collections") != 0 || nm.get("daemon.sweeps") != 0) {
     appendf(out,
-            "daemon: %llu collections (%llu skipped) | %llu sweeps (%llu "
-            "skipped, %llu forced) | %llu detections | deferred budget %llu "
-            "| %.1f KiB snapshots\n",
+            "daemon: %llu collections | %llu sweeps (%llu skipped, %llu "
+            "forced) | %llu detections | deferred budget %llu | %.1f KiB "
+            "snapshots\n",
             static_cast<unsigned long long>(nm.get("daemon.collections")),
-            static_cast<unsigned long long>(nm.get("daemon.skipped_collections")),
             static_cast<unsigned long long>(nm.get("daemon.sweeps")),
             static_cast<unsigned long long>(nm.get("daemon.skipped_sweeps")),
             static_cast<unsigned long long>(nm.get("daemon.forced_sweeps")),

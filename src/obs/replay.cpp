@@ -17,9 +17,10 @@ namespace {
 /// Runs the canonical chaos workload (the shape of chaos_test's
 /// run_fault_chaos, minus the oracle/GC-until-dry tail) with recording on.
 /// Returns the recorder's encoded bytes; `reference`/`out` feed the live
-/// diff when replaying.
+/// diff when replaying, and `inspect` (when set) sees the finished cluster.
 std::string run_chaos(const ChaosRunSpec& spec, const RecordedRun* reference,
-                      Divergence* out_divergence) {
+                      Divergence* out_divergence,
+                      const ChaosRunInspector& inspect = {}) {
   core::ClusterConfig cfg;
   cfg.net.seed = spec.seed;
   cfg.net.drop_probability = spec.drop;
@@ -76,6 +77,7 @@ std::string run_chaos(const ChaosRunSpec& spec, const RecordedRun* reference,
 
   if (!spec.dump_path.empty()) arm_abort_dump(nullptr, {}, {});
   if (out_divergence != nullptr) *out_divergence = recorder->divergence();
+  if (inspect) inspect(cluster);
   return recorder->encode(stamp_of(spec));
 }
 
@@ -107,8 +109,9 @@ ChaosRunSpec spec_of(const RecStamp& stamp) {
   return spec;
 }
 
-std::string record_chaos_run(const ChaosRunSpec& spec) {
-  return run_chaos(spec, nullptr, nullptr);
+std::string record_chaos_run(const ChaosRunSpec& spec,
+                             const ChaosRunInspector& inspect) {
+  return run_chaos(spec, nullptr, nullptr, inspect);
 }
 
 ReplayOutcome replay_recording(const std::string& recorded_bytes,

@@ -17,9 +17,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "obs/recorder.h"
+
+namespace rgc::core {
+class Cluster;
+}  // namespace rgc::core
 
 namespace rgc::obs {
 
@@ -52,8 +57,13 @@ struct ChaosRunSpec {
 [[nodiscard]] RecStamp stamp_of(const ChaosRunSpec& spec);
 [[nodiscard]] ChaosRunSpec spec_of(const RecStamp& stamp);
 
+/// Reads the finished cluster of a recorded run (its metrics, say) before
+/// it is torn down.
+using ChaosRunInspector = std::function<void(const core::Cluster&)>;
+
 /// Runs the workload with recording on; returns encoded `.rgcrec` bytes.
-[[nodiscard]] std::string record_chaos_run(const ChaosRunSpec& spec);
+[[nodiscard]] std::string record_chaos_run(
+    const ChaosRunSpec& spec, const ChaosRunInspector& inspect = {});
 
 struct ReplayOutcome {
   bool loaded{false};

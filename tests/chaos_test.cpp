@@ -7,9 +7,8 @@
 // partitions and heals through the same workload, the acceptance test and
 // the lossy FaultChaosLegs alike.
 //
-// Every leg audits every step with the worker pool at 4 threads, and the
-// daemon-driven legs run once under each daemon schedule (adaptive and
-// fixed cadence); any auditor ERROR fails the run.
+// Every leg audits every step with the worker pool at 4 threads; any
+// auditor ERROR fails the run.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,16 +32,6 @@ ClusterConfig checked_config() {
   ClusterConfig cfg;
   cfg.audit_interval = 1;
   cfg.threads = 4;
-  return cfg;
-}
-
-/// The daemon-driven legs run under both schedules: adaptive deferred
-/// detection (the default) and the fixed cadence.
-constexpr bool kAdaptiveSchedules[] = {true, false};
-
-core::DaemonConfig daemon_config(bool adaptive) {
-  core::DaemonConfig cfg;
-  cfg.adaptive.enabled = adaptive;
   return cfg;
 }
 
@@ -96,38 +85,35 @@ class Chaos : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(Chaos, SafetyUnderEverything) {
   const ChaosCase param = GetParam();
-  for (const bool adaptive : kAdaptiveSchedules) {
-    SCOPED_TRACE(adaptive ? "adaptive daemon" : "fixed-cadence daemon");
-    ClusterConfig cfg = checked_config();
-    cfg.net.seed = param.seed;
-    cfg.net.drop_probability = param.drop;
-    cfg.net.duplicate_probability = param.dup;
-    cfg.net.min_delay = 1;
-    cfg.net.max_delay = param.max_delay;
-    Cluster cluster{cfg};
-    for (std::size_t i = 0; i < param.processes; ++i) cluster.add_process();
+  ClusterConfig cfg = checked_config();
+  cfg.net.seed = param.seed;
+  cfg.net.drop_probability = param.drop;
+  cfg.net.duplicate_probability = param.dup;
+  cfg.net.min_delay = 1;
+  cfg.net.max_delay = param.max_delay;
+  Cluster cluster{cfg};
+  for (std::size_t i = 0; i < param.processes; ++i) cluster.add_process();
 
-    workload::MutatorSpec spec;
-    spec.seed = param.seed * 7919 + 31;
-    spec.w_collect = 0;  // the daemon collects
-    spec.w_step = 5;
-    workload::RandomMutator mutator{cluster, spec};
-    GcDaemon daemon{cluster, daemon_config(adaptive)};
+  workload::MutatorSpec spec;
+  spec.seed = param.seed * 7919 + 31;
+  spec.w_collect = 0;  // the daemon collects
+  spec.w_step = 5;
+  workload::RandomMutator mutator{cluster, spec};
+  GcDaemon daemon{cluster};
 
-    for (int burst = 0; burst < 10; ++burst) {
-      mutator.run(60);
-      daemon.run(25);
-      ASSERT_TRUE(quiesced_cleanly(cluster, cluster.run_until_quiescent()))
-          << "seed " << param.seed << " burst " << burst;
-      const auto report = Oracle::analyze(cluster);
-      ASSERT_TRUE(report.violations.empty())
-          << "seed " << param.seed << " burst " << burst << ": "
-          << report.violations.front();
-      const auto& health = cluster.audit();
-      ASSERT_EQ(audit_errors_so_far(cluster), 0u)
-          << "seed " << param.seed << " burst " << burst << "\n"
-          << health.to_string();
-    }
+  for (int burst = 0; burst < 10; ++burst) {
+    mutator.run(60);
+    daemon.run(25);
+    ASSERT_TRUE(quiesced_cleanly(cluster, cluster.run_until_quiescent()))
+        << "seed " << param.seed << " burst " << burst;
+    const auto report = Oracle::analyze(cluster);
+    ASSERT_TRUE(report.violations.empty())
+        << "seed " << param.seed << " burst " << burst << ": "
+        << report.violations.front();
+    const auto& health = cluster.audit();
+    ASSERT_EQ(audit_errors_so_far(cluster), 0u)
+        << "seed " << param.seed << " burst " << burst << "\n"
+        << health.to_string();
   }
 }
 
@@ -199,9 +185,8 @@ struct FaultRunOutcome {
 /// random mutation and the GC daemon, with a seeded FaultPlan firing kills,
 /// restarts, partitions, heals and persist-alls mid-flight; then
 /// end-of-chaos (heal + restart everyone), quiescence, and GC until dry.
-FaultRunOutcome run_fault_chaos(ClusterConfig cfg, bool adaptive,
-                                std::uint64_t seed, std::size_t processes,
-                                double drop, double dup,
+FaultRunOutcome run_fault_chaos(ClusterConfig cfg, std::uint64_t seed,
+                                std::size_t processes, double drop, double dup,
                                 std::uint32_t max_delay) {
   cfg.net.seed = seed;
   cfg.net.drop_probability = drop;
@@ -227,7 +212,7 @@ FaultRunOutcome run_fault_chaos(ClusterConfig cfg, bool adaptive,
   spec.w_collect = 0;  // the daemon collects
   spec.w_step = 5;
   workload::RandomMutator mutator{cluster, spec};
-  GcDaemon daemon{cluster, daemon_config(adaptive)};
+  GcDaemon daemon{cluster};
 
   // Interleave mutation, background GC (detection included — kills land
   // mid-detection), and the fault schedule until the plan drains.
@@ -274,32 +259,28 @@ FaultRunOutcome run_fault_chaos(ClusterConfig cfg, bool adaptive,
 // The headline acceptance run (always on): 16 processes, ≥3 kills landing
 // mid-detection, a partition episode plus heal, restarts from snapshots —
 // then the cluster must quiesce with zero dead garbage, zero oracle
-// violations and zero auditor errors, under both daemon schedules.
+// violations and zero auditor errors.
 TEST(FaultChaos, AcceptanceSixteenProcessFaultMix) {
-  for (const bool adaptive : kAdaptiveSchedules) {
-    SCOPED_TRACE(adaptive ? "adaptive daemon" : "fixed-cadence daemon");
-    const auto out = run_fault_chaos(checked_config(), adaptive,
-                                     /*seed=*/2024, /*processes=*/16,
-                                     /*drop=*/0.0, /*dup=*/0.0,
-                                     /*max_delay=*/2);
-    EXPECT_GE(out.crashes, 3u) << "plan applied too few kills to count";
-    EXPECT_EQ(out.crashes, out.recoveries);  // everyone came back
-    EXPECT_EQ(out.violations, 0u) << out.detail;
-    EXPECT_EQ(out.garbage, 0u) << "floating garbage survived chaos";
-    EXPECT_EQ(out.audit_errors, 0u) << out.detail;
-    EXPECT_TRUE(out.quiesced)
-        << "end-of-chaos quiescence left traffic in flight or a pid down";
-  }
+  const auto out = run_fault_chaos(checked_config(), /*seed=*/2024,
+                                   /*processes=*/16, /*drop=*/0.0,
+                                   /*dup=*/0.0, /*max_delay=*/2);
+  EXPECT_GE(out.crashes, 3u) << "plan applied too few kills to count";
+  EXPECT_EQ(out.crashes, out.recoveries);  // everyone came back
+  EXPECT_EQ(out.violations, 0u) << out.detail;
+  EXPECT_EQ(out.garbage, 0u) << "floating garbage survived chaos";
+  EXPECT_EQ(out.audit_errors, 0u) << out.detail;
+  EXPECT_TRUE(out.quiesced)
+      << "end-of-chaos quiescence left traffic in flight or a pid down";
 }
 
 // Same seed, same plan, same outcome — the chaos schedule is reproducible,
 // so any failure above can be replayed exactly.  Runs on the cluster's
 // default audit cadence and a single thread.
 TEST(FaultChaos, AcceptanceRunIsSeedReproducible) {
-  const auto a = run_fault_chaos({}, true, 2024, 16, 0.0, 0.0, 2);
-  const auto b = run_fault_chaos({}, true, 2024, 16, 0.0, 0.0, 2);
+  const auto a = run_fault_chaos({}, 2024, 16, 0.0, 0.0, 2);
+  const auto b = run_fault_chaos({}, 2024, 16, 0.0, 0.0, 2);
   EXPECT_EQ(a, b);
-  const auto c = run_fault_chaos({}, true, 2025, 16, 0.0, 0.0, 2);
+  const auto c = run_fault_chaos({}, 2025, 16, 0.0, 0.0, 2);
   EXPECT_TRUE(c.crashes != a.crashes || c.applied != a.applied ||
               c.lease_expirations != a.lease_expirations ||
               c.total_objects != a.total_objects)
@@ -313,19 +294,15 @@ class FaultChaosLegs : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(FaultChaosLegs, SafeAndCompleteUnderLossyChaos) {
   const ChaosCase param = GetParam();
-  for (const bool adaptive : kAdaptiveSchedules) {
-    SCOPED_TRACE(adaptive ? "adaptive daemon" : "fixed-cadence daemon");
-    const auto out =
-        run_fault_chaos(checked_config(), adaptive, param.seed,
-                        param.processes, param.drop, param.dup,
-                        param.max_delay);
-    EXPECT_EQ(out.violations, 0u)
-        << "seed " << param.seed << ": " << out.detail;
-    EXPECT_EQ(out.garbage, 0u) << "seed " << param.seed;
-    EXPECT_EQ(out.audit_errors, 0u)
-        << "seed " << param.seed << "\n" << out.detail;
-    EXPECT_TRUE(out.quiesced) << "seed " << param.seed;
-  }
+  const auto out =
+      run_fault_chaos(checked_config(), param.seed, param.processes,
+                      param.drop, param.dup, param.max_delay);
+  EXPECT_EQ(out.violations, 0u)
+      << "seed " << param.seed << ": " << out.detail;
+  EXPECT_EQ(out.garbage, 0u) << "seed " << param.seed;
+  EXPECT_EQ(out.audit_errors, 0u)
+      << "seed " << param.seed << "\n" << out.detail;
+  EXPECT_TRUE(out.quiesced) << "seed " << param.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,12 +17,31 @@ TEST(Daemon, RunsCollectionsOnSchedule) {
   DaemonConfig cfg;
   cfg.collect_period = 4;
   cfg.snapshot_period = 8;
-  cfg.adaptive.enabled = false;  // this test pins the fixed cadence
   GcDaemon daemon{cluster, cfg};
   daemon.run(32);
-  // 2 processes x (32/4) due collection ticks, staggered but all hit.
-  EXPECT_GE(daemon.collections(), 14u);
-  EXPECT_GE(daemon.sweeps(), 6u);
+  // Every lane collects every 4 steps from its staggered first due-point,
+  // whether or not its process changed: 2 processes x 32/4.
+  EXPECT_EQ(daemon.collections(), 16u);
+  // Sweeps back off on idle lanes, but each lane sweeps at least once.
+  EXPECT_GE(daemon.sweeps(), 2u);
+  EXPECT_GT(daemon.skipped_sweeps(), 0u);
+}
+
+TEST(Daemon, CollectsADueLaneTheClockSkippedPast) {
+  // A due-point the clock passes outside daemon.step() — here
+  // cluster.advance, in a graph store a write's run_until_quiescent — is
+  // paid on the daemon's next step, not lost until the period comes round.
+  Cluster cluster;
+  cluster.add_process();
+  DaemonConfig cfg;
+  cfg.collect_period = 8;
+  GcDaemon daemon{cluster, cfg};
+  daemon.run(8);  // steps 1-8: the lane's first collection
+  ASSERT_EQ(daemon.collections(), 1u);
+  cluster.advance(10);  // steps 9-18, past the lane's next due-point
+  daemon.step();        // step 19, which no multiple of 8 lands on
+  ASSERT_EQ(cluster.now(), 19u);
+  EXPECT_EQ(daemon.collections(), 2u);
 }
 
 TEST(Daemon, ReclaimsTheFigure2CycleInTheBackground) {
@@ -72,9 +91,10 @@ TEST(Daemon, RunsTheClusterPhasedCollectAndSnapshot) {
 }
 
 TEST(Daemon, SweepAfterCollectionReusesTheCachedSummary) {
-  // A collection never summarizes; the summary cache serves sweeps only.
-  // A sweep after a collection that swept garbage must summarize fresh,
-  // and a sweep with no mutation since the previous one reuses its cache.
+  // A collection never summarizes; the summary cache serves snapshots
+  // only.  A sweep after a collection that swept garbage must summarize
+  // fresh, and a snapshot with no mutation since the previous one reuses
+  // its cache — also across a later collection of the unchanged process.
   Cluster cluster;
   const ProcessId p = cluster.add_process();
   cluster.add_root(p, cluster.new_object(p));
@@ -82,23 +102,21 @@ TEST(Daemon, SweepAfterCollectionReusesTheCachedSummary) {
   const auto reused = [&] {
     return cluster.process(p).metrics().get("cycle.summarize_reused");
   };
-  DaemonConfig cfg;
-  cfg.collect_period = 32;
-  cfg.snapshot_period = 16;
-  cfg.adaptive.enabled = false;
-  GcDaemon daemon{cluster, cfg};
-  daemon.run(16);  // step 16: a sweep, nothing collected yet
-  ASSERT_EQ(daemon.collections(), 0u);
-  ASSERT_EQ(daemon.sweeps(), 1u);
+  cluster.snapshot(p);
   EXPECT_EQ(reused(), 0u);
-  daemon.run(16);  // step 32: a collection sweeps the garbage, then a sweep
+  DaemonConfig cfg;
+  cfg.collect_period = 4;
+  cfg.snapshot_period = 64;
+  GcDaemon daemon{cluster, cfg};
+  daemon.step();  // step 1: a collection sweeps the garbage, then a sweep
   ASSERT_EQ(daemon.collections(), 1u);
-  ASSERT_EQ(daemon.sweeps(), 2u);
+  ASSERT_EQ(daemon.sweeps(), 1u);
   EXPECT_EQ(cluster.total_objects(), 1u);
   EXPECT_EQ(reused(), 0u) << "the collection's sweep moved the epoch";
-  daemon.run(16);  // step 48: a sweep, nothing changed since step 32
-  ASSERT_EQ(daemon.collections(), 1u);
-  ASSERT_EQ(daemon.sweeps(), 3u);
+  daemon.run(4);  // step 5: a collection of the unchanged process, no sweep
+  ASSERT_EQ(daemon.collections(), 2u);
+  ASSERT_EQ(daemon.sweeps(), 1u);
+  cluster.snapshot(p);
   EXPECT_EQ(reused(), 1u);
 }
 
@@ -145,10 +163,10 @@ TEST(Daemon, ZeroPeriodsAreSanitized) {
   DaemonConfig cfg;
   cfg.collect_period = 0;
   cfg.snapshot_period = 0;
-  cfg.adaptive.enabled = false;  // the every-step cadence is the point
   GcDaemon daemon{cluster, cfg};
   daemon.run(5);  // must not divide by zero
-  EXPECT_GE(daemon.collections(), 5u);
+  EXPECT_EQ(daemon.collections(), 5u);  // the every-step cadence
+  EXPECT_GE(daemon.sweeps(), 1u);
 }
 
 }  // namespace

@@ -336,6 +336,26 @@ TEST(RecorderTest, ReplayReproducesRecordingByteForByte) {
   EXPECT_NE(outcome.report.find("byte-identical"), std::string::npos);
 }
 
+TEST(RecorderTest, DaemonRecordingReusesMarksAndReplaysByteForByte) {
+  // The daemon collects every lane on its period, so a recorded run
+  // collects processes that did not change since their last collection:
+  // the mark-reuse path runs inside the recording, and replay reproduces
+  // it.  `sim_cli --record`'s default shape (4 processes).
+  ChaosRunSpec spec;
+  spec.seed = 1;
+  spec.processes = 4;
+  std::uint64_t marks_reused = 0;
+  const std::string bytes =
+      obs::record_chaos_run(spec, [&](const core::Cluster& cluster) {
+        marks_reused = cluster.metric_total("lgc.marks_reused");
+      });
+  EXPECT_GT(marks_reused, 0u);
+  const obs::ReplayOutcome outcome = obs::replay_recording(bytes);
+  ASSERT_TRUE(outcome.loaded) << outcome.error;
+  EXPECT_FALSE(outcome.divergence.found) << outcome.report;
+  EXPECT_TRUE(outcome.byte_identical) << outcome.report;
+}
+
 TEST(RecorderTest, ReplayCatchesInjectedPerturbation) {
   const obs::ReplayOutcome outcome = obs::replay_recording(
       default_recording(), /*threads=*/1, /*perturb_step=*/40);
