@@ -54,8 +54,17 @@ if [[ "${1:-}" != "--fast" ]]; then
   # serial finalizer runs under TSan too).
   echo "== thread sanitizer build + determinism tests =="
   cmake -B build-tsan -S . -DRGC_SANITIZE=thread "$WERROR"
-  cmake --build build-tsan -j "$JOBS" --target determinism_test chaos_test recorder_test
+  cmake --build build-tsan -j "$JOBS" --target determinism_test chaos_test recorder_test \
+    mark_reuse_test
   ./build-tsan/tests/determinism_test
+
+  # Mark reuse (DESIGN.md §7b "Mark reuse"): a remote-only mark
+  # rewrites the kept result on a pool thread in phase 1, so the suite runs
+  # under both sanitizers — its differential pins every collection against
+  # a fresh mark, and its big_heap-shaped leg collects on 4 threads.
+  echo "== mark reuse suite under ASan/UBSan + TSan =="
+  ./build-asan/tests/mark_reuse_test
+  ./build-tsan/tests/mark_reuse_test
 
   # Flight-recorder legs (docs/OBSERVABILITY.md "Flight recorder &
   # replay"): the obs-labelled recorder suite under both sanitizers —

@@ -37,6 +37,12 @@ Cluster::Cluster(ClusterConfig config)
   quiescence_timeout_ = net_.metrics().counter("cluster.quiescence_timeout");
   quiescence_dead_pids_ = net_.metrics().gauge("cluster.quiescence_dead_pids");
   quiescence_truncated_ = net_.metrics().gauge("cluster.quiescence_truncated");
+  crashes_ = net_.metrics().counter("cluster.crashes");
+  recoveries_ = net_.metrics().counter("cluster.recoveries");
+  restart_image_rejected_ =
+      net_.metrics().counter("cluster.restart_image_rejected");
+  partitions_ = net_.metrics().counter("cluster.partitions");
+  heals_ = net_.metrics().counter("cluster.heals");
   for (std::size_t i = 0; i < kUnlockKinds.size(); ++i) {
     unlock_delivered_[i] =
         net_.metrics().counter(std::string{"net.delivered."} + kUnlockKinds[i]);
@@ -351,13 +357,23 @@ std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
 
-  // A node whose process is still at the epoch its kept result is tagged
-  // with reuses it: nothing a trace reads changed since that result was
-  // applied, so a fresh mark would reproduce it, with nothing to sweep.
-  std::vector<std::uint8_t> reused(n, 0);
+  // One decision per node, by the tags its kept result carries: a process
+  // still at the mutation epoch it was tagged with changed nothing a trace
+  // reads, so a fresh mark would reproduce the kept result, with nothing to
+  // sweep; one still at the tagged root epoch changed only scions and
+  // propagation lists, so the root family's classes stand and only the
+  // remotely anchored closure is retraced — when the kept result listed
+  // it, because it was small beside the heap.
+  enum class Path : std::uint8_t { kFresh, kRemote, kReuse };
+  std::vector<Path> path(n, Path::kFresh);
   for (std::size_t i = 0; i < n; ++i) {
-    reused[i] = nodes[i]->last_collection_epoch ==
-                nodes[i]->process->mutation_epoch();
+    const Node& node = *nodes[i];
+    if (node.last_collection_epoch == node.process->mutation_epoch()) {
+      path[i] = Path::kReuse;
+    } else if (node.last_root_epoch == node.process->root_epoch() &&
+               node.last_collection.remote_kept) {
+      path[i] = Path::kRemote;
+    }
   }
 
   // Phase 1 — trace, then the sweep's read-only heap scan (parallel across
@@ -367,21 +383,28 @@ std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.mark_us")};
     pool().parallel_for(n, [&](std::size_t i) {
-      if (reused[i] != 0) return;
       const rm::Process& proc = *nodes[i]->process;
-      marks[i] = gc::Lgc::mark(proc, cfg);
-      // The scan refills the stale result's buffers, so the classes of a
-      // process never live twice and are not reallocated.
-      gc::LgcResult& stale = nodes[i]->last_collection;
-      marks[i].object_reach = std::move(stale.object_reach);
-      marks[i].unrooted = std::move(stale.unrooted);
-      gc::Lgc::scan(proc, marks[i]);
+      // Either way the kept result's buffers are refilled, so the classes
+      // of a process never live twice and are not reallocated.
+      gc::LgcResult& kept = nodes[i]->last_collection;
+      switch (path[i]) {
+        case Path::kReuse:
+          return;
+        case Path::kRemote:
+          marks[i] = gc::Lgc::mark_remote(proc, std::move(kept), cfg);
+          return;
+        case Path::kFresh:
+          marks[i] = gc::Lgc::mark(proc, cfg);
+          marks[i].result = std::move(kept);
+          gc::Lgc::scan(proc, marks[i]);
+          return;
+      }
     });
   }
 
   // Phase 2 — reclaim + finalize the unmarked objects (mutating, shared
   // finalizer: serial); a reused mark has none, so it only re-records the
-  // kept result.  The reuse tag is the epoch right after this phase: the
+  // kept result.  The tags are the epochs right after this phase: the
   // sweep and stub drops it makes do not change the survivors' marks.
   std::uint64_t reclaimed = 0;
   {
@@ -390,12 +413,14 @@ std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
       Node& node = *nodes[i];
       rm::Process& proc = *node.process;
       util::ScopedProcess ctx{proc.id()};
-      if (reused[i] != 0) {
+      if (path[i] == Path::kReuse) {
         gc::Lgc::reuse(proc, node.last_collection);
       } else {
+        if (path[i] == Path::kRemote) proc.counters().marks_remote.inc();
         node.last_collection = gc::Lgc::apply(proc, std::move(marks[i]), cfg);
       }
       node.last_collection_epoch = proc.mutation_epoch();
+      node.last_root_epoch = proc.root_epoch();
       reclaimed += node.last_collection.reclaimed.size();
     }
   }
@@ -404,10 +429,10 @@ std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
   // traffic: serial, pid order), on the fresh or the kept result alike, so
   // NewSetStubs resends, lease cadence and suspicion ages do not depend on
   // reuse.  The digest's work follows the unrooted objects, not the heap.
-  // The result is kept for reuse only if this phase left the epoch at the
-  // tag (dismantling a propagation tree unlinks what the mark saw) and no
-  // finalizer resurrected an object (it stays unmarked, to be swept by the
-  // next fresh collection).
+  // A tag is kept only if this phase left its epoch there (dismantling a
+  // propagation tree unlinks what the mark saw; it moves the mutation
+  // epoch alone) and no finalizer resurrected an object (it stays
+  // unmarked, to be swept by the next fresh collection).
   util::ScopedTimerUs timer{&profile_.histogram("adgc.digest_us")};
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = *nodes[i];
@@ -415,9 +440,12 @@ std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
     util::ScopedProcess ctx{proc.id()};
     node.suspicion->after_collection(proc, node.last_collection);
     gc::Adgc::after_collection(proc, node.last_collection);
-    if (node.last_collection_epoch != proc.mutation_epoch() ||
-        node.last_collection.resurrected != 0) {
+    const bool resurrected = node.last_collection.resurrected != 0;
+    if (resurrected || node.last_collection_epoch != proc.mutation_epoch()) {
       node.last_collection_epoch.reset();
+    }
+    if (resurrected || node.last_root_epoch != proc.root_epoch()) {
+      node.last_root_epoch.reset();
     }
   }
   return reclaimed;
@@ -638,7 +666,8 @@ std::uint64_t Cluster::total_objects() const {
 }
 
 std::uint64_t Cluster::metric_total(const std::string& name) const {
-  std::uint64_t total = 0;
+  const auto retired = retired_counters_.find(name);
+  std::uint64_t total = retired == retired_counters_.end() ? 0 : retired->second;
   for (const auto& [pid, node] : nodes_) {
     if (node.alive) total += node.process->metrics().get(name);
   }
@@ -666,7 +695,7 @@ void Cluster::dispatch(ProcessId pid, const net::Envelope& env,
     RGC_DEBUG("cluster: ", to_string(pid), " sees ", to_string(env.src),
               " recovering (incarnation ", p->incarnation, ")");
     node.process->newsetstubs_epochs()[env.src] = 0;
-    node.process->metrics().add("rm.recover_received");
+    node.process->counters().recover_received.inc();
     send_reconciliation(*node.process, env.src);
   } else if (const auto* p = dynamic_cast<const rm::RebindMsg*>(m)) {
     node.process->on_rebind(env, *p);
@@ -711,6 +740,11 @@ void Cluster::kill(ProcessId pid) {
   // The auditor banks the dying process's conservation contributions (CDMs
   // sent/received, pending cut whitelists) before the state vanishes.
   auditor_->note_crash(pid, node.process->metrics());
+  // The restart builds a fresh process with zeroed counters: bank what
+  // this incarnation counted so metric_total keeps it.
+  for (const auto& [name, value] : node.process->metrics().snapshot()) {
+    retired_counters_[name] += value;
+  }
   net_.detach(pid);  // purges its in-flight traffic, both directions
   node.process.reset();
   node.detector.reset();
@@ -718,9 +752,10 @@ void Cluster::kill(ProcessId pid) {
   node.summary_cache_valid = false;
   node.last_collection = {};
   node.last_collection_epoch.reset();
+  node.last_root_epoch.reset();
   node.alive = false;
   node.queued.clear();  // no wave may start on a dead process
-  net_.metrics().add("cluster.crashes");
+  crashes_.inc();
   RGC_INFO("cluster: killed ", to_string(pid));
 }
 
@@ -766,14 +801,14 @@ bool Cluster::restart(ProcessId pid) {
       }
     }
     if (!rehydrated) {
-      net_.metrics().add("cluster.restart_image_rejected");
+      restart_image_rejected_.inc();
       RGC_WARN("cluster: persisted image for ", to_string(pid), " rejected (",
                findings.empty() ? std::string("undecodable")
                                 : findings.front().detail,
                "); restarting empty");
     }
   }
-  net_.metrics().add("cluster.recoveries");
+  recoveries_.inc();
 
   // Lease re-registration in both directions BEFORE any reclamation can run
   // again — the safety of Adgc::expire_leases depends on it.
@@ -789,7 +824,7 @@ bool Cluster::restart(ProcessId pid) {
     auto msg = std::make_unique<rm::RecoverMsg>();
     msg->incarnation = node.incarnations;
     net_.send(pid, q, std::move(msg));
-    node.process->metrics().add("rm.recover_sent");
+    node.process->counters().recover_sent.inc();
   }
   for (auto& [q, qn] : nodes_) {
     if (q == pid || !qn.alive || !net_.reachable(pid, q)) continue;
@@ -837,7 +872,7 @@ void Cluster::partition(const std::vector<std::vector<ProcessId>>& groups) {
     recorder_->fault(obs::RecKind::kPartition, kNoProcess, groups.size());
   }
   net_.set_partition(groups);
-  net_.metrics().add("cluster.partitions");
+  partitions_.inc();
 }
 
 void Cluster::heal() {
@@ -845,7 +880,7 @@ void Cluster::heal() {
   if (recorder_) recorder_->fault(obs::RecKind::kHeal, kNoProcess);
   const std::map<ProcessId, std::uint32_t> groups = net_.partition_groups();
   net_.clear_partition();
-  net_.metrics().add("cluster.heals");
+  heals_.inc();
   // Anti-entropy across the former cut: every live pair the mask separated
   // renews leases immediately (so this step's expiry sweep cannot retire
   // freshly-rebound state) and reconciles in both directions, in pid order.
@@ -881,7 +916,7 @@ void Cluster::send_reconciliation(rm::Process& from, ProcessId peer) {
     msg->anchor = key.target;
     msg->ic = stub.ic;
     net_.send(self, peer, std::move(msg));
-    from.metrics().add("rm.rebinds_sent");
+    from.counters().rebinds_sent.inc();
   }
 
   // (2) Re-propagate every link we own toward the peer — the replica and
@@ -901,7 +936,7 @@ void Cluster::send_reconciliation(rm::Process& from, ProcessId peer) {
   auto sync = std::make_unique<rm::PropSyncMsg>();
   sync->objects = owned;
   net_.send(self, peer, std::move(sync));
-  from.metrics().add("rm.propsyncs_sent");
+  from.counters().propsyncs_sent.inc();
 
   // (4) Refresh the scion-retirement channel: with stubs toward the peer,
   // re-enter the NewSetStubs round so orphaned scions there retire on the
@@ -918,7 +953,7 @@ void Cluster::send_reconciliation(rm::Process& from, ProcessId peer) {
     from.counters().newsetstubs_sent.inc();
     from.stub_peers().erase(peer);
   }
-  from.metrics().add("rm.reconciliations");
+  from.counters().reconciliations.inc();
 }
 
 void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {

@@ -313,7 +313,8 @@ class Cluster {
   // ---- Introspection ------------------------------------------------------
   /// Total replicas across all processes.
   [[nodiscard]] std::uint64_t total_objects() const;
-  /// Sum of one metric across all processes.
+  /// Sum of one per-process counter across every incarnation of every
+  /// process: the live ones plus what killed incarnations counted.
   [[nodiscard]] std::uint64_t metric_total(const std::string& name) const;
 
  private:
@@ -330,14 +331,17 @@ class Cluster {
     /// summarization.
     gc::ProcessSummary summary_cache;
     bool summary_cache_valid{false};
-    /// Mark reuse: the last collection's result, and the mutation epoch it
-    /// is valid for.  The tag is the epoch right after that collection's
-    /// apply, kept only when the protocol digest after it left the epoch
-    /// there and no finalizer resurrected an object; kill() drops it.  A
-    /// collection whose process still has that epoch reuses the classes,
-    /// unrooted list and stub set instead of tracing (collect_nodes).
+    /// Mark reuse: the last collection's result, and the mutation and root
+    /// epochs it is valid for.  Each tag is its epoch right after that
+    /// collection's apply, kept only when the protocol digest after it
+    /// left the epoch there and no finalizer resurrected an object; kill()
+    /// drops both.  A collection whose process is still at the mutation
+    /// tag reuses the classes, unrooted list and stub set instead of
+    /// tracing; one still at the root tag retraces only the remote
+    /// closure (collect_nodes).
     gc::LgcResult last_collection;
     std::optional<std::uint64_t> last_collection_epoch;
+    std::optional<std::uint64_t> last_root_epoch;
     /// Whether the most recent summarization of this node had to run fresh
     /// (true) or reused the cache (false).  Feeds the cluster-wide
     /// cycle.summary_dirty_fraction gauge.
@@ -367,7 +371,8 @@ class Cluster {
   [[nodiscard]] std::vector<Node*> live_nodes();
 
   /// The phased collect behind collect()/collect_all(): parallel mark and
-  /// heap scan (skipped for a node whose kept mark still holds), serial
+  /// heap scan (skipped for a node whose kept mark still holds, confined
+  /// to the remote closure for one whose root side is unchanged), serial
   /// apply of the garbage, serial protocol digest.  Each node's result
   /// lands in its last_collection; returns the objects reclaimed in total.
   std::uint64_t collect_nodes(const std::vector<Node*>& nodes);
@@ -463,6 +468,14 @@ class Cluster {
   util::Counter quiescence_timeout_;
   util::Gauge quiescence_dead_pids_;
   util::Gauge quiescence_truncated_;
+  /// Fault counters (docs/FAULTS.md).
+  util::Counter crashes_;
+  util::Counter recoveries_;
+  util::Counter restart_image_rejected_;
+  util::Counter partitions_;
+  util::Counter heals_;
+  /// Per-process counter totals of killed incarnations (metric_total).
+  std::map<std::string, std::uint64_t> retired_counters_;
   /// Message kinds whose delivery can unlock sweeps the next collection
   /// performs: run_full_gc's acyclic-phase progress signal.
   static constexpr std::array<const char*, 4> kUnlockKinds{

@@ -26,7 +26,7 @@ void Adgc::after_collection(rm::Process& process, const LgcResult& result) {
 
   // ---- NewSetStubs to every peer we may have scions at ------------------
   std::map<ProcessId, std::vector<ObjectId>> per_peer;
-  for (const rm::StubKey& key : result.live_stubs) {
+  for (const auto& [key, mask] : result.stub_reach) {
     per_peer[key.target_process].push_back(key.target);
   }
   std::set<ProcessId> done_peers;
@@ -75,7 +75,7 @@ void Adgc::after_collection(rm::Process& process, const LgcResult& result) {
       msg->uc = e.uc;
       net.send(self, e.process, std::move(msg));
       e.sent_umess = true;
-      process.note_mutation();
+      process.note_remote_mutation();
       process.counters().unreachable_sent.inc();
       RGC_DEBUG("adgc: ", to_string(self), " reports ", to_string(obj),
                 " unreachable to ", to_string(e.process));
@@ -101,7 +101,7 @@ void Adgc::after_collection(rm::Process& process, const LgcResult& result) {
                                   return e.object == obj;
                                 }),
                  outs.end());
-      process.note_mutation();
+      process.note_remote_mutation();
       RGC_DEBUG("adgc: ", to_string(self), " reclaims propagation tree of ",
                 to_string(obj));
     }
@@ -133,7 +133,7 @@ void Adgc::on_new_set_stubs(rm::Process& process, const net::Envelope& env,
       RGC_DEBUG("adgc: ", to_string(process.id()), " drops scion for ",
                 to_string(it->first.anchor), " from ", to_string(env.src));
       it = scions.erase(it);
-      process.note_mutation();
+      process.note_remote_mutation();
     } else {
       ++it;
     }
@@ -152,7 +152,7 @@ void Adgc::on_unreachable(rm::Process& process, const net::Envelope& env,
   }
   if (!e->rec_umess) {
     e->rec_umess = true;
-    process.note_mutation();
+    process.note_remote_mutation();
   }
   process.counters().unreachable_received.inc();
 }
@@ -167,7 +167,7 @@ void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
                              return e.object == obj && e.process == env.src;
                            }),
             ins.end());
-  if (ins.size() != ins_before) process.note_mutation();
+  if (ins.size() != ins_before) process.note_remote_mutation();
 
   // Forward down the tree only when nothing else anchors the replica here:
   // another parent still linked keeps the subtree in place.
@@ -197,7 +197,7 @@ void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
                               return e.object == obj;
                             }),
              outs.end());
-  if (outs.size() != outs_before) process.note_mutation();
+  if (outs.size() != outs_before) process.note_remote_mutation();
   process.counters().reclaim_received.inc();
   if (obs::FlightRecorder* rec = process.recorder()) {
     rec->reclaim_decision(process.id(), env.src, obj);
@@ -269,7 +269,7 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
     }
     if (changed) {
       process.counters().lease_peers_expired.inc();
-      process.note_mutation();
+      process.note_remote_mutation();
     }
   }
   if (expired_scions != 0) {

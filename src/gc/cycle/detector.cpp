@@ -660,7 +660,7 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
       continue;
     }
     scions.erase(it);
-    process_.note_mutation();
+    process_.note_remote_mutation();
     counters_.scions_cut.inc();
     ++scions_cut;
   }
@@ -684,7 +684,7 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
     cut->expected_uc = expected_uc;
     cut->detection_id = msg.detection_id;
     process_.network().send(process_.id(), parent, std::move(cut));
-    process_.note_mutation();
+    process_.note_remote_mutation();
     counters_.props_cut.inc();
     ++props_cut;
   }
@@ -703,7 +703,7 @@ void CycleDetector::on_prop_cut(const net::Envelope& env, const PropCutMsg& msg)
                                      x.process == env.src;
                             }),
              outs.end());
-  process_.note_mutation();
+  process_.note_remote_mutation();
   counters_.outprops_cut.inc();
 }
 

@@ -1,5 +1,6 @@
 #include "gc/lgc/lgc.h"
 
+#include <cassert>
 #include <utility>
 
 #include "obs/ledger.h"
@@ -46,7 +47,7 @@ void record_collection(rm::Process& process, const LgcResult& result) {
     rec->sweep(process.id(), result.reclaimed.size(), result.traced);
   }
   RGC_DEBUG("lgc: ", to_string(process.id()), " reclaimed ",
-            result.reclaimed.size(), " objects, ", result.live_stubs.size(),
+            result.reclaimed.size(), " objects, ", result.stub_reach.size(),
             " live stubs");
 }
 
@@ -101,6 +102,79 @@ void Lgc::trace(const rm::Process& process, std::span<const ObjectId> seeds,
   drain(process, bit, traced);
 }
 
+namespace {
+
+/// Whether a collection keeps its remote closure for the next one to
+/// retrace alone (LgcResult::remote_kept).  That retrace pays a binary
+/// search or two per closure entry on top of tracing it; a fresh mark
+/// pays the roots' closure and a scan of the heap.  Retracing alone wins
+/// while the remote families visit at most a quarter as many objects as
+/// the heap holds: ballast-heavy processes (big_heap and spanning_cycles,
+/// under 5%) but not graph_store's shards, whose objects are nearly all
+/// replicas (over 90%), and whose collections then pay nothing for it.
+bool small_remote_closure(std::uint64_t remote_traced, std::size_t heap) {
+  return 4 * remote_traced <= heap;
+}
+
+/// Phases 2-4 of mark(): the families anchored by other processes.
+void trace_remote(const rm::Process& process, const LgcConfig& config,
+                  std::uint64_t* traced) {
+  // Phase 2 — scions: objects referenced from other processes stay alive.
+  for (const auto& [key, scion] : process.scions()) {
+    Lgc::seed(process, key.anchor, kReachScion);
+  }
+  Lgc::drain(process, kReachScion, traced);
+
+  if (config.union_rule) {
+    // Phase 3 — Union Rule: replicas propagated into this process ...
+    for (const auto& e : process.in_props()) {
+      Lgc::seed(process, e.object, kReachInProp);
+    }
+    Lgc::drain(process, kReachInProp, traced);
+
+    // ... and replicas propagated out of it are both preserved.
+    for (const auto& e : process.out_props()) {
+      Lgc::seed(process, e.object, kReachOutProp);
+    }
+    Lgc::drain(process, kReachOutProp, traced);
+  }
+}
+
+/// mark_remote()'s rewrite of one class map, `reach`, whose root bits
+/// stand: `remote` lists the entries the previous trace's remote families
+/// reached, `marks_of(key)` reads an entry's mask in the fresh epoch, and
+/// `for_each_touched(visit)` calls visit(key, mask) for every entry this
+/// trace reached (repeats allowed).  Leaves `remote` listing the new remote
+/// closure and calls `lost(key)` for each entry nothing reaches any more
+/// (its mask is left 0 for the caller to erase).  Cost: the old and new
+/// remote closures, a binary search each.
+template <typename K, typename MarksOf, typename ForEachTouched, typename Lost>
+void retrace_remote(util::FlatMap<K, std::uint8_t>& reach,
+                    std::vector<K>& remote, MarksOf marks_of,
+                    ForEachTouched for_each_touched, Lost lost) {
+  for (const K& key : remote) {
+    std::uint8_t* mask = reach.find_value(key);
+    assert(mask != nullptr);
+    *mask = static_cast<std::uint8_t>((*mask & kReachRoot) | marks_of(key));
+  }
+  // An entry still without remote bits is seen for the first time; a
+  // repeat visit finds the bits the first one left.
+  for_each_touched([&](const K& key, std::uint8_t marks) {
+    std::uint8_t* mask = reach.find_value(key);
+    assert(mask != nullptr);
+    if ((*mask & ~kReachRoot) != 0) return;
+    *mask |= marks;
+    remote.push_back(key);
+  });
+  std::erase_if(remote, [&](const K& key) {
+    const std::uint8_t mask = *reach.find_value(key);
+    if (mask == 0) lost(key);
+    return (mask & ~kReachRoot) == 0;
+  });
+}
+
+}  // namespace
+
 LgcMark Lgc::mark(const rm::Process& process, const LgcConfig& config) {
   rm::MarkScratch& scratch = process.begin_mark_epoch();
   LgcMark marked;
@@ -113,25 +187,8 @@ LgcMark Lgc::mark(const rm::Process& process, const LgcConfig& config) {
   }
   drain(process, kReachRoot, &marked.traced);
 
-  // Phase 2 — scions: objects referenced from other processes stay alive.
-  for (const auto& [key, scion] : process.scions()) {
-    seed(process, key.anchor, kReachScion);
-  }
-  drain(process, kReachScion, &marked.traced);
-
-  if (config.union_rule) {
-    // Phase 3 — Union Rule: replicas propagated into this process ...
-    for (const auto& e : process.in_props()) {
-      seed(process, e.object, kReachInProp);
-    }
-    drain(process, kReachInProp, &marked.traced);
-
-    // ... and replicas propagated out of it are both preserved.
-    for (const auto& e : process.out_props()) {
-      seed(process, e.object, kReachOutProp);
-    }
-    drain(process, kReachOutProp, &marked.traced);
-  }
+  trace_remote(process, config, &marked.remote_traced);
+  marked.traced += marked.remote_traced;
   return marked;
 }
 
@@ -140,31 +197,95 @@ void Lgc::scan(const rm::Process& process, LgcMark& marked) {
   // out in id order, and the unmarked objects are listed (id order too) for
   // apply(), which then never touches a live object.
   const rm::Heap& heap = process.heap();
-  marked.object_reach.clear();
-  marked.unrooted.clear();
+  LgcResult& result = marked.result;
+  result.object_reach.clear();
+  result.unrooted.clear();
+  result.remote_objects.clear();
   marked.unmarked.clear();
-  marked.object_reach.reserve(heap.size());
+  result.object_reach.reserve(heap.size());
+  const bool keep = small_remote_closure(marked.remote_traced, heap.size());
+  result.remote_kept = keep;
   heap.for_each([&](ObjectId id, std::uint32_t slot, const rm::Object&) {
     if (const std::uint8_t mask = heap.marks(slot, marked.epoch)) {
-      marked.object_reach.append(id, mask);
-      if ((mask & kReachRoot) == 0) marked.unrooted.push_back(id);
+      result.object_reach.append(id, mask);
+      if ((mask & kReachRoot) == 0) result.unrooted.push_back(id);
+      if (keep && mask != kReachRoot) result.remote_objects.push_back(id);
     } else {
       marked.unmarked.push_back(id);
     }
   });
+
+  // The new stub set (§2.2.2): a stub survives only if some trace reached
+  // it.
+  result.stub_reach.clear();
+  result.remote_stubs.clear();
+  marked.dead_stubs.clear();
+  result.stub_reach.reserve(process.stubs().size());
+  for (const auto& [key, stub] : process.stubs()) {
+    if (const std::uint8_t mask = stub.marks(marked.epoch)) {
+      result.stub_reach.append(key, mask);
+      if (keep && mask != kReachRoot) result.remote_stubs.push_back(key);
+    } else {
+      marked.dead_stubs.push_back(key);
+    }
+  }
+}
+
+LgcMark Lgc::mark_remote(const rm::Process& process, LgcResult kept,
+                         const LgcConfig& config) {
+  rm::MarkScratch& scratch = process.begin_mark_epoch();
+  LgcMark marked;
+  marked.epoch = scratch.epoch;
+  trace_remote(process, config, &marked.traced);
+  const rm::Heap& heap = process.heap();
+  LgcResult& result = marked.result = std::move(kept);
+  result.remote_kept = small_remote_closure(marked.traced, heap.size());
+
+  // The root side is as `kept` saw it: the heap and stub table hold exactly
+  // what `kept` classified, and every root bit stands.
+  retrace_remote(
+      result.object_reach, result.remote_objects,
+      [&](ObjectId id) { return heap.marks(heap.slot_of(id), marked.epoch); },
+      [&](const auto& visit) {
+        for (const std::uint32_t slot : scratch.queue) {
+          visit(heap.at_slot(slot).id, heap.marks(slot, marked.epoch));
+        }
+      },
+      [](ObjectId) {});
+  // Only a previously unrooted object can have lost every family; those
+  // are the garbage, in the id order `unrooted` keeps.
+  std::erase_if(result.unrooted, [&](ObjectId id) {
+    if (*result.object_reach.find_value(id) != 0) return false;
+    marked.unmarked.push_back(id);
+    return true;
+  });
+
+  const auto stub_marks = [&](const rm::StubKey& key) {
+    return process.find_stub(key)->marks(marked.epoch);
+  };
+  retrace_remote(
+      result.stub_reach, result.remote_stubs, stub_marks,
+      [&](const auto& visit) {
+        for (const rm::StubKey& key : scratch.stubs) visit(key, stub_marks(key));
+      },
+      [&](const rm::StubKey& key) { marked.dead_stubs.push_back(key); });
+
+  const auto lost = [](std::uint8_t mask) { return mask == 0; };
+  if (!marked.unmarked.empty()) result.object_reach.erase_if_value(lost);
+  if (!marked.dead_stubs.empty()) result.stub_reach.erase_if_value(lost);
+  return marked;
 }
 
 LgcResult Lgc::apply(rm::Process& process, LgcMark marked,
                      const LgcConfig& config) {
-  const std::uint64_t epoch = marked.epoch;
-  LgcResult result;
+  LgcResult result = std::move(marked.result);
   result.traced = marked.traced;
-  result.object_reach = std::move(marked.object_reach);
-  result.unrooted = std::move(marked.unrooted);
+  result.reclaimed.clear();
+  result.resurrected = 0;
 
-  // Sweep the objects scan() found unmarked, in id order.  Finalizable
-  // ones run the configured strategy and may resurrect (they stay in the
-  // heap, to be finalized again next time — the Figure 6/7 worst case).
+  // Sweep the objects listed unmarked, in id order.  Finalizable ones run
+  // the configured strategy and may resurrect (they stay in the heap, to
+  // be finalized again next time — the Figure 6/7 worst case).
   rm::Heap& heap = process.heap();
   rm::ProcessCounters& counters = process.counters();
   const std::uint64_t now = process.network().now();
@@ -193,17 +314,9 @@ LgcResult Lgc::apply(rm::Process& process, LgcMark marked,
     heap.erase(id);
   }
 
-  // New stub set (§2.2.2): a stub survives only if some trace reached it.
-  result.stub_reach.reserve(process.stubs().size());
-  for (auto it = process.stubs().begin(); it != process.stubs().end();) {
-    const rm::Stub& stub = it->second;
-    ++it;  // advance before a potential erase invalidates the entry
-    if (const std::uint8_t mask = stub.marks(epoch)) {
-      result.stub_reach.append(stub.key, mask);
-      result.live_stubs.insert(stub.key);
-    } else if (config.drop_dead_stubs) {
-      process.erase_stub(stub.key);
-    }
+  // The stub set regenerated: no trace reached the listed stubs.
+  if (config.drop_dead_stubs) {
+    for (const rm::StubKey& key : marked.dead_stubs) process.erase_stub(key);
   }
 
   // Sweep outcomes change the snapshot summary (objects gone, finalizers

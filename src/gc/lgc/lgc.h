@@ -23,18 +23,24 @@
 //    (rm/object.h) and the process-owned scratch worklist (rm::MarkScratch),
 //    so it allocates nothing at steady state and is safe to run for
 //    different processes on different threads concurrently.
-//  - scan()  — the sweep's read-only half: one id-ordered heap pass that
-//    reads the masks into the reachability classification and lists the
-//    unmarked objects.  Read-only too, so the cluster runs it beside mark().
-//  - apply() — finalization, reclamation of the listed objects, stub-set
-//    regeneration, metrics, and recording.  Mutates the process and touches
-//    shared sinks (recorder, ledger, Finalizer), so the cluster runs it
-//    serially in pid order; its cost follows the garbage and the stub
-//    table, not the live heap.
+//  - scan()  — the sweep's read-only half: one id-ordered heap pass and
+//    one stub-table pass that read the masks into the reachability
+//    classification and list the unmarked objects and dead stubs.
+//    Read-only too, so the cluster runs it beside mark().
+//  - apply() — finalization, reclamation of the listed objects, dropping
+//    the listed stubs, metrics, and recording.  Mutates the process and
+//    touches shared sinks (recorder, ledger, Finalizer), so the cluster
+//    runs it serially in pid order; its cost follows the garbage, not the
+//    live heap.
 // collect() == mark() + scan() + apply() and is what single-process callers
-// use.  reuse() stands in for all three when the process has not changed
-// since the last apply(): the cluster keeps that result and re-records it
-// (Cluster::collect_nodes states when that is safe).
+// use.  Two shortcuts serve a process the cluster collected before, judged
+// by the epochs its kept result is tagged with (Cluster::collect_nodes):
+//  - reuse() stands in for all three when nothing changed since the last
+//    apply() (rm::Process::mutation_epoch);
+//  - mark_remote() stands in for mark() + scan() when only scions and
+//    propagation lists changed (rm::Process::root_epoch): the root family's
+//    classes are kept, and only the remotely anchored closure is retraced
+//    and rewritten.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +51,6 @@
 #include "rm/process.h"
 #include "rm/tables.h"
 #include "util/flat_map.h"
-#include "util/flat_set.h"
 #include "util/ids.h"
 
 namespace rgc::gc {
@@ -61,35 +66,47 @@ enum ReachBit : std::uint8_t {
 struct LgcResult {
   /// Reachability class of every surviving object (key-ordered).
   util::FlatMap<ObjectId, std::uint8_t> object_reach;
-  /// Reachability class of every reached stub (a stub unreachable by all
-  /// four families is dead and was dropped from the process's stub table).
+  /// Reachability class of every reached stub: the new stub set after the
+  /// collection (§2.2.2).  A stub unreachable by all four families is dead
+  /// and was dropped from the process's stub table.
   util::FlatMap<rm::StubKey, std::uint8_t> stub_reach;
-  /// The new stub set after the collection (§2.2.2).
-  util::FlatSet<rm::StubKey> live_stubs;
   /// Surviving objects that no root reached, only scions or propagation
   /// entries (id order): the subset of object_reach lacking kReachRoot.
   std::vector<ObjectId> unrooted;
+  /// The remote closure: objects and stubs some family other than the
+  /// roots reached (no particular order) — the entries mark_remote()
+  /// rewrites when the next collection retraces only that side.  Listed
+  /// only while it is small beside the heap (remote_kept), the one case
+  /// where retracing it alone beats a fresh mark.
+  std::vector<ObjectId> remote_objects;
+  std::vector<rm::StubKey> remote_stubs;
+  bool remote_kept{false};
   /// Objects swept by this collection.
   std::vector<ObjectId> reclaimed;
   /// Objects whose finalizer resurrected them (Figure 6/7 experiment).
   std::uint64_t resurrected{0};
   /// Objects this collection visited across all traces (cost proxy); 0
-  /// for a collection that reused the previous mark.
+  /// for a collection that reused the previous mark, the remote families'
+  /// visits only for one that retraced just those.
   std::uint64_t traced{0};
 };
 
-/// Token handed from mark() through scan() to apply(): identifies the mark
-/// epoch whose masks encode the reachability classification, and carries
-/// what scan() read off those masks.
+/// Token handed from mark() through scan() (or from mark_remote()) to
+/// apply(): the mark epoch whose masks were read, the result built from
+/// them, and the garbage apply() removes.
 struct LgcMark {
   std::uint64_t epoch{0};
   std::uint64_t traced{0};
-  /// Filled by scan(), moved into LgcResult by apply().
-  util::FlatMap<ObjectId, std::uint8_t> object_reach;
-  std::vector<ObjectId> unrooted;
-  /// Filled by scan(): every object no trace reached, in id order — the
-  /// only objects apply() visits.
+  /// The part of `traced` the remote families (scions, inProps, outProps)
+  /// visited (set by mark(), read by scan()).
+  std::uint64_t remote_traced{0};
+  /// Everything but the sweep outcome, which apply() adds.
+  LgcResult result;
+  /// Every object no trace reached, in id order — the only objects apply()
+  /// visits.
   std::vector<ObjectId> unmarked;
+  /// Every stub no trace reached — what apply() drops.
+  std::vector<rm::StubKey> dead_stubs;
 };
 
 struct LgcConfig {
@@ -116,17 +133,33 @@ class Lgc {
   /// logging, tracing, or metrics).
   static LgcMark mark(const rm::Process& process, const LgcConfig& config = {});
 
-  /// Read-only sweep half: one id-ordered heap pass over the masks of
-  /// `marked.epoch` that refills `marked.object_reach`, `marked.unrooted`
-  /// and `marked.unmarked` (cleared first, so a caller can hand in buffers
-  /// to reuse).  Thread-safe across different processes, like
-  /// mark(), and run right after it on the same thread.
+  /// Read-only sweep half: one id-ordered heap pass and one stub-table
+  /// pass over the masks of `marked.epoch` that refill `marked.result`'s
+  /// classes, unrooted list and (when small) remote closure,
+  /// `marked.unmarked` and `marked.dead_stubs` (cleared first, so a caller
+  /// can hand in buffers to reuse).  Thread-safe across different
+  /// processes, like mark(), and run right after it on the same thread.
   static void scan(const rm::Process& process, LgcMark& marked);
 
-  /// Mutating half: finalizes or reclaims the objects scan() listed as
-  /// unmarked (in id order), regenerates the stub set from the masks of
-  /// `marked.epoch`, records metrics and the collection span.  Visits no
-  /// live object.  Must run on the thread that owns the simulation (serial).
+  /// mark() + scan() for a process whose root side is unchanged since
+  /// `kept` was applied — no object, reference, root, transient root or
+  /// stub changed, only scions and propagation lists (root_epoch() still
+  /// at the tag taken then) — and that holds nothing `kept` lacks (no
+  /// resurrected object; dead stubs were dropped; `kept.remote_kept`).
+  /// Traces families 2-4 in a fresh mark epoch, keeps `kept`'s root
+  /// classes, and rewrites only the entries in the old or the new remote
+  /// closure; the previous unrooted objects no longer reached are the
+  /// garbage (id order), the previous remote-only stubs no longer reached
+  /// the dead stubs.  Its cost follows those closures, not the heap; the
+  /// result equals a fresh mark() + scan() exactly.  Thread-safe across
+  /// different processes, like mark().
+  static LgcMark mark_remote(const rm::Process& process, LgcResult kept,
+                             const LgcConfig& config = {});
+
+  /// Mutating half: finalizes or reclaims the objects listed as unmarked
+  /// (in id order), drops the dead stubs, records metrics and the
+  /// collection span.  Visits no live object.  Must run on the thread that
+  /// owns the simulation (serial).
   static LgcResult apply(rm::Process& process, LgcMark marked,
                          const LgcConfig& config = {});
 

@@ -53,8 +53,8 @@ void Process::propagate(ObjectId object, ProcessId to) {
   note_heard(to, network_->now());
   counters_.propagations.inc();
   // UC bump, rec_umess reset and scion creation/refresh all change the
-  // summary this process would snapshot.
-  note_mutation();
+  // summary this process would snapshot, but nothing the roots reach.
+  note_remote_mutation();
   RGC_DEBUG("rm: ", to_string(id_), " propagate ", to_string(object), " -> ",
             to_string(to), " uc=", op->uc);
 }
@@ -156,7 +156,7 @@ void Process::on_invoke(const net::Envelope& env, const InvokeMsg& msg) {
     // partition — so fault-tolerant mode drops the call instead (the
     // reconciliation protocol re-creates the scion; see docs/FAULTS.md).
     if (fault_tolerant_) {
-      metrics_.add("rm.invocations_orphaned");
+      counters_.invocations_orphaned.inc();
       RGC_WARN("rm: ", to_string(id_), " dropped invoke of ",
                to_string(msg.target), " from ", to_string(env.src),
                " (no scion; recovery in progress)");
@@ -171,7 +171,7 @@ void Process::on_invoke(const net::Envelope& env, const InvokeMsg& msg) {
   // (or while it forwards the call further down the chain).
   pin_transient_root(msg.target, msg.root_steps);
   counters_.invocations_delivered.inc();
-  note_mutation();  // scion IC adopted msg.ic
+  note_remote_mutation();  // scion IC adopted msg.ic
 
   if (!heap_.contains(msg.target)) {
     // SSP chains (§2.2.4): the scion's anchor is not local — this node is
@@ -183,7 +183,7 @@ void Process::on_invoke(const net::Envelope& env, const InvokeMsg& msg) {
       // Same fault window as the missing-scion case above: a chain hop can
       // be lost to a stale restart snapshot or a RebindNack severance.
       if (fault_tolerant_) {
-        metrics_.add("rm.invocations_orphaned");
+        counters_.invocations_orphaned.inc();
         RGC_WARN("rm: ", to_string(id_), " dropped chained invoke of ",
                  to_string(msg.target), " (chain hop lost to a fault)");
         return;
@@ -212,7 +212,7 @@ void Process::on_rebind(const net::Envelope& env, const RebindMsg& msg) {
     auto nack = std::make_unique<RebindNackMsg>();
     nack->anchor = msg.anchor;
     network_->send(id_, env.src, std::move(nack));
-    metrics_.add("rm.rebind_nacks_sent");
+    counters_.rebind_nacks_sent.inc();
     return;
   }
   const ScionKey key{env.src, msg.anchor};
@@ -228,9 +228,9 @@ void Process::on_rebind(const net::Envelope& env, const RebindMsg& msg) {
   // propagation horizon needs to protect it.
   if (inserted) {
     counters_.scions_created.inc();
-    metrics_.add("rm.scions_rebound");
+    counters_.scions_rebound.inc();
   }
-  note_mutation();
+  note_remote_mutation();
   RGC_DEBUG("rm: ", to_string(id_), " rebound scion ", to_string(msg.anchor),
             " for ", to_string(env.src));
 }
@@ -256,8 +256,8 @@ void Process::on_prop_sync(const net::Envelope& env, const PropSyncMsg& msg) {
     }
   }
   if (dropped != 0) {
-    metrics_.add("rm.inprops_synced_out", dropped);
-    note_mutation();
+    counters_.inprops_synced_out.inc(dropped);
+    note_remote_mutation();
     RGC_DEBUG("rm: ", to_string(id_), " dropped ", dropped,
               " stale inProps from ", to_string(env.src));
   }
@@ -306,12 +306,12 @@ void Process::sever_stub(StubKey key) {
       auto nack = std::make_unique<RebindNackMsg>();
       nack->anchor = target;
       network_->send(id_, it->first.src_process, std::move(nack));
-      metrics_.add("rm.rebind_nacks_sent");
+      counters_.rebind_nacks_sent.inc();
       it = scions_.erase(it);
     }
   }
-  metrics_.add("rm.stubs_severed");
-  if (removed != 0) metrics_.add("rm.refs_severed", removed);
+  counters_.stubs_severed.inc();
+  if (removed != 0) counters_.refs_severed.inc(removed);
   note_mutation();
   RGC_DEBUG("rm: ", to_string(id_), " severed stub ", to_string(target),
             " -> ", to_string(key.target_process));

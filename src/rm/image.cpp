@@ -94,8 +94,11 @@ void Process::restore_image(const ProcessImage& image, std::uint64_t now) {
   for (const auto& [p, e] : image.newsetstubs_epochs) renew(p);
 
   // Resume strictly after the image's epoch so a follow-up persist of the
-  // restored state is never mistaken for a stale snapshot.
+  // restored state is never mistaken for a stale snapshot.  Everything the
+  // roots reach is new as well; the root epoch never runs ahead of the
+  // mutation epoch, so it resumes there.
   mutation_epoch_ = std::max(mutation_epoch_, image.mutation_epoch) + 1;
+  root_epoch_ = mutation_epoch_;
   RGC_DEBUG("rm: ", to_string(id_), " restored image taken at step ",
             image.taken_at, " (", image.objects.size(), " objects)");
 }

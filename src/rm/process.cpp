@@ -37,6 +37,18 @@ ProcessCounters::ProcessCounters(util::Metrics& metrics)
       lease_inprops_dropped(metrics.counter("gc.lease_inprops_dropped")),
       lease_outprops_dropped(metrics.counter("gc.lease_outprops_dropped")),
       lease_peers_expired(metrics.counter("gc.lease_peers_expired")),
+      marks_remote(metrics.counter("lgc.marks_remote")),
+      invocations_orphaned(metrics.counter("rm.invocations_orphaned")),
+      rebind_nacks_sent(metrics.counter("rm.rebind_nacks_sent")),
+      scions_rebound(metrics.counter("rm.scions_rebound")),
+      inprops_synced_out(metrics.counter("rm.inprops_synced_out")),
+      stubs_severed(metrics.counter("rm.stubs_severed")),
+      refs_severed(metrics.counter("rm.refs_severed")),
+      recover_sent(metrics.counter("rm.recover_sent")),
+      recover_received(metrics.counter("rm.recover_received")),
+      rebinds_sent(metrics.counter("rm.rebinds_sent")),
+      propsyncs_sent(metrics.counter("rm.propsyncs_sent")),
+      reconciliations(metrics.counter("rm.reconciliations")),
       reclaim_latency(&metrics.histogram("gc.reclaim_latency_steps")),
       reclaimed_per_collection(
           &metrics.histogram("lgc.reclaimed_per_collection")),

@@ -34,10 +34,9 @@ class Ledger;
 
 namespace rgc::rm {
 
-/// Pre-registered hot-path counter and histogram handles (see
-/// util/metrics.h): resolved once at process construction, updated by
-/// pointer dereference.  The string Metrics API stays available for cold
-/// paths; both views share the same storage.
+/// Pre-registered counter and histogram handles (see util/metrics.h):
+/// resolved once at process construction, updated by pointer dereference.
+/// Reports, prom export and perfbench read the same storage by name.
 struct ProcessCounters {
   util::Counter objects_created;
   util::Counter ref_assignments;
@@ -68,6 +67,20 @@ struct ProcessCounters {
   util::Counter lease_inprops_dropped;
   util::Counter lease_outprops_dropped;
   util::Counter lease_peers_expired;
+  util::Counter marks_remote;
+  // Fault-tolerance protocol (docs/FAULTS.md); cold, but counted through
+  // handles like the rest.
+  util::Counter invocations_orphaned;
+  util::Counter rebind_nacks_sent;
+  util::Counter scions_rebound;
+  util::Counter inprops_synced_out;
+  util::Counter stubs_severed;
+  util::Counter refs_severed;
+  util::Counter recover_sent;
+  util::Counter recover_received;
+  util::Counter rebinds_sent;
+  util::Counter propsyncs_sent;
+  util::Counter reconciliations;
   util::Histogram* reclaim_latency;
   util::Histogram* reclaimed_per_collection;
   util::Histogram* traced_per_collection;
@@ -437,13 +450,34 @@ class Process {
   /// roots, propagation and invocation, stub/scion/prop-table changes, and
   /// sweeps.  Cluster-level snapshot reuse compares epochs to skip
   /// re-summarizing quiescent processes (O(1) per round instead of a full
-  /// summarization).
+  /// summarization), and a collection at the epoch its kept mark is tagged
+  /// with reuses that mark.
   [[nodiscard]] std::uint64_t mutation_epoch() const noexcept {
     return mutation_epoch_;
   }
 
-  /// Records a summary-relevant mutation (see mutation_epoch()).
-  void note_mutation() noexcept { ++mutation_epoch_; }
+  /// Monotonic root epoch: the part of mutation_epoch() that can change
+  /// what the LGC's root trace reaches — objects (creation, references,
+  /// replica content), roots and transient roots, and stubs.  Scion and
+  /// propagation-list edits leave it alone, so a collection at the root
+  /// epoch its kept mark is tagged with retraces only the remotely
+  /// anchored families (gc::Lgc::mark_remote).
+  [[nodiscard]] std::uint64_t root_epoch() const noexcept {
+    return root_epoch_;
+  }
+
+  /// Records a summary-relevant mutation (see mutation_epoch()) that may
+  /// also change what the roots reach: bumps both epochs.  The default —
+  /// a site that could use note_remote_mutation() but does not costs a
+  /// collection its root-trace reuse, never its correctness.
+  void note_mutation() noexcept {
+    ++mutation_epoch_;
+    ++root_epoch_;
+  }
+
+  /// Records a mutation confined to scions and propagation lists (their
+  /// entries, counters and flags): bumps mutation_epoch() only.
+  void note_remote_mutation() noexcept { ++mutation_epoch_; }
 
  private:
   /// Creates or refreshes the scions for `object`'s enclosed references
@@ -461,6 +495,7 @@ class Process {
   mutable MarkScratch scratch_;
   mutable SummarizeScratch sum_scratch_;
   std::uint64_t mutation_epoch_{0};
+  std::uint64_t root_epoch_{0};
   std::map<ScionKey, Scion> scions_;
   std::vector<InProp> in_props_;
   std::vector<OutProp> out_props_;

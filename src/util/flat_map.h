@@ -48,6 +48,20 @@ class FlatMap {
     return it != items_.end() && it->first == key ? it : items_.end();
   }
 
+  /// Mutable value of `key`, or nullptr when absent.
+  [[nodiscard]] V* find_value(const K& key) {
+    auto it = std::lower_bound(
+        items_.begin(), items_.end(), key,
+        [](const value_type& e, const K& k) { return e.first < k; });
+    return it != items_.end() && it->first == key ? &it->second : nullptr;
+  }
+
+  /// Drops every entry whose value satisfies `pred` (one compacting pass).
+  template <typename Pred>
+  void erase_if_value(Pred pred) {
+    std::erase_if(items_, [&](const value_type& e) { return pred(e.second); });
+  }
+
   [[nodiscard]] bool contains(const K& key) const {
     return find(key) != items_.end();
   }

@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster.h"
 #include "core/report.h"
 #include "util/thread_pool.h"
 #include "workload/mesh.h"
+#include "workload/trees.h"
 
 namespace rgc::core {
 namespace {
@@ -114,6 +116,45 @@ TEST(Determinism, ThreadCountDoesNotChangeResults) {
                 shape.finalize != gc::FinalizeStrategy::kNone);
     }
   }
+}
+
+TEST(Determinism, TreeShapeRecordingsMatchAcrossThreadCounts) {
+  // perfbench's big_heap in small: rooted ballast beside garbage trees
+  // spanning every process, so run_full_gc's rounds mix fresh, remote-only
+  // and reused marks on the worker pool.
+  const auto record = [](std::size_t threads) {
+    ClusterConfig cfg = config_with_threads(threads);
+    cfg.record_capacity = std::size_t{1} << 16;
+    Cluster cluster{cfg};
+    for (int i = 0; i < 4; ++i) cluster.add_process();
+    std::vector<workload::Tree> trees;
+    for (int t = 0; t < 2; ++t) {
+      trees.push_back(workload::build_tree(
+          cluster, {.fanout = 3, .depth = 4, .processes = 4}));
+    }
+    for (const workload::Tree& tree : trees) {
+      cluster.remove_root(tree.root_process, tree.root);
+    }
+    for (ProcessId pid : cluster.process_ids()) {
+      ObjectId prev = kNoObject;
+      for (int k = 0; k < 1024; ++k) {
+        const ObjectId obj = cluster.new_object(pid);
+        if (k % 64 == 0) {
+          cluster.add_root(pid, obj);
+        } else {
+          cluster.add_ref(pid, prev, obj);
+        }
+        prev = obj;
+      }
+    }
+    cluster.run_until_quiescent();
+    cluster.run_full_gc();
+    EXPECT_GT(cluster.metric_total("lgc.marks_remote"), 0u);
+    EXPECT_EQ(cluster.recorder()->dropped(), 0u);
+    return cluster.recorder()->encode(cluster.recorder_stamp());
+  };
+  const std::string serial = record(1);
+  EXPECT_TRUE(serial == record(8));
 }
 
 TEST(Determinism, PhasedCollectMatchesLegacyPerProcessLoop) {

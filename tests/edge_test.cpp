@@ -113,7 +113,7 @@ TEST(LgcEdge, KeepDeadStubsWhenConfigured) {
   gc::LgcConfig cfg;
   cfg.drop_dead_stubs = false;
   const auto r = gc::Lgc::collect(p2, cfg);
-  EXPECT_FALSE(r.live_stubs.contains(rm::StubKey{ObjectId{2}, ProcessId{1}}));
+  EXPECT_FALSE(r.stub_reach.contains(rm::StubKey{ObjectId{2}, ProcessId{1}}));
   EXPECT_TRUE(p2.stubs().contains(rm::StubKey{ObjectId{2}, ProcessId{1}}))
       << "inspection mode must not mutate the stub table";
 }

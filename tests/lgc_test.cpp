@@ -161,8 +161,8 @@ TEST_F(LgcFixture, StubSetRegenerationKeepsLiveStubsOnly) {
   p2.remove_ref(ObjectId{1}, ObjectId{3});
 
   const auto r = Lgc::collect(p2);
-  EXPECT_TRUE(r.live_stubs.contains(rm::StubKey{ObjectId{2}, ProcessId{1}}));
-  EXPECT_FALSE(r.live_stubs.contains(rm::StubKey{ObjectId{3}, ProcessId{1}}));
+  EXPECT_TRUE(r.stub_reach.contains(rm::StubKey{ObjectId{2}, ProcessId{1}}));
+  EXPECT_FALSE(r.stub_reach.contains(rm::StubKey{ObjectId{3}, ProcessId{1}}));
   EXPECT_FALSE(p2.stubs().contains(rm::StubKey{ObjectId{3}, ProcessId{1}}));
 }
 
@@ -176,7 +176,7 @@ TEST_F(LgcFixture, RootHeldRemoteReferenceKeepsStub) {
   // and drops the replica that imported it.
   p2.add_root(ObjectId{2});
   const auto r = Lgc::collect(p2);
-  EXPECT_TRUE(r.live_stubs.contains(rm::StubKey{ObjectId{2}, ProcessId{1}}));
+  EXPECT_TRUE(r.stub_reach.contains(rm::StubKey{ObjectId{2}, ProcessId{1}}));
   EXPECT_EQ(r.stub_reach.at(rm::StubKey{ObjectId{2}, ProcessId{1}}) & kReachRoot,
             kReachRoot);
 }

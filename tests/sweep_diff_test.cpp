@@ -39,7 +39,6 @@ void expect_same_result(const LgcResult& got, const LgcResult& want,
   EXPECT_EQ(got.object_reach, want.object_reach);
   EXPECT_EQ(got.unrooted, want.unrooted);
   EXPECT_EQ(got.stub_reach, want.stub_reach);
-  EXPECT_EQ(got.live_stubs, want.live_stubs);
   EXPECT_EQ(got.reclaimed, want.reclaimed);
   EXPECT_EQ(got.resurrected, want.resurrected);
   EXPECT_EQ(got.traced, want.traced);

@@ -45,7 +45,6 @@ LgcResult collect_reference(rm::Process& process, const LgcConfig& config) {
     ++it;
     if (const std::uint8_t mask = stub.marks(epoch)) {
       result.stub_reach.append(stub.key, mask);
-      result.live_stubs.insert(stub.key);
     } else if (config.drop_dead_stubs) {
       process.erase_stub(stub.key);
     }
