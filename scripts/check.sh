@@ -66,6 +66,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   ./build-asan/tests/mark_reuse_test
   ./build-tsan/tests/mark_reuse_test
 
+  # ADGC digest (DESIGN.md §7b "Sorted propagation lists"): the merge walk
+  # indexes two prop lists and the reachability classes with three
+  # cursors, so its differential against the set-and-rescan reference, and
+  # the sorted-list invariant suite, run under ASan/UBSan.
+  echo "== ADGC digest differential under ASan/UBSan =="
+  ./build-asan/tests/adgc_digest_diff_test
+
   # Flight-recorder legs (docs/OBSERVABILITY.md "Flight recorder &
   # replay"): the obs-labelled recorder suite under both sanitizers —
   # byte-identical recordings across thread counts is exactly the property

@@ -1,110 +1,126 @@
 #include "gc/adgc/adgc.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
+#include <ranges>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "obs/recorder.h"
 #include "util/log.h"
 
 namespace rgc::gc {
-namespace {
-
-/// True when `obj` is anchored at `process` by something other than its
-/// propagation lists (roots or scions) according to the last collection.
-bool locally_anchored(const LgcResult& result, ObjectId obj) {
-  auto it = result.object_reach.find(obj);
-  if (it == result.object_reach.end()) return false;
-  return (it->second & (kReachRoot | kReachScion)) != 0;
-}
-
-}  // namespace
 
 void Adgc::after_collection(rm::Process& process, const LgcResult& result) {
   auto& net = process.network();
   const ProcessId self = process.id();
 
   // ---- NewSetStubs to every peer we may have scions at ------------------
-  std::map<ProcessId, std::vector<ObjectId>> per_peer;
-  for (const auto& [key, mask] : result.stub_reach) {
-    per_peer[key.target_process].push_back(key.target);
-  }
-  std::set<ProcessId> done_peers;
+  // One message per stub peer, sent in peer order.  Each stub joins its
+  // peer's message through a binary search over the peer-ordered outbox,
+  // so every anchor list keeps stub_reach's target order.
   const std::uint64_t epoch = process.next_collection_epoch();
+  std::vector<std::pair<ProcessId, std::unique_ptr<NewSetStubsMsg>>> outbox;
+  outbox.reserve(process.stub_peers().size());
   for (ProcessId peer : process.stub_peers()) {
-    auto msg = std::make_unique<NewSetStubsMsg>();
-    if (auto it = per_peer.find(peer); it != per_peer.end()) {
-      msg->stub_anchors = it->second;
-    } else {
-      done_peers.insert(peer);  // empty set: peer drops all our scions
-      msg->final_set = true;    // one-shot, must arrive (see adgc.h)
+    outbox.emplace_back(peer, std::make_unique<NewSetStubsMsg>());
+  }
+  for (const auto& [key, mask] : result.stub_reach) {
+    const auto it = std::lower_bound(
+        outbox.begin(), outbox.end(), key.target_process,
+        [](const auto& entry, ProcessId peer) { return entry.first < peer; });
+    if (it != outbox.end() && it->first == key.target_process) {
+      it->second->stub_anchors.push_back(key.target);
+    }
+  }
+  for (auto& [peer, msg] : outbox) {
+    if (msg->stub_anchors.empty()) {
+      process.stub_peers().erase(peer);  // empty set: peer drops all our scions
+      msg->final_set = true;  // one-shot, must arrive (see adgc.h)
     }
     msg->horizon = process.delivered_prop_seq(peer);
     msg->epoch = epoch;
     net.send(self, peer, std::move(msg));
     process.counters().newsetstubs_sent.inc();
   }
-  for (ProcessId peer : done_peers) process.stub_peers().erase(peer);
 
   // ---- Union-Rule reporting per replicated object ------------------------
-  std::set<ObjectId> replicated;
-  for (const auto& e : process.in_props()) replicated.insert(e.object);
-  for (const auto& e : process.out_props()) replicated.insert(e.object);
+  // Both prop lists are sorted by object (rm/tables.h), so one merge walk
+  // visits every replicated object once, in ascending id order, with its
+  // parents and its children as two contiguous ranges; the reachability
+  // classes are sorted too and are read through one forward cursor.
+  auto& ins = process.in_props();
+  auto& outs = process.out_props();
+  auto reach = result.object_reach.begin();
+  const auto reach_end = result.object_reach.end();
+  std::vector<ObjectId> dismantled;
+  auto in = ins.begin();
+  auto out = outs.begin();
+  while (in != ins.end() || out != outs.end()) {
+    const ObjectId obj = in == ins.end()     ? out->object
+                         : out == outs.end() ? in->object
+                                             : std::min(in->object, out->object);
+    const auto parents_end = std::find_if(
+        in, ins.end(), [obj](const rm::InProp& e) { return e.object != obj; });
+    const auto children_end = std::find_if(
+        out, outs.end(), [obj](const rm::OutProp& e) { return e.object != obj; });
+    const std::ranges::subrange parents{in, parents_end};
+    const std::ranges::subrange children{out, children_end};
+    in = parents_end;
+    out = children_end;
 
-  for (ObjectId obj : replicated) {
-    if (locally_anchored(result, obj)) continue;
+    // Anchored here by something other than its prop lists (roots or
+    // scions, according to the last collection): nothing to report.
+    reach = std::lower_bound(
+        reach, reach_end, obj,
+        [](const auto& entry, ObjectId key) { return entry.first < key; });
+    if (reach != reach_end && reach->first == obj &&
+        (reach->second & (kReachRoot | kReachScion)) != 0) {
+      continue;
+    }
 
     // All children must have reported before this replica may speak for
     // its subtree (otherwise a live grandchild could be lost).
-    bool children_clear = true;
-    for (const auto& e : process.out_props()) {
-      if (e.object == obj && !e.rec_umess) {
-        children_clear = false;
-        break;
-      }
-    }
-    if (!children_clear) continue;
-
-    bool has_parent = false;
-    for (auto& e : process.in_props()) {
-      if (e.object != obj) continue;
-      has_parent = true;
-      if (e.sent_umess) continue;
-      auto msg = std::make_unique<UnreachableMsg>();
-      msg->object = obj;
-      msg->uc = e.uc;
-      net.send(self, e.process, std::move(msg));
-      e.sent_umess = true;
-      process.note_remote_mutation();
-      process.counters().unreachable_sent.inc();
-      RGC_DEBUG("adgc: ", to_string(self), " reports ", to_string(obj),
-                " unreachable to ", to_string(e.process));
+    if (!std::ranges::all_of(children,
+                             [](const rm::OutProp& e) { return e.rec_umess; })) {
+      continue;
     }
 
-    if (!has_parent) {
-      // Root of the propagation tree, unreachable itself, whole subtree
-      // reported: dismantle the tree (§2.2.3 rule 2).
-      std::vector<ProcessId> children;
-      for (const auto& e : process.out_props()) {
-        if (e.object == obj) children.push_back(e.process);
-      }
-      if (children.empty()) continue;
-      for (ProcessId child : children) {
-        auto msg = std::make_unique<ReclaimMsg>();
+    if (!parents.empty()) {
+      for (rm::InProp& e : parents) {
+        if (e.sent_umess) continue;
+        auto msg = std::make_unique<UnreachableMsg>();
         msg->object = obj;
-        net.send(self, child, std::move(msg));
-        process.counters().reclaim_sent.inc();
+        msg->uc = e.uc;
+        net.send(self, e.process, std::move(msg));
+        e.sent_umess = true;
+        process.note_remote_mutation();
+        process.counters().unreachable_sent.inc();
+        RGC_DEBUG("adgc: ", to_string(self), " reports ", to_string(obj),
+                  " unreachable to ", to_string(e.process));
       }
-      auto& outs = process.out_props();
-      outs.erase(std::remove_if(outs.begin(), outs.end(),
-                                [obj](const rm::OutProp& e) {
-                                  return e.object == obj;
-                                }),
-                 outs.end());
-      process.note_remote_mutation();
-      RGC_DEBUG("adgc: ", to_string(self), " reclaims propagation tree of ",
-                to_string(obj));
+      continue;
     }
+
+    // Root of the propagation tree, unreachable itself, whole subtree
+    // reported: dismantle the tree (§2.2.3 rule 2).  Its out-props are
+    // dropped after the walk, in one compaction.
+    for (const rm::OutProp& e : children) {
+      auto msg = std::make_unique<ReclaimMsg>();
+      msg->object = obj;
+      net.send(self, e.process, std::move(msg));
+      process.counters().reclaim_sent.inc();
+    }
+    dismantled.push_back(obj);
+    process.note_remote_mutation();
+    RGC_DEBUG("adgc: ", to_string(self), " reclaims propagation tree of ",
+              to_string(obj));
+  }
+  if (!dismantled.empty()) {
+    std::erase_if(outs, [&](const rm::OutProp& e) {
+      return std::binary_search(dismantled.begin(), dismantled.end(), e.object);
+    });
   }
 }
 
@@ -161,43 +177,24 @@ void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
                       const ReclaimMsg& msg) {
   const ObjectId obj = msg.object;
   auto& ins = process.in_props();
-  const std::size_t ins_before = ins.size();
-  ins.erase(std::remove_if(ins.begin(), ins.end(),
-                           [&](const rm::InProp& e) {
-                             return e.object == obj && e.process == env.src;
-                           }),
-            ins.end());
-  if (ins.size() != ins_before) process.note_remote_mutation();
+  if (rm::erase_prop(ins, obj, env.src) != 0) process.note_remote_mutation();
 
   // Forward down the tree only when nothing else anchors the replica here:
   // another parent still linked keeps the subtree in place.
-  bool other_parent = false;
-  for (const auto& e : ins) {
-    if (e.object == obj) {
-      other_parent = true;
-      break;
-    }
-  }
-  if (other_parent) return;
+  if (!rm::prop_range(ins, obj).empty()) return;
 
-  std::vector<ProcessId> children;
-  for (const auto& e : process.out_props()) {
-    if (e.object == obj) children.push_back(e.process);
-  }
-  for (ProcessId child : children) {
+  auto& outs = process.out_props();
+  const auto children = rm::prop_range(outs, obj);
+  for (const rm::OutProp& e : children) {
     auto fwd = std::make_unique<ReclaimMsg>();
     fwd->object = obj;
-    process.network().send(process.id(), child, std::move(fwd));
+    process.network().send(process.id(), e.process, std::move(fwd));
     process.counters().reclaim_forwarded.inc();
   }
-  auto& outs = process.out_props();
-  const std::size_t outs_before = outs.size();
-  outs.erase(std::remove_if(outs.begin(), outs.end(),
-                            [obj](const rm::OutProp& e) {
-                              return e.object == obj;
-                            }),
-             outs.end());
-  if (outs.size() != outs_before) process.note_remote_mutation();
+  if (!children.empty()) {
+    outs.erase(children.begin(), children.end());
+    process.note_remote_mutation();
+  }
   process.counters().reclaim_received.inc();
   if (obs::FlightRecorder* rec = process.recorder()) {
     rec->reclaim_decision(process.id(), env.src, obj);

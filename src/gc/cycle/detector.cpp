@@ -672,13 +672,7 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
       ++stale;
       continue;
     }
-    auto& ins = process_.in_props();
-    ins.erase(std::remove_if(ins.begin(), ins.end(),
-                             [&](const rm::InProp& x) {
-                               return x.object == msg.candidate &&
-                                      x.process == parent;
-                             }),
-              ins.end());
+    rm::erase_prop(process_.in_props(), msg.candidate, parent);
     auto cut = std::make_unique<PropCutMsg>();
     cut->object = msg.candidate;
     cut->expected_uc = expected_uc;
@@ -696,13 +690,7 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
 void CycleDetector::on_prop_cut(const net::Envelope& env, const PropCutMsg& msg) {
   rm::OutProp* e = process_.find_out_prop(msg.object, env.src);
   if (e == nullptr || e->uc != msg.expected_uc) return;
-  auto& outs = process_.out_props();
-  outs.erase(std::remove_if(outs.begin(), outs.end(),
-                            [&](const rm::OutProp& x) {
-                              return x.object == msg.object &&
-                                     x.process == env.src;
-                            }),
-             outs.end());
+  rm::erase_prop(process_.out_props(), msg.object, env.src);
   process_.note_remote_mutation();
   counters_.outprops_cut.inc();
 }

@@ -282,6 +282,33 @@ void check_prop_replica(HealthReport& out, const rm::Process& proc,
           " but no such replica exists here"});
 }
 
+/// A prop list is sorted by object and names each (object, process) pair
+/// at most once (rm/tables.h); the ADGC digest and every prop lookup rely
+/// on it.  Reports the first entry that breaks either rule.
+template <typename Entry>
+void check_prop_order(HealthReport& out, ProcessId pid, const char* list,
+                      const std::vector<Entry>& entries) {
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    if (e.object < entries[i - 1].object) {
+      out.findings.push_back(Finding{
+          Severity::kError, "prop_order", pid,
+          std::string(list) + " list names " + rgc::to_string(e.object) +
+              " after " + rgc::to_string(entries[i - 1].object) +
+              ": out of object order"});
+      return;
+    }
+    for (std::size_t j = i; j-- > 0 && entries[j].object == e.object;) {
+      if (entries[j].process != e.process) continue;
+      out.findings.push_back(Finding{
+          Severity::kError, "prop_order", pid,
+          std::string(list) + " list holds " + rgc::to_string(e.object) +
+              " / " + rgc::to_string(e.process) + " twice"});
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 void HealthAuditor::check_prop_pairing(HealthReport& out) {
@@ -301,6 +328,8 @@ void HealthAuditor::check_prop_pairing(HealthReport& out) {
   for (ProcessId pid : cluster_.process_ids()) {
     const rm::Process& proc = cluster_.process(pid);
     out.checked_props += proc.in_props().size() + proc.out_props().size();
+    check_prop_order(out, pid, "inProp", proc.in_props());
+    check_prop_order(out, pid, "outProp", proc.out_props());
     for (const rm::InProp& e : proc.in_props()) {
       check_prop_replica(out, proc, pid, "inProp", e.object);
       // A dead or unreachable partner's half of the link is unobservable;

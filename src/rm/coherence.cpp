@@ -25,8 +25,7 @@ void Process::propagate(ObjectId object, ProcessId to) {
   // (Table 1's α -> α+1 succession is exactly this bump).
   OutProp* op = find_out_prop(object, to);
   if (op == nullptr) {
-    out_props_.push_back(OutProp{object, to, 0, false});
-    op = &out_props_.back();
+    op = &insert_prop(out_props_, OutProp{object, to, 0, false});
     counters_.outprops_created.inc();
   }
   ++op->uc;
@@ -109,7 +108,7 @@ void Process::on_propagate(const net::Envelope& env, const PropagateMsg& msg) {
 
   InProp* ip = find_in_prop(msg.object, env.src);
   if (ip == nullptr) {
-    in_props_.push_back(InProp{msg.object, env.src, msg.uc, false});
+    insert_prop(in_props_, InProp{msg.object, env.src, msg.uc, false});
     counters_.inprops_created.inc();
   } else {
     ip->uc = msg.uc;

@@ -67,8 +67,13 @@ void Process::restore_image(const ProcessImage& image, std::uint64_t now) {
     stub.ic = s.ic;
   }
   for (const Scion& s : image.scions) scions_[s.key] = s;
+  // Images written before the prop lists were kept in object order hold
+  // them in insertion order; a stable sort restores the invariant and keeps
+  // each object's entries as they were.
   in_props_ = image.in_props;
   out_props_ = image.out_props;
+  sort_props(in_props_);
+  sort_props(out_props_);
   for (const auto& [p, seq] : image.delivered_prop_seq) {
     delivered_prop_seq_[p] = seq;
   }

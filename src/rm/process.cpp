@@ -173,15 +173,15 @@ Stub* Process::find_stub(StubKey key) {
 }
 
 InProp* Process::find_in_prop(ObjectId object, ProcessId from) {
-  for (auto& e : in_props_) {
-    if (e.object == object && e.process == from) return &e;
+  for (InProp& e : prop_range(in_props_, object)) {
+    if (e.process == from) return &e;
   }
   return nullptr;
 }
 
 OutProp* Process::find_out_prop(ObjectId object, ProcessId to) {
-  for (auto& e : out_props_) {
-    if (e.object == object && e.process == to) return &e;
+  for (OutProp& e : prop_range(out_props_, object)) {
+    if (e.process == to) return &e;
   }
   return nullptr;
 }
@@ -195,22 +195,19 @@ const OutProp* Process::find_out_prop(ObjectId object, ProcessId to) const {
 }
 
 bool Process::is_replicated(ObjectId object) const {
-  return !prop_parents(object).empty() || !prop_children(object).empty();
+  return !prop_range(in_props_, object).empty() ||
+         !prop_range(out_props_, object).empty();
 }
 
 std::vector<ProcessId> Process::prop_parents(ObjectId object) const {
   std::vector<ProcessId> out;
-  for (const auto& e : in_props_) {
-    if (e.object == object) out.push_back(e.process);
-  }
+  for (const auto& e : prop_range(in_props_, object)) out.push_back(e.process);
   return out;
 }
 
 std::vector<ProcessId> Process::prop_children(ObjectId object) const {
   std::vector<ProcessId> out;
-  for (const auto& e : out_props_) {
-    if (e.object == object) out.push_back(e.process);
-  }
+  for (const auto& e : prop_range(out_props_, object)) out.push_back(e.process);
   return out;
 }
 

@@ -336,6 +336,9 @@ class Process {
   }
   [[nodiscard]] std::map<ScionKey, Scion>& scions() noexcept { return scions_; }
   [[nodiscard]] const std::map<ScionKey, Scion>& scions() const noexcept { return scions_; }
+  /// The propagation lists, each kept sorted by object with insertion
+  /// order inside one object (rm/tables.h): add with rm::insert_prop,
+  /// remove only by order-preserving erasure.
   [[nodiscard]] std::vector<InProp>& in_props() noexcept { return in_props_; }
   [[nodiscard]] const std::vector<InProp>& in_props() const noexcept { return in_props_; }
   [[nodiscard]] std::vector<OutProp>& out_props() noexcept { return out_props_; }

@@ -13,8 +13,11 @@
 // not here: the live tables carry only what the running system maintains.
 #pragma once
 
+#include <algorithm>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "util/ids.h"
@@ -115,5 +118,65 @@ struct OutProp {
   bool rec_umess{false};
   friend constexpr bool operator==(const OutProp&, const OutProp&) = default;
 };
+
+// Both propagation lists of a process are kept sorted by object, the
+// entries of one object in insertion order, with at most one entry per
+// (object, process) pair.  An object's links are then one contiguous range:
+// lookups are a binary search plus a short scan, and the ADGC digest visits
+// every replicated object in one merge walk over the two lists.  Entries
+// are only ever added through insert_prop and removed by order-preserving
+// erasure; an image restore re-sorts with sort_props.
+
+/// Orders prop entries (InProp or OutProp) by object alone.
+struct PropObjectLess {
+  template <typename Entry>
+  bool operator()(const Entry& e, ObjectId object) const noexcept {
+    return e.object < object;
+  }
+  template <typename Entry>
+  bool operator()(ObjectId object, const Entry& e) const noexcept {
+    return object < e.object;
+  }
+  template <typename Entry>
+  bool operator()(const Entry& a, const Entry& b) const noexcept {
+    return a.object < b.object;
+  }
+};
+
+/// The entries of `object` in an object-sorted prop list, in insertion
+/// order (iterators into `list`, so the range can be erased).
+template <typename List>
+[[nodiscard]] auto prop_range(List& list, ObjectId object) {
+  const auto [first, last] =
+      std::equal_range(list.begin(), list.end(), object, PropObjectLess{});
+  return std::ranges::subrange(first, last);
+}
+
+/// Adds `entry` after every entry of its object; returns the stored entry.
+template <typename Entry>
+Entry& insert_prop(std::vector<Entry>& list, const Entry& entry) {
+  const auto at = std::upper_bound(list.begin(), list.end(), entry.object,
+                                   PropObjectLess{});
+  return *list.insert(at, entry);
+}
+
+/// Drops the entries of `object` linked to `process`; returns how many.
+template <typename Entry>
+std::size_t erase_prop(std::vector<Entry>& list, ObjectId object,
+                       ProcessId process) {
+  const auto range = prop_range(list, object);
+  const auto kept_end =
+      std::remove_if(range.begin(), range.end(),
+                     [process](const Entry& e) { return e.process == process; });
+  const auto dropped = static_cast<std::size_t>(range.end() - kept_end);
+  list.erase(kept_end, range.end());
+  return dropped;
+}
+
+/// Restores the list order: by object, insertion order kept within one.
+template <typename Entry>
+void sort_props(std::vector<Entry>& list) {
+  std::stable_sort(list.begin(), list.end(), PropObjectLess{});
+}
 
 }  // namespace rgc::rm

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.h"
@@ -188,6 +189,50 @@ TEST(AuditTest, LostInPropIsFlagged) {
 
   const HealthReport& health = cluster.audit();
   EXPECT_TRUE(has_finding(health, "prop_pairing", Severity::kError))
+      << health.to_string();
+}
+
+TEST(AuditTest, MisorderedPropListIsFlagged) {
+  Cluster cluster;
+  const ProcessId p0 = cluster.add_process();
+  const ProcessId p1 = cluster.add_process();
+  const ObjectId x = cluster.new_object(p0);
+  const ObjectId y = cluster.new_object(p0);
+  cluster.add_root(p0, x);
+  cluster.add_root(p0, y);
+  cluster.propagate(y, p0, p1);
+  cluster.propagate(x, p0, p1);
+  cluster.run_until_quiescent();
+  ASSERT_EQ(cluster.audit().errors(), 0u);
+
+  // The lists are kept sorted by object; swap the child's two entries so
+  // its inPropList names y before x.
+  auto& ins = cluster.process(p1).in_props();
+  ASSERT_EQ(ins.size(), 2u);
+  std::swap(ins[0], ins[1]);
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_TRUE(has_finding(health, "prop_order", Severity::kError))
+      << health.to_string();
+}
+
+TEST(AuditTest, DuplicatePropLinkIsFlagged) {
+  Cluster cluster;
+  const ProcessId p0 = cluster.add_process();
+  const ProcessId p1 = cluster.add_process();
+  const ObjectId x = cluster.new_object(p0);
+  cluster.add_root(p0, x);
+  cluster.propagate(x, p0, p1);
+  cluster.run_until_quiescent();
+  ASSERT_EQ(cluster.audit().errors(), 0u);
+
+  // One (object, process) pair twice in the parent's outPropList: still in
+  // object order, but a second link to the same child.
+  auto& outs = cluster.process(p0).out_props();
+  outs.push_back(outs.front());
+
+  const HealthReport& health = cluster.audit();
+  EXPECT_TRUE(has_finding(health, "prop_order", Severity::kError))
       << health.to_string();
 }
 
