@@ -43,6 +43,32 @@ if [[ "${1:-}" != "--fast" ]]; then
     ./build-release/bench/"$paper_check" > /dev/null
   done
 
+  # The full suite under ASan/UBSan runs each of these once, where a
+  # sanitizer finds what a plain run would not:
+  #   - mark_reuse_test (DESIGN.md §7b "Mark reuse"): a remote-only mark
+  #     rewrites the kept result on a pool thread in phase 1; its
+  #     differential pins every collection against a fresh mark, and its
+  #     big_heap-shaped leg collects on 4 threads;
+  #   - adgc_digest_diff_test (DESIGN.md §7b "Sorted propagation lists"):
+  #     the merge walk indexes two prop lists and the reachability classes
+  #     with three cursors;
+  #   - recorder_test (docs/OBSERVABILITY.md "Flight recorder & replay"):
+  #     byte-identical recordings across thread counts;
+  #   - chaos_test and recovery_test (docs/FAULTS.md): every chaos leg
+  #     audits every step with the worker pool at 4 threads and fails on
+  #     any auditor ERROR, crash/restart/partition FaultPlans under message
+  #     loss included (`ctest -L faults` selects the fault suites);
+  #   - `ctest -L scale`: ~100k-object smokes of arena slot reuse, the
+  #     image codec and the discrete-event scheduler, at populations where
+  #     off-by-one slot bookkeeping actually bites;
+  #   - `ctest -L ledger` (docs/OBSERVABILITY.md "Cycle cost ledger"): the
+  #     hop/slot arrays are fixed-size rings, exactly where out-of-bounds
+  #     indexing would hide; its determinism legs (byte-identical JSONL
+  #     across threads=1 vs 8 and event-skip vs per-step schedules) run in
+  #     every tree;
+  #   - `ctest -L policy` (docs/DESIGN.md "Daemon schedule"): the daemon's
+  #     per-lane deferral arithmetic and lane maps, and the quiescence
+  #     status across kill/restart (dead-pid counting).
   echo "== sanitizer build + tests (address,undefined) =="
   run_tree build-asan -DRGC_SANITIZE=address,undefined "$WERROR"
 
@@ -55,78 +81,26 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== thread sanitizer build + determinism tests =="
   cmake -B build-tsan -S . -DRGC_SANITIZE=thread "$WERROR"
   cmake --build build-tsan -j "$JOBS" --target determinism_test chaos_test recorder_test \
-    mark_reuse_test
+    mark_reuse_test policy_test
   ./build-tsan/tests/determinism_test
 
-  # Mark reuse (DESIGN.md §7b "Mark reuse"): a remote-only mark
-  # rewrites the kept result on a pool thread in phase 1, so the suite runs
-  # under both sanitizers — its differential pins every collection against
-  # a fresh mark, and its big_heap-shaped leg collects on 4 threads.
-  echo "== mark reuse suite under ASan/UBSan + TSan =="
-  ./build-asan/tests/mark_reuse_test
+  # The suites above whose races TSan would see: mark reuse (phase 1 on
+  # pool threads), the recorder (byte-identical recordings across thread
+  # counts), chaos (the worker pool at 4 threads under fault plans) and
+  # the daemon schedule.
+  echo "== mark reuse, recorder, chaos and policy suites under TSan =="
   ./build-tsan/tests/mark_reuse_test
-
-  # ADGC digest (DESIGN.md §7b "Sorted propagation lists"): the merge walk
-  # indexes two prop lists and the reachability classes with three
-  # cursors, so its differential against the set-and-rescan reference, and
-  # the sorted-list invariant suite, run under ASan/UBSan.
-  echo "== ADGC digest differential under ASan/UBSan =="
-  ./build-asan/tests/adgc_digest_diff_test
-
-  # Flight-recorder legs (docs/OBSERVABILITY.md "Flight recorder &
-  # replay"): the obs-labelled recorder suite under both sanitizers —
-  # byte-identical recordings across thread counts is exactly the property
-  # TSan-visible races would break — then a record-then-replay pass with
-  # the CLI, which exits non-zero unless the replay is byte-identical.
-  echo "== recorder suite under ASan/UBSan + TSan =="
-  ./build-asan/tests/recorder_test
   ./build-tsan/tests/recorder_test
+  ./build-tsan/tests/chaos_test
+  ./build-tsan/tests/policy_test
+
+  # The record-then-replay CLI leg exits non-zero unless the replay is
+  # byte-identical.
   echo "== record-then-replay divergence check =="
   REC_TMP=$(mktemp -t rgc_check_XXXX.rgcrec)
   trap 'rm -f "$REC_TMP"' EXIT
   ./build-asan/examples/example_sim_cli --record "$REC_TMP" --processes 16 --seed 2024
   ./build-asan/examples/example_sim_cli --replay "$REC_TMP" --threads 4
-
-  # Chaos under both sanitizer trees: every chaos leg audits every step
-  # with the worker pool at 4 threads, under both daemon schedules, and
-  # fails on any auditor ERROR.  The fault-chaos legs (crash/restart/
-  # partition FaultPlans under message loss — docs/FAULTS.md) are part of
-  # it; the fault suites are also selectable in any tree with
-  # `ctest -L faults`.
-  echo "== chaos under ASan/UBSan =="
-  ./build-asan/tests/chaos_test
-  echo "== chaos under TSan =="
-  ./build-tsan/tests/chaos_test
-  echo "== recovery suite under ASan/UBSan =="
-  ./build-asan/tests/recovery_test
-
-  # ~100k-object scale smoke under ASan (`ctest -L scale`): arena slot
-  # reuse, image/summary codecs and the discrete-event scheduler at
-  # populations where off-by-one slot bookkeeping actually bites.
-  echo "== scale smoke under ASan/UBSan =="
-  ctest --test-dir build-asan -L scale --output-on-failure -j "$JOBS"
-
-  # Cycle cost ledger (docs/OBSERVABILITY.md "Cycle cost ledger"): the
-  # ledger-labelled suite under ASan — the hop/slot arrays are fixed-size
-  # rings, exactly where out-of-bounds indexing would hide — and the
-  # determinism legs (byte-identical JSONL across threads=1 vs 8 and
-  # event-skip vs per-step schedules) re-checked explicitly so a ledger
-  # nondeterminism can never ship behind a filtered ctest run.
-  echo "== ledger suite under ASan/UBSan =="
-  ctest --test-dir build-asan -L ledger --output-on-failure -j "$JOBS"
-  echo "== ledger determinism (threads x event-skip) =="
-  ./build/tests/ledger_test \
-    --gtest_filter='LedgerTest.JsonlByteIdenticalAcrossThreadCounts:LedgerTest.JsonlByteIdenticalAcrossSchedules:LedgerTest.DecompositionIdentityHoldsOnJitteredMeshes'
-
-  # Daemon schedule + quiescence (docs/DESIGN.md "Daemon schedule"): the
-  # policy-labelled suite under both sanitizers — the daemon's per-lane
-  # deferral arithmetic and lane maps, and the quiescence status across
-  # kill/restart (dead-pid counting), are exactly where a sanitizer finds
-  # the lie.  (The chaos runs above already drive the daemon.)
-  echo "== policy suite under ASan/UBSan + TSan =="
-  ctest --test-dir build-asan -L policy --output-on-failure -j "$JOBS"
-  cmake --build build-tsan -j "$JOBS" --target policy_test
-  ./build-tsan/tests/policy_test
 
   # The benchmark that gates performance claims (perfbench/README.md,
   # BENCHMARK.json) compiles the library from src/ on its own: keep it

@@ -89,7 +89,6 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   node.detector->set_profile(&profile_.histogram("cycle.detect_us"));
   node.process->set_recorder(recorder_.get());
   node.process->set_ledger(ledger_.get());
-  node.summary_cache_valid = false;
   node.last_summary_fresh = true;
   node.alive = true;
   node.covered.clear();
@@ -451,38 +450,6 @@ std::uint64_t Cluster::collect_nodes(const std::vector<Node*>& nodes) {
   return reclaimed;
 }
 
-void Cluster::summarize_all(const std::vector<Node*>& nodes) {
-  const std::size_t n = nodes.size();
-  std::vector<std::uint8_t> reused(n, 0);
-  {
-    util::ScopedTimerUs timer{&profile_.histogram("cycle.summarize_us")};
-    pool().parallel_for(n, [&](std::size_t i) {
-      Node& nd = *nodes[i];
-      const rm::Process& proc = *nd.process;
-      if (nd.summary_cache_valid &&
-          nd.summary_cache.mutation_epoch == proc.mutation_epoch()) {
-        // Same epoch ⇒ no summary-relevant mutation since the cached
-        // summary was computed ⇒ a fresh summarize() would reproduce it
-        // bit for bit, only with a newer timestamp.
-        nd.summary_cache.taken_at = net_.now();
-        reused[i] = 1;
-      } else {
-        nd.summary_cache = gc::summarize(proc);
-        nd.summary_cache_valid = true;
-      }
-    });
-  }
-  // Metrics land serially so counter order is thread-count independent
-  // (the reuse decision itself is epoch-based and thus deterministic).
-  for (std::size_t i = 0; i < n; ++i) {
-    if (reused[i] != 0) {
-      nodes[i]->process->counters().summarize_reused.inc();
-    }
-    nodes[i]->last_summary_fresh = reused[i] == 0;
-  }
-  update_dirty_gauge();
-}
-
 void Cluster::update_dirty_gauge() {
   std::size_t live = 0;
   std::size_t fresh = 0;
@@ -504,21 +471,45 @@ void Cluster::snapshot_all() {
 }
 
 void Cluster::snapshot_nodes(const std::vector<Node*>& nodes) {
-  // Summarize concurrently (read-only per process, dirty-epoch reuse for
-  // quiescent ones), install copies serially so detector bookkeeping and
-  // metrics land in pid order.
-  summarize_all(nodes);
-  util::ScopedTimerUs install_timer{&profile_.histogram("cycle.install_us")};
-  for (Node* node : nodes) {
-    const ProcessId pid = node->process->id();
-    util::ScopedProcess ctx{pid};
-    node->detector->install_snapshot(node->summary_cache);
-    // A new snapshot may see what the old one hid (a cut that went stale,
-    // a suspect that became garbage): nothing stays covered or queued.
-    node->covered.clear();
-    node->detecting = false;
-    node->queued.clear();
+  // Summarize concurrently (read-only per process), install serially so
+  // detector bookkeeping and metrics land in pid order.  A process still
+  // at the mutation epoch its installed summary captured is not
+  // summarized: a fresh summarize() would reproduce that summary bit for
+  // bit, only with a newer timestamp, so the detector keeps it.
+  const std::size_t n = nodes.size();
+  std::vector<std::optional<gc::ProcessSummary>> fresh(n);
+  {
+    util::ScopedTimerUs timer{&profile_.histogram("cycle.summarize_us")};
+    pool().parallel_for(n, [&](std::size_t i) {
+      const gc::CycleDetector& detector = *nodes[i]->detector;
+      const rm::Process& proc = *nodes[i]->process;
+      if (!detector.has_snapshot() ||
+          detector.summary().mutation_epoch != proc.mutation_epoch()) {
+        fresh[i] = gc::summarize(proc);
+      }
+    });
   }
+  {
+    util::ScopedTimerUs timer{&profile_.histogram("cycle.install_us")};
+    for (std::size_t i = 0; i < n; ++i) {
+      Node& node = *nodes[i];
+      util::ScopedProcess ctx{node.process->id()};
+      if (fresh[i].has_value()) {
+        node.detector->install_snapshot(std::move(*fresh[i]));
+      } else {
+        node.detector->reinstall_snapshot(net_.now());
+        node.process->counters().summarize_reused.inc();
+      }
+      node.last_summary_fresh = fresh[i].has_value();
+      // A new snapshot may see what the old one hid (a cut that went
+      // stale, a suspect that became garbage): nothing stays covered or
+      // queued.
+      node.covered.clear();
+      node.detecting = false;
+      node.queued.clear();
+    }
+  }
+  update_dirty_gauge();
 }
 
 std::optional<std::uint64_t> Cluster::detect(ProcessId at, ObjectId candidate) {
@@ -749,7 +740,6 @@ void Cluster::kill(ProcessId pid) {
   node.process.reset();
   node.detector.reset();
   node.suspicion.reset();
-  node.summary_cache_valid = false;
   node.last_collection = {};
   node.last_collection_epoch.reset();
   node.last_root_epoch.reset();
@@ -793,19 +783,16 @@ bool Cluster::restart(ProcessId pid) {
   if (!node.image.empty()) {
     // Never silently mis-rehydrate: a corrupt or stale image is rejected
     // (check_image verdict) and the process restarts empty instead.
-    const auto findings = obs::check_image(node.image, node.image_epoch);
+    rm::ProcessImage image;
+    const auto findings =
+        obs::check_image(node.image, node.image_epoch, &image);
     if (findings.empty()) {
-      if (auto image = gc::decode_image(node.image)) {
-        node.process->restore_image(*image, now());
-        rehydrated = true;
-      }
-    }
-    if (!rehydrated) {
+      node.process->restore_image(image, now());
+      rehydrated = true;
+    } else {
       restart_image_rejected_.inc();
       RGC_WARN("cluster: persisted image for ", to_string(pid), " rejected (",
-               findings.empty() ? std::string("undecodable")
-                                : findings.front().detail,
-               "); restarting empty");
+               findings.front().detail, "); restarting empty");
     }
   }
   recoveries_.inc();

@@ -322,15 +322,6 @@ class Cluster {
     std::unique_ptr<rm::Process> process;
     std::unique_ptr<gc::CycleDetector> detector;
     std::unique_ptr<gc::SuspicionAgeTracker> suspicion;
-    /// Dirty-epoch snapshot reuse: the summary this process's last
-    /// snapshot computed (its mutation_epoch field records the epoch it
-    /// captured).  It serves snapshots only — a collection never
-    /// summarizes.  summarize_all() keeps it verbatim — only the timestamp
-    /// moves — while the live process's epoch still matches, so a
-    /// quiescent process costs O(1) per snapshot round instead of a
-    /// summarization.
-    gc::ProcessSummary summary_cache;
-    bool summary_cache_valid{false};
     /// Mark reuse: the last collection's result, and the mutation and root
     /// epochs it is valid for.  Each tag is its epoch right after that
     /// collection's apply, kept only when the protocol digest after it
@@ -343,7 +334,7 @@ class Cluster {
     std::optional<std::uint64_t> last_collection_epoch;
     std::optional<std::uint64_t> last_root_epoch;
     /// Whether the most recent summarization of this node had to run fresh
-    /// (true) or reused the cache (false).  Feeds the cluster-wide
+    /// (true) or kept the installed summary (false).  Feeds the cluster-wide
     /// cycle.summary_dirty_fraction gauge.
     bool last_summary_fresh{true};
     /// False after kill(); the pointers above are null while down.
@@ -377,16 +368,16 @@ class Cluster {
   /// lands in its last_collection; returns the objects reclaimed in total.
   std::uint64_t collect_nodes(const std::vector<Node*>& nodes);
 
-  /// The snapshot behind snapshot()/snapshot_all(): parallel summarize
-  /// (cached), serial install in pid order.
+  /// The snapshot behind snapshot()/snapshot_all(): parallel summarize,
+  /// serial install in pid order.  Dirty-epoch reuse: a node whose
+  /// process's mutation epoch still equals the one its detector's
+  /// installed summary captured is not summarized; the detector keeps
+  /// that summary (the only copy) and only its timestamp moves, so a
+  /// quiescent process costs O(1) per snapshot instead of a
+  /// summarization.  Serially records "cycle.summarize_reused" per reused
+  /// node and the "cycle.summary_dirty_fraction" gauge (percent of nodes
+  /// that needed a fresh summarization).
   void snapshot_nodes(const std::vector<Node*>& nodes);
-
-  /// Refreshes every node's summary_cache (parallel when threads > 1),
-  /// re-summarizing only nodes whose process's mutation epoch moved since
-  /// the cached summary.  Serially records "cycle.summarize_reused" per
-  /// reused node and the "cycle.summary_dirty_fraction" gauge (percent of
-  /// nodes that needed a fresh summarization).
-  void summarize_all(const std::vector<Node*>& nodes);
 
   /// Recomputes the cycle.summary_dirty_fraction gauge (percent of nodes
   /// whose latest summarization ran fresh) from the per-node freshness

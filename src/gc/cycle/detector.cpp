@@ -1,7 +1,6 @@
 #include "gc/cycle/detector.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/ledger.h"
 #include "obs/recorder.h"
@@ -14,7 +13,6 @@ CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config,
     : process_(process), config_(config), traversal_(traversal) {
   util::Metrics& m = process_.metrics();
   counters_.snapshots = m.counter("cycle.snapshots");
-  counters_.snapshots_adopted = m.counter("cycle.snapshots_adopted");
   counters_.detections_started = m.counter("cycle.detections_started");
   counters_.cdms_received = m.counter("cycle.cdms_received");
   counters_.drops_no_snapshot = m.counter("cycle.drops_no_snapshot");
@@ -38,21 +36,16 @@ CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config,
   steps_hist_ = &m.histogram("cycle.steps_to_detection");
 }
 
-void CycleDetector::install_snapshot(ProcessSummary summary) {
+void CycleDetector::install_snapshot(ProcessSummary&& summary) {
   summary_ = std::move(summary);
   seen_entries_.clear();
   counters_.snapshots.inc();
 }
 
-void CycleDetector::adopt_snapshot(ProcessSummary summary) {
-  if (summary.process != process_.id()) {
-    throw std::invalid_argument("adopt_snapshot: summary belongs to " +
-                                to_string(summary.process) + ", not " +
-                                to_string(process_.id()));
-  }
-  summary_ = std::move(summary);
+void CycleDetector::reinstall_snapshot(std::uint64_t now) {
+  summary_->taken_at = now;
   seen_entries_.clear();
-  counters_.snapshots_adopted.inc();
+  counters_.snapshots.inc();
 }
 
 bool CycleDetector::subsumed(std::uint64_t detection, ObjectId entry,

@@ -86,14 +86,15 @@ class CycleDetector {
 
   /// Installs a summary of this process's current state (§3.5.1).
   /// Cluster::snapshot computes it — independently per process, no
-  /// coordination — and installs it here.
-  void install_snapshot(ProcessSummary summary);
+  /// coordination — and moves it in here; the installed summary is the
+  /// only copy.
+  void install_snapshot(ProcessSummary&& summary);
 
-  /// Adopts a previously-captured (possibly deserialized, possibly
-  /// summarized off-line) snapshot instead of taking one now — the
-  /// paper's lazy/off-line summarization path (§4).  Must belong to this
-  /// process.  Throws std::invalid_argument otherwise.
-  void adopt_snapshot(ProcessSummary summary);
+  /// Installs the current summary again as a snapshot taken at `now`:
+  /// what install_snapshot does, for a process whose mutation epoch still
+  /// matches summary().mutation_epoch (a fresh summarize() would
+  /// reproduce it bit for bit, only with a newer timestamp).
+  void reinstall_snapshot(std::uint64_t now);
   [[nodiscard]] bool has_snapshot() const noexcept { return summary_.has_value(); }
   [[nodiscard]] const ProcessSummary& summary() const { return *summary_; }
 
@@ -197,11 +198,9 @@ class CycleDetector {
   bool subsumed(std::uint64_t detection, ObjectId entry,
                 const util::FlatSet<Element>& targets);
 
-  /// Counter handles, resolved once at construction (the Metrics::add
-  /// string-lookup fix).
+  /// Counter handles, resolved once at construction.
   struct Counters {
     util::Counter snapshots;
-    util::Counter snapshots_adopted;
     util::Counter detections_started;
     util::Counter cdms_received;
     util::Counter drops_no_snapshot;

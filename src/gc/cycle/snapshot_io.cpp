@@ -1,6 +1,5 @@
 #include "gc/cycle/snapshot_io.h"
 
-#include <fstream>
 #include <string_view>
 
 #include "util/bytes.h"
@@ -8,8 +7,10 @@
 namespace rgc::gc {
 namespace {
 
-constexpr std::uint32_t kMagic = 0x52474353;  // "RGCS"
-constexpr std::uint32_t kVersion = 3;  // v3: + mutation_epoch after taken_at
+constexpr std::uint32_t kImageMagic = 0x52474350;  // "RGCP"
+constexpr std::uint32_t kImageVersion = 1;
+constexpr std::size_t kImageHeader = 8;   // magic + version
+constexpr std::size_t kImageTrailer = 8;  // FNV-1a checksum
 
 using util::put_bool;
 using util::put_u32;
@@ -28,13 +29,7 @@ void put_stub_key(std::string& out, const rm::StubKey& k) {
   put_process(out, k.target_process);
 }
 
-template <typename T, typename Put>
-void put_set(std::string& out, const util::FlatSet<T>& set, Put put) {
-  put_u32(out, static_cast<std::uint32_t>(set.size()));
-  for (const T& x : set) put(out, x);
-}
-
-/// util::ByteReader plus the id and key shapes both formats share.
+/// util::ByteReader plus the id and key shapes of the image format.
 struct Reader : util::ByteReader {
   ObjectId object() { return ObjectId{u64()}; }
   ProcessId process() { return ProcessId{u32()}; }
@@ -49,160 +44,6 @@ struct Reader : util::ByteReader {
     return rm::StubKey{o, p};
   }
 };
-
-}  // namespace
-
-std::string encode_summary(const ProcessSummary& s) {
-  std::string out;
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-  put_process(out, s.process);
-  put_u64(out, s.taken_at);
-  put_u64(out, s.mutation_epoch);
-
-  put_u32(out, static_cast<std::uint32_t>(s.scions.size()));
-  for (const auto& [key, sc] : s.scions) {
-    put_scion_key(out, key);
-    put_u64(out, sc.ic);
-    put_bool(out, sc.local_reach);
-    put_set(out, sc.stubs_from, put_stub_key);
-    put_set(out, sc.replicas_from, put_object);
-    put_set(out, sc.scions_to, put_scion_key);
-    put_set(out, sc.replicas_to, put_object);
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(s.stubs.size()));
-  for (const auto& [key, st] : s.stubs) {
-    put_stub_key(out, key);
-    put_u64(out, st.ic);
-    put_bool(out, st.local_reach);
-    put_set(out, st.scions_to, put_scion_key);
-    put_set(out, st.replicas_to, put_object);
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(s.replicas.size()));
-  for (const auto& [obj, rep] : s.replicas) {
-    put_object(out, obj);
-    put_bool(out, rep.local_reach);
-    put_set(out, rep.scions_to, put_scion_key);
-    put_set(out, rep.replicas_to, put_object);
-    put_set(out, rep.stubs_from, put_stub_key);
-    put_set(out, rep.replicas_from, put_object);
-    put_u32(out, static_cast<std::uint32_t>(rep.in_props.size()));
-    for (const PropEntrySummary& e : rep.in_props) {
-      put_process(out, e.process);
-      put_u64(out, e.uc);
-    }
-    put_u32(out, static_cast<std::uint32_t>(rep.out_props.size()));
-    for (const PropEntrySummary& e : rep.out_props) {
-      put_process(out, e.process);
-      put_u64(out, e.uc);
-    }
-  }
-  return out;
-}
-
-std::optional<ProcessSummary> decode_summary(const std::string& bytes) {
-  Reader r{{bytes}};
-  if (r.u32() != kMagic || r.u32() != kVersion) return std::nullopt;
-
-  ProcessSummary s;
-  s.process = r.process();
-  s.taken_at = r.u64();
-  s.mutation_epoch = r.u64();
-
-  const auto read_scion_keys = [&r](util::FlatSet<rm::ScionKey>& out) {
-    const std::uint32_t n = r.count(12);
-    for (std::uint32_t i = 0; i < n && r.ok; ++i) out.insert(r.scion_key());
-  };
-  const auto read_stub_keys = [&r](util::FlatSet<rm::StubKey>& out) {
-    const std::uint32_t n = r.count(12);
-    for (std::uint32_t i = 0; i < n && r.ok; ++i) out.insert(r.stub_key());
-  };
-  const auto read_objects = [&r](util::FlatSet<ObjectId>& out) {
-    const std::uint32_t n = r.count(8);
-    for (std::uint32_t i = 0; i < n && r.ok; ++i) out.insert(r.object());
-  };
-
-  const std::uint32_t scions = r.count(1);
-  for (std::uint32_t i = 0; i < scions && r.ok; ++i) {
-    const rm::ScionKey key = r.scion_key();
-    ScionSummary sc;
-    sc.ic = r.u64();
-    sc.local_reach = r.boolean();
-    read_stub_keys(sc.stubs_from);
-    read_objects(sc.replicas_from);
-    read_scion_keys(sc.scions_to);
-    read_objects(sc.replicas_to);
-    if (r.ok) s.scions.emplace(key, std::move(sc));
-  }
-
-  const std::uint32_t stubs = r.count(1);
-  for (std::uint32_t i = 0; i < stubs && r.ok; ++i) {
-    const rm::StubKey key = r.stub_key();
-    StubSummary st;
-    st.ic = r.u64();
-    st.local_reach = r.boolean();
-    read_scion_keys(st.scions_to);
-    read_objects(st.replicas_to);
-    if (r.ok) s.stubs.emplace(key, std::move(st));
-  }
-
-  const std::uint32_t replicas = r.count(1);
-  for (std::uint32_t i = 0; i < replicas && r.ok; ++i) {
-    const ObjectId obj = r.object();
-    ReplicaSummary rep;
-    rep.local_reach = r.boolean();
-    read_scion_keys(rep.scions_to);
-    read_objects(rep.replicas_to);
-    read_stub_keys(rep.stubs_from);
-    read_objects(rep.replicas_from);
-    const std::uint32_t ins = r.count(12);
-    for (std::uint32_t k = 0; k < ins && r.ok; ++k) {
-      PropEntrySummary e;
-      e.process = r.process();
-      e.uc = r.u64();
-      rep.in_props.push_back(e);
-    }
-    const std::uint32_t outs = r.count(12);
-    for (std::uint32_t k = 0; k < outs && r.ok; ++k) {
-      PropEntrySummary e;
-      e.process = r.process();
-      e.uc = r.u64();
-      rep.out_props.push_back(e);
-    }
-    if (r.ok) s.replicas.emplace(obj, std::move(rep));
-  }
-
-  if (!r.ok || r.at != bytes.size()) return std::nullopt;
-  s.rebuild_anchor_index();
-  return s;
-}
-
-bool save_summary(const ProcessSummary& summary, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const std::string bytes = encode_summary(summary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
-}
-
-std::optional<ProcessSummary> load_summary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return decode_summary(bytes);
-}
-
-// ---- Process images ------------------------------------------------------
-
-namespace {
-
-constexpr std::uint32_t kImageMagic = 0x52474350;  // "RGCP"
-constexpr std::uint32_t kImageVersion = 1;
-constexpr std::size_t kImageHeader = 8;   // magic + version
-constexpr std::size_t kImageTrailer = 8;  // FNV-1a checksum
 
 }  // namespace
 
@@ -409,22 +250,6 @@ std::optional<rm::ProcessImage> decode_image(const std::string& bytes) {
 
   if (!r.ok || r.at != bytes.size() - kImageTrailer) return std::nullopt;
   return image;
-}
-
-bool save_image(const rm::ProcessImage& image, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const std::string bytes = encode_image(image);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
-}
-
-std::optional<rm::ProcessImage> load_image(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return decode_image(bytes);
 }
 
 }  // namespace rgc::gc

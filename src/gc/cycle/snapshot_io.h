@@ -1,48 +1,26 @@
-// Snapshot persistence (§3.5.1).
+// Process images on disk (§3.5.1, crash/restart persistence, rm/image.h).
 //
 // "Periodically, each process stores a snapshot of its internal object
-// graph on disk. … while processes can take snapshots by serializing
-// local graphs, the cycle detector only uses them in their summarized
-// form."  This module serializes the *summarized* form — a ProcessSummary
-// — to a compact binary representation and back, so snapshots can be
-// written out by the process, summarized lazily/off-line, and adopted by
-// a detector later (CycleDetector::adopt_snapshot).
+// graph on disk. … the cycle detector only uses them in their summarized
+// form."  The on-disk snapshot is the process image Cluster::persist
+// writes and Cluster::restart rehydrates from; the summarized form is
+// computed from the live process (gc::summarize) and installed in its
+// detector, never stored.
 //
-// Format: little-endian, length-prefixed sections, a magic/version header
-// so stale files are rejected, and strict bounds checking on decode (a
-// truncated or corrupt file yields std::nullopt, never UB).
+// An image is what a process restarts *from*, so corruption must be
+// detected, never silently rehydrated.  The format is little-endian and
+// length-prefixed, carries its own magic/version and a trailing FNV-1a
+// checksum over the payload, and is bounds-checked on decode (a truncated
+// or corrupt buffer yields std::nullopt, never UB); validate_image
+// distinguishes the failure modes for obs::check_image.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
-#include "gc/cycle/summary.h"
 #include "rm/image.h"
 
 namespace rgc::gc {
-
-/// Serializes a summary to a standalone byte buffer.
-[[nodiscard]] std::string encode_summary(const ProcessSummary& summary);
-
-/// Decodes a buffer produced by encode_summary.  Returns std::nullopt on
-/// any structural problem (bad magic, wrong version, truncation).
-[[nodiscard]] std::optional<ProcessSummary> decode_summary(
-    const std::string& bytes);
-
-/// Convenience file wrappers (the "on disk" of §3.5.1).
-bool save_summary(const ProcessSummary& summary, const std::string& path);
-[[nodiscard]] std::optional<ProcessSummary> load_summary(
-    const std::string& path);
-
-// ---- Process images (crash/restart persistence, rm/image.h) --------------
-//
-// Unlike summaries — advisory inputs to offline detection — an image is
-// what a process restarts *from*, so corruption must be detected, never
-// silently rehydrated.  The format therefore carries its own magic/version
-// and a trailing FNV-1a checksum over the payload; validate_image
-// distinguishes the failure modes for the offline checker
-// (obs::check_image) and decode_image refuses anything not pristine.
 
 enum class ImageStatus {
   kOk,
@@ -65,10 +43,5 @@ enum class ImageStatus {
 /// validate_image(bytes) == kOk and every record decodes cleanly.
 [[nodiscard]] std::optional<rm::ProcessImage> decode_image(
     const std::string& bytes);
-
-/// Convenience file wrappers.
-bool save_image(const rm::ProcessImage& image, const std::string& path);
-[[nodiscard]] std::optional<rm::ProcessImage> load_image(
-    const std::string& path);
 
 }  // namespace rgc::gc

@@ -9,7 +9,7 @@
 
 namespace rgc::gc {
 
-void ProcessSummary::rebuild_anchor_index() const {
+void ProcessSummary::rebuild_anchor_index() {
   anchor_index.clear();
   anchor_index.reserve(scions.size());
   for (const auto& [key, summary] : scions) anchor_index.push_back(key);
@@ -22,7 +22,6 @@ void ProcessSummary::rebuild_anchor_index() const {
 
 std::span<const rm::ScionKey> ProcessSummary::scions_anchored_at(
     ObjectId obj) const {
-  if (anchor_index.size() != scions.size()) rebuild_anchor_index();
   auto lo = std::lower_bound(
       anchor_index.begin(), anchor_index.end(), obj,
       [](const rm::ScionKey& k, ObjectId o) { return k.anchor < o; });

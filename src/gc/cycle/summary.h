@@ -123,19 +123,18 @@ struct ProcessSummary {
   /// Anchor index: every scion key, sorted by (anchor, src_process) — the
   /// opposite of ScionKey's natural order — so anchor-filtered lookups on
   /// the detection hot path are a binary search instead of a full-table
-  /// scan.  Derived from `scions` (rebuilt lazily when stale), excluded
-  /// from comparison and serialization.
-  mutable std::vector<rm::ScionKey> anchor_index;
+  /// scan.  Derived from `scions` by rebuild_anchor_index(), which every
+  /// producer of a summary calls once `scions` is complete; excluded from
+  /// comparison.
+  std::vector<rm::ScionKey> anchor_index;
 
   /// All scions anchored at `obj`; the returned span points into
   /// `anchor_index` and is invalidated by any mutation of the summary.
   [[nodiscard]] std::span<const rm::ScionKey> scions_anchored_at(
       ObjectId obj) const;
 
-  /// Rebuilds `anchor_index` from `scions`.  scions_anchored_at re-indexes
-  /// lazily when the sizes diverge; call this explicitly after in-place
-  /// edits that keep the scion count unchanged.
-  void rebuild_anchor_index() const;
+  /// Rebuilds `anchor_index` from `scions`.
+  void rebuild_anchor_index();
 
   friend bool operator==(const ProcessSummary& a, const ProcessSummary& b) {
     return a.process == b.process && a.taken_at == b.taken_at &&

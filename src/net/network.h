@@ -190,9 +190,9 @@ class Network {
   };
 
   /// Per-kind counter handles resolved once per kind instead of one
-  /// string-concatenation + map lookup per message (the Metrics::add hot
-  /// path fix), plus the kind's small interned id — the per-step send
-  /// series indexes by it, so the send path never touches a string map.
+  /// string-concatenation + map lookup per message, plus the kind's small
+  /// interned id — the per-step send series indexes by it, so the send
+  /// path never touches a string map.
   struct KindCounters {
     std::uint32_t id;
     util::Counter sent;

@@ -34,10 +34,6 @@ void prom_line(std::ostream& os, const std::string& name,
 
 }  // namespace
 
-void Metrics::add(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
-}
-
 std::uint64_t Metrics::get(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;

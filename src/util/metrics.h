@@ -6,11 +6,10 @@
 // paper's tables; tests and the health auditor use it to check protocol
 // accounting (e.g. CDMs the detectors issued against CDMs the network sent).
 //
-// Hot paths use *pre-registered handles* (Counter / Gauge) resolved once at
+// Writers use *pre-registered handles* (Counter / Gauge) resolved once at
 // construction time; incrementing through a handle is a single pointer
-// dereference.  The string API (`add`/`get`) remains as a compatibility
-// shim for cold paths and tests — both views share the same storage, so a
-// handle and the string lookup always agree.
+// dereference.  Readers may look a counter up by name (`get`) — both views
+// share the same storage, so a handle and the string lookup always agree.
 #pragma once
 
 #include <array>
@@ -127,10 +126,6 @@ class Histogram {
 
 class Metrics {
  public:
-  /// Adds delta to the named counter, creating it at zero if absent.
-  /// Compatibility shim: cold paths only — hot paths use counter().
-  void add(const std::string& name, std::uint64_t delta = 1);
-
   /// Current value; zero when the counter was never touched.
   [[nodiscard]] std::uint64_t get(const std::string& name) const;
 

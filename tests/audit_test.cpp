@@ -276,7 +276,7 @@ TEST(AuditTest, CdmCounterDriftIsFlagged) {
 
   // A detector claiming to have sent a CDM the network never saw breaks the
   // cross-layer conservation identity.
-  cluster.process(p0).metrics().add("cycle.cdms_sent");
+  cluster.process(p0).metrics().counter("cycle.cdms_sent").inc();
 
   const HealthReport& health = cluster.audit();
   EXPECT_TRUE(has_finding(health, "cdm_conservation", Severity::kError))

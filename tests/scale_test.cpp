@@ -1,5 +1,5 @@
 // Scale smoke tests (`ctest -L scale`): ~100k-object populations through
-// the arena heap, the snapshot/image codecs, a full collection round and
+// the arena heap, the image codec, a full collection round and
 // the discrete-event scheduler — small enough for the sanitizer legs of
 // scripts/check.sh, big enough to catch O(n^2) regressions and slot/index
 // bookkeeping bugs that toy graphs never tickle.
@@ -10,7 +10,6 @@
 
 #include "core/cluster.h"
 #include "gc/cycle/snapshot_io.h"
-#include "gc/cycle/summary.h"
 #include "rm/image.h"
 #include "rm/process.h"
 
@@ -62,16 +61,6 @@ TEST(Scale, ImageRoundTripsHundredThousandObjects) {
     EXPECT_EQ(decoded->objects[i].refs, image.objects[i].refs);
   }
   EXPECT_EQ(decoded->roots, image.roots);
-}
-
-TEST(Scale, SummaryRoundTripsHundredThousandObjects) {
-  core::Cluster cluster;
-  const std::vector<ProcessId> pids = build_chains(cluster, 1);
-  const gc::ProcessSummary summary =
-      gc::summarize(cluster.process(pids[0]));
-  const auto decoded = gc::decode_summary(gc::encode_summary(summary));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, summary);
 }
 
 TEST(Scale, ClusterSmokeCollectAdvanceAudit) {

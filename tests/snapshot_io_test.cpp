@@ -1,8 +1,6 @@
-// Unit tests: snapshot serialization (§3.5.1 "stores a snapshot … on
-// disk") — round trips, corruption rejection, detector adoption.
+// Unit tests: process image serialization (§3.5.1 "stores a snapshot …
+// on disk") — round trips and corruption rejection.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "core/cluster.h"
 #include "gc/cycle/snapshot_io.h"
@@ -14,124 +12,6 @@ namespace rgc::gc {
 namespace {
 
 using core::Cluster;
-
-ProcessSummary figure2_summary(Cluster& cluster, ProcessId pid) {
-  return summarize(cluster.process(pid));
-}
-
-TEST(SnapshotIo, EmptySummaryRoundTrips) {
-  Cluster cluster;
-  const ProcessId p = cluster.add_process();
-  const ProcessSummary s = summarize(cluster.process(p));
-  const auto decoded = decode_summary(encode_summary(s));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, s);
-}
-
-TEST(SnapshotIo, RichSummaryRoundTrips) {
-  Cluster cluster;
-  const auto f = workload::build_figure3(cluster);
-  for (ProcessId pid : cluster.process_ids()) {
-    const ProcessSummary s = figure2_summary(cluster, pid);
-    const std::string bytes = encode_summary(s);
-    const auto decoded = decode_summary(bytes);
-    ASSERT_TRUE(decoded.has_value()) << to_string(pid);
-    EXPECT_EQ(*decoded, s) << to_string(pid);
-  }
-  (void)f;
-}
-
-TEST(SnapshotIo, CountersSurviveTheTrip) {
-  Cluster cluster;
-  const auto f = workload::build_figure2(cluster);
-  cluster.invoke(f.p3, f.x);
-  cluster.run_until_quiescent();
-  const ProcessSummary s = figure2_summary(cluster, f.p1);
-  const auto decoded = decode_summary(encode_summary(s));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->scions.at(rm::ScionKey{f.p3, f.x}).ic, 1u);
-}
-
-TEST(SnapshotIo, RejectsBadMagic) {
-  Cluster cluster;
-  const ProcessId p = cluster.add_process();
-  std::string bytes = encode_summary(summarize(cluster.process(p)));
-  bytes[0] ^= 0x5a;
-  EXPECT_FALSE(decode_summary(bytes).has_value());
-}
-
-TEST(SnapshotIo, RejectsTruncation) {
-  Cluster cluster;
-  const auto f = workload::build_figure2(cluster);
-  std::string bytes = encode_summary(figure2_summary(cluster, f.p1));
-  for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2, std::size_t{5}}) {
-    EXPECT_FALSE(decode_summary(bytes.substr(0, cut)).has_value())
-        << "cut at " << cut;
-  }
-}
-
-TEST(SnapshotIo, RejectsTrailingGarbage) {
-  Cluster cluster;
-  const ProcessId p = cluster.add_process();
-  std::string bytes = encode_summary(summarize(cluster.process(p)));
-  bytes += "extra";
-  EXPECT_FALSE(decode_summary(bytes).has_value());
-}
-
-TEST(SnapshotIo, RejectsCorruptCounts) {
-  // Flip bytes all over the buffer: decode must never crash and, when the
-  // damage touches structure, must reject.
-  Cluster cluster;
-  const auto f = workload::build_figure2(cluster);
-  const std::string clean = encode_summary(figure2_summary(cluster, f.p1));
-  for (std::size_t i = 8; i < clean.size(); i += 7) {
-    std::string bytes = clean;
-    bytes[i] = static_cast<char>(bytes[i] ^ 0xff);
-    (void)decode_summary(bytes);  // must not crash; result may be nullopt
-  }
-  SUCCEED();
-}
-
-TEST(SnapshotIo, FileSaveLoad) {
-  Cluster cluster;
-  const auto f = workload::build_figure2(cluster);
-  const ProcessSummary s = figure2_summary(cluster, f.p1);
-  const std::string path = "/tmp/rgc_snapshot_test.bin";
-  ASSERT_TRUE(save_summary(s, path));
-  const auto loaded = load_summary(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, s);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotIo, LoadOfMissingFileFails) {
-  EXPECT_FALSE(load_summary("/tmp/rgc_no_such_snapshot.bin").has_value());
-}
-
-TEST(SnapshotIo, AdoptedSnapshotDrivesADetection) {
-  // The paper's off-line path: serialize the summaries, reload them into
-  // fresh detector state, detect — the Figure 2 cycle must still be found.
-  Cluster cluster;
-  const auto f = workload::build_figure2(cluster);
-  for (ProcessId pid : cluster.process_ids()) {
-    const std::string bytes =
-        encode_summary(summarize(cluster.process(pid)));
-    const auto decoded = decode_summary(bytes);
-    ASSERT_TRUE(decoded.has_value());
-    cluster.detector(pid).adopt_snapshot(*decoded);
-  }
-  ASSERT_TRUE(cluster.detect(f.p1, f.x).has_value());
-  cluster.run_until_quiescent();
-  EXPECT_EQ(cluster.cycles_found().size(), 1u);
-}
-
-TEST(SnapshotIo, AdoptRejectsForeignSummary) {
-  Cluster cluster;
-  const ProcessId p1 = cluster.add_process();
-  const ProcessId p2 = cluster.add_process();
-  const ProcessSummary s = summarize(cluster.process(p1));
-  EXPECT_THROW(cluster.detector(p2).adopt_snapshot(s), std::invalid_argument);
-}
 
 // ---- Process images (crash/restart persistence, docs/FAULTS.md) -----------
 
@@ -208,20 +88,6 @@ TEST(ImageIo, StaleEpochIsFlaggedByTheChecker) {
   const auto findings = obs::check_image(old_bytes, new_epoch);
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings.front().invariant, "image_stale");
-}
-
-TEST(ImageIo, FileSaveLoadRoundTrip) {
-  Cluster cluster;
-  const auto f = workload::build_figure2(cluster);
-  const rm::ProcessImage image =
-      cluster.process(f.p1).capture_image(cluster.now());
-  const std::string path = "/tmp/rgc_image_test.bin";
-  ASSERT_TRUE(save_image(image, path));
-  const auto loaded = load_image(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(encode_image(*loaded), encode_image(image));
-  std::remove(path.c_str());
-  EXPECT_FALSE(load_image(path).has_value());
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST(MetricsTest, CounterHandleSharesStorageWithStringApi) {
   c.inc();
   c.inc(4);
   EXPECT_EQ(m.get("x"), 5u);
-  m.add("x", 2);
+  m.counter("x").inc(2);
   EXPECT_EQ(c.value(), 7u);
 }
 

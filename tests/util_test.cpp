@@ -162,14 +162,14 @@ TEST(Rng, ForkIndependence) {
 TEST(Metrics, AddAndGet) {
   util::Metrics m;
   EXPECT_EQ(m.get("x"), 0u);
-  m.add("x");
-  m.add("x", 4);
+  m.counter("x").inc();
+  m.counter("x").inc(4);
   EXPECT_EQ(m.get("x"), 5u);
 }
 
 TEST(Metrics, ResetKeepsNames) {
   util::Metrics m;
-  m.add("a", 2);
+  m.counter("a").inc(2);
   m.reset();
   EXPECT_EQ(m.get("a"), 0u);
   const auto snap = m.snapshot();
@@ -179,8 +179,8 @@ TEST(Metrics, ResetKeepsNames) {
 
 TEST(Metrics, SnapshotSortedByName) {
   util::Metrics m;
-  m.add("zeta");
-  m.add("alpha", 3);
+  m.counter("zeta").inc();
+  m.counter("alpha").inc(3);
   const auto snap = m.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, "alpha");
