@@ -81,16 +81,18 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== thread sanitizer build + determinism tests =="
   cmake -B build-tsan -S . -DRGC_SANITIZE=thread "$WERROR"
   cmake --build build-tsan -j "$JOBS" --target determinism_test chaos_test recorder_test \
-    mark_reuse_test policy_test
+    mark_reuse_test policy_test ledger_test
   ./build-tsan/tests/determinism_test
 
   # The suites above whose races TSan would see: mark reuse (phase 1 on
   # pool threads), the recorder (byte-identical recordings across thread
-  # counts), chaos (the worker pool at 4 threads under fault plans) and
-  # the daemon schedule.
-  echo "== mark reuse, recorder, chaos and policy suites under TSan =="
+  # counts), the ledger (fed from the recorder's append; its threads 1 vs 8
+  # leg drives the pool), chaos (the worker pool at 4 threads under fault
+  # plans) and the daemon schedule.
+  echo "== mark reuse, recorder, ledger, chaos and policy suites under TSan =="
   ./build-tsan/tests/mark_reuse_test
   ./build-tsan/tests/recorder_test
+  ./build-tsan/tests/ledger_test
   ./build-tsan/tests/chaos_test
   ./build-tsan/tests/policy_test
 

@@ -19,18 +19,18 @@ Cluster::Cluster(ClusterConfig config)
       *this,
       obs::AuditConfig{config_.audit_interval, config_.audit_deep_every});
   net_.add_observer(auditor_.get());
-  if (config_.record_capacity > 0) {
+  // One event stream feeds both the recording and the ledger, so it runs
+  // whenever either is on.
+  if (config_.ledger_capacity > 0) {
+    ledger_ = std::make_unique<obs::Ledger>(
+        obs::LedgerConfig{config_.ledger_capacity}, config_.net.min_delay);
+  }
+  if (config_.record_capacity > 0 || ledger_ != nullptr) {
     recorder_ = std::make_unique<obs::FlightRecorder>(
         obs::RecorderConfig{config_.record_capacity});
     recorder_->bind(&net_);
+    recorder_->set_ledger(ledger_.get());
     net_.add_observer(recorder_.get());
-  }
-  if (config_.ledger_capacity > 0) {
-    obs::LedgerConfig ledger_config;
-    ledger_config.capacity = config_.ledger_capacity;
-    ledger_ = std::make_unique<obs::Ledger>(ledger_config);
-    ledger_->bind(&net_);
-    net_.add_observer(ledger_.get());
   }
   starts_covered_ = net_.metrics().counter("cycle.starts_covered");
   starts_queued_ = net_.metrics().counter("cycle.starts_queued");
@@ -61,6 +61,7 @@ obs::RecStamp Cluster::recorder_stamp() const {
   stamp.max_delay = config_.net.max_delay;
   stamp.lease_timeout = config_.lease_timeout;
   stamp.capacity = static_cast<std::uint32_t>(config_.record_capacity);
+  stamp.min_delay = config_.net.min_delay;
   return stamp;
 }
 
@@ -88,7 +89,6 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   };
   node.detector->set_profile(&profile_.histogram("cycle.detect_us"));
   node.process->set_recorder(recorder_.get());
-  node.process->set_ledger(ledger_.get());
   node.last_summary_fresh = true;
   node.alive = true;
   node.covered.clear();
@@ -217,15 +217,15 @@ void Cluster::advance_clock(std::uint64_t delta) {
     // audit cadence rather than per step.
     profile_.gauge("cluster.peak_rss_bytes").set(util::peak_rss_bytes());
     auditor_->run_scheduled();
-    if (recorder_) {
+    if (obs::FlightRecorder* rec = recorder()) {
       const std::uint64_t errors = auditor_->report().errors();
       if (errors > recorded_audit_errors_) {
-        recorder_->audit_error(errors);
+        rec->append(obs::RecKind::kAuditError, kNoProcess, errors);
         recorded_audit_errors_ = errors;
         if (!config_.record_dump_path.empty() && !audit_error_dumped_) {
           // First ERROR: freeze the evidence while it is still fresh.
           audit_error_dumped_ = true;
-          obs::dump_recording(*recorder_, recorder_stamp(),
+          obs::dump_recording(*rec, recorder_stamp(),
                               config_.record_dump_path);
         }
       }
@@ -727,7 +727,7 @@ void Cluster::kill(ProcessId pid) {
   Node& node = it->second;
   if (!node.alive) throw std::logic_error("process already down");
   engage_fault_tolerance();
-  if (recorder_) recorder_->fault(obs::RecKind::kKill, pid, node.incarnations);
+  if (recorder_) recorder_->append(obs::RecKind::kKill, pid, node.incarnations);
   // The auditor banks the dying process's conservation contributions (CDMs
   // sent/received, pending cut whitelists) before the state vanishes.
   auditor_->note_crash(pid, node.process->metrics());
@@ -760,7 +760,7 @@ void Cluster::persist(ProcessId pid) {
   node.image = gc::encode_image(node.process->capture_image(now()));
   node.image_epoch = node.process->mutation_epoch();
   if (recorder_) {
-    recorder_->fault(obs::RecKind::kPersist, pid, node.image.size());
+    recorder_->append(obs::RecKind::kPersist, pid, node.image.size());
   }
 }
 
@@ -818,7 +818,7 @@ bool Cluster::restart(ProcessId pid) {
     send_reconciliation(*node.process, q);
   }
   if (recorder_) {
-    recorder_->fault(obs::RecKind::kRestart, pid, node.incarnations,
+    recorder_->append(obs::RecKind::kRestart, pid, node.incarnations,
                      rehydrated ? 1 : 0);
   }
   RGC_INFO("cluster: restarted ", to_string(pid),
@@ -856,7 +856,7 @@ void Cluster::set_image(ProcessId pid, std::string bytes) {
 void Cluster::partition(const std::vector<std::vector<ProcessId>>& groups) {
   engage_fault_tolerance();
   if (recorder_) {
-    recorder_->fault(obs::RecKind::kPartition, kNoProcess, groups.size());
+    recorder_->append(obs::RecKind::kPartition, kNoProcess, groups.size());
   }
   net_.set_partition(groups);
   partitions_.inc();
@@ -864,7 +864,7 @@ void Cluster::partition(const std::vector<std::vector<ProcessId>>& groups) {
 
 void Cluster::heal() {
   if (!net_.partitioned()) return;
-  if (recorder_) recorder_->fault(obs::RecKind::kHeal, kNoProcess);
+  if (recorder_) recorder_->append(obs::RecKind::kHeal, kNoProcess);
   const std::map<ProcessId, std::uint32_t> groups = net_.partition_groups();
   net_.clear_partition();
   heals_.inc();
@@ -955,16 +955,10 @@ void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {
       it->second.covered.insert(e.replica.object);
     }
   }
-  // Before the Cut send, which the timeline parents on this verdict.
+  // Before the Cut send, which the timeline parents on this verdict and
+  // the ledger charges to its entry.
   if (recorder_) {
-    recorder_->detection(obs::RecKind::kVerdict, at, cdm.detection_id,
-                         cdm.candidate.object);
-  }
-  if (ledger_ != nullptr) {
-    // The verdict fires on the serial dispatch (or detect) path, so the
-    // ledger hook is deterministic.  Before sending the Cut, so zero-hop
-    // local detections have a live record for the Cut send to charge.
-    std::uint64_t unlinked = 0;
+    std::uint64_t unlinked = 0;  // when the candidate became garbage
     if (const auto it = nodes_.find(cdm.candidate.process);
         it != nodes_.end() && it->second.alive) {
       if (const rm::Object* obj =
@@ -972,7 +966,7 @@ void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {
         unlinked = obj->unlinked_at;
       }
     }
-    ledger_->cycle_proven(at, cdm, unlinked);
+    recorder_->verdict(at, cdm, unlinked);
   }
   if (!config_.auto_cut) return;
   for (auto& [member, cut] : gc::CycleDetector::make_cuts(cdm)) {

@@ -84,10 +84,10 @@ struct ClusterConfig {
   /// 0 derives max(1, lease_timeout / 4).  Ignored while leases are off.
   std::uint64_t heartbeat_interval{0};
   /// Flight-recorder ring capacity per process (obs/recorder.h): every
-  /// transport event, GC phase, sweep, reclaim decision, lease expiry and
-  /// fault is retained in a fixed ring for post-mortem replay.  Always on
-  /// by default, like the auditor — appends are O(1), allocation-free in
-  /// steady state, and touch no deterministic metric.  0 disables.
+  /// event of the stream is retained in a fixed ring for post-mortem
+  /// replay.  Always on by default, like the auditor — appends are O(1),
+  /// allocation-free in steady state, and touch no deterministic metric.
+  /// 0 disables the recording; the stream still feeds the ledger.
   std::size_t record_capacity{4096};
   /// When set, the first audit ERROR dumps the recording here as a
   /// versioned `.rgcrec` file (sim_cli --record wires this up; SIGABRT
@@ -240,10 +240,10 @@ class Cluster {
   [[nodiscard]] const util::Metrics& profile() const noexcept { return profile_; }
   /// The always-on flight recorder (null when record_capacity is 0).
   [[nodiscard]] obs::FlightRecorder* recorder() noexcept {
-    return recorder_.get();
+    return config_.record_capacity > 0 ? recorder_.get() : nullptr;
   }
   [[nodiscard]] const obs::FlightRecorder* recorder() const noexcept {
-    return recorder_.get();
+    return config_.record_capacity > 0 ? recorder_.get() : nullptr;
   }
   /// Run identity for dumping this cluster's recording (rounds = 0: the
   /// cluster doesn't know the driving workload's round count).
@@ -448,10 +448,11 @@ class Cluster {
   util::Metrics profile_;
   /// Declared after net_ so it is destroyed first (it is net_'s observer).
   std::unique_ptr<obs::HealthAuditor> auditor_;
-  /// Also a net_ observer (add_observer) — same ordering rule.
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  /// Per-cycle cost ledger; also a net_ observer (add_observer).
+  /// Per-cycle cost ledger, fed by recorder_ (so declared before it).
   std::unique_ptr<obs::Ledger> ledger_;
+  /// The event stream, present when recording or the ledger is on: a net_
+  /// observer (add_observer) — same ordering rule.
+  std::unique_ptr<obs::FlightRecorder> recorder_;
   /// Starts detect() skipped (covered) or queued.
   util::Counter starts_covered_;
   util::Counter starts_queued_;

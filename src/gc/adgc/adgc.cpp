@@ -197,7 +197,7 @@ void Adgc::on_reclaim(rm::Process& process, const net::Envelope& env,
   }
   process.counters().reclaim_received.inc();
   if (obs::FlightRecorder* rec = process.recorder()) {
-    rec->reclaim_decision(process.id(), env.src, obj);
+    rec->append(obs::RecKind::kReclaim, process.id(), raw(obj), 0, env.src);
   }
   RGC_DEBUG("adgc: ", to_string(process.id()), " unlinked replica ",
             to_string(obj), " after Reclaim from ", to_string(env.src));
@@ -271,7 +271,7 @@ std::uint64_t Adgc::expire_leases(rm::Process& process, std::uint64_t now,
   }
   if (expired_scions != 0) {
     if (obs::FlightRecorder* rec = process.recorder()) {
-      rec->lease_expiry(process.id(), expired_scions);
+      rec->append(obs::RecKind::kLeaseExpiry, process.id(), expired_scions);
     }
   }
   return expired_scions;

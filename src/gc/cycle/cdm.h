@@ -61,8 +61,13 @@ struct Observation {
   std::uint64_t counter{0};
 };
 
+/// The process that started detection `id`, whose candidate it is.
+constexpr ProcessId detection_initiator(std::uint64_t id) noexcept {
+  return ProcessId{static_cast<std::uint32_t>(id >> 32)};
+}
+
 struct Cdm {
-  /// Unique per detection (process id of the initiator + a local serial).
+  /// Unique per detection: initiator's pid (high half) + a local serial.
   std::uint64_t detection_id{0};
   /// The suspect the detection started from.
   Replica candidate;
@@ -215,8 +220,8 @@ struct CutMsg final : net::Message {
 struct PropCutMsg final : net::Message {
   ObjectId object{kNoObject};
   std::uint64_t expected_uc{0};
-  /// Detection that ordered the cut — carried so cost accounting
-  /// (obs::Ledger) can charge the whole cut fan-out to its cycle.
+  /// Detection that ordered the cut — carried so cost accounting can
+  /// charge the whole cut fan-out to its cycle.
   std::uint64_t detection_id{0};
 
   [[nodiscard]] const char* kind() const noexcept override { return "PropCut"; }

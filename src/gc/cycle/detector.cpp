@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/ledger.h"
 #include "obs/recorder.h"
 #include "util/log.h"
 
@@ -101,8 +100,8 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
   counters_.detections_started.inc();
   // Lineage root: every later event of this detection chains back here.
   if (obs::FlightRecorder* rec = process_.recorder()) {
-    rec->detection(obs::RecKind::kDetectStart, self, cdm.detection_id,
-                   candidate);
+    rec->append(obs::RecKind::kDetectStart, self, raw(candidate),
+                cdm.detection_id);
   }
   const std::uint64_t detection_id = cdm.detection_id;
   conclude(cdm, remote_out);  // moves the payload into its last send
@@ -675,8 +674,9 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
     counters_.props_cut.inc();
     ++props_cut;
   }
-  if (obs::Ledger* ledger = process_.ledger(); ledger != nullptr) {
-    ledger->cut_applied(msg.detection_id, scions_cut, props_cut, stale);
+  if (obs::FlightRecorder* rec = process_.recorder()) {
+    rec->cut_applied(process_.id(), msg.detection_id, scions_cut, props_cut,
+                     stale);
   }
 }
 

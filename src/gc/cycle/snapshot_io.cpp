@@ -54,7 +54,6 @@ std::string to_string(ImageStatus status) {
     case ImageStatus::kBadMagic: return "bad magic";
     case ImageStatus::kBadVersion: return "unsupported version";
     case ImageStatus::kChecksumMismatch: return "checksum mismatch";
-    case ImageStatus::kMalformed: return "malformed payload";
   }
   return "unknown";
 }

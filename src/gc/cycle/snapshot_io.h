@@ -28,7 +28,6 @@ enum class ImageStatus {
   kBadMagic,           // not an image file
   kBadVersion,         // produced by an incompatible writer
   kChecksumMismatch,   // bit flips or mid-record truncation
-  kMalformed,          // checksum ok but structure undecodable
 };
 
 [[nodiscard]] std::string to_string(ImageStatus status);

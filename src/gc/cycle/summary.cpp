@@ -87,8 +87,8 @@ bool any_word(const std::uint64_t* bits, std::size_t words) {
 }  // namespace
 
 // summarize() runs on worker threads during the cluster's parallel snapshot
-// phase, so it must not touch shared sinks such as the recorder or the
-// ledger; the serial install loop (Cluster::snapshot_nodes) may.
+// phase, so it must not touch shared sinks such as the recorder; the serial
+// install loop (Cluster::snapshot_nodes) may.
 ProcessSummary summarize(const rm::Process& process) {
   ProcessSummary s;
   s.process = process.id();

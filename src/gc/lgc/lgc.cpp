@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/ledger.h"
 #include "obs/recorder.h"
 #include "util/log.h"
 
@@ -44,7 +43,8 @@ void record_collection(rm::Process& process, const LgcResult& result) {
   // Sweeps run in the serial phase, so the recorder's global event order
   // (and hence the .rgcrec bytes) is thread-count independent.
   if (obs::FlightRecorder* rec = process.recorder()) {
-    rec->sweep(process.id(), result.reclaimed.size(), result.traced);
+    rec->append(obs::RecKind::kSweep, process.id(), result.reclaimed.size(),
+                result.traced);
   }
   RGC_DEBUG("lgc: ", to_string(process.id()), " reclaimed ",
             result.reclaimed.size(), " objects, ", result.stub_reach.size(),
@@ -289,6 +289,7 @@ LgcResult Lgc::apply(rm::Process& process, LgcMark marked,
   rm::Heap& heap = process.heap();
   rm::ProcessCounters& counters = process.counters();
   const std::uint64_t now = process.network().now();
+  obs::FlightRecorder* const rec = process.recorder();
   for (const ObjectId id : marked.unmarked) {
     rm::Object& obj = *heap.find(id);
     if (obj.finalizable && config.finalizer != nullptr &&
@@ -306,9 +307,10 @@ LgcResult Lgc::apply(rm::Process& process, LgcMark marked,
     counters.reclaim_latency->record(
         obj.unlinked_at == 0 ? 0 : now - obj.unlinked_at);
     process.note_reclaimed(id, now);
-    // The sweep runs in the serial phase, so the ledger stays deterministic.
-    if (obs::Ledger* ledger = process.ledger(); ledger != nullptr) {
-      ledger->object_reclaimed(process.id(), id, now);
+    // The sweep runs in the serial phase, so the event order is
+    // thread-count independent.
+    if (rec != nullptr) {
+      rec->append(obs::RecKind::kFreed, process.id(), raw(id));
     }
     result.reclaimed.push_back(id);
     heap.erase(id);

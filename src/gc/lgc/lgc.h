@@ -29,7 +29,7 @@
 //    Read-only too, so the cluster runs it beside mark().
 //  - apply() — finalization, reclamation of the listed objects, dropping
 //    the listed stubs, metrics, and recording.  Mutates the process and
-//    touches shared sinks (recorder, ledger, Finalizer), so the cluster
+//    touches shared sinks (recorder, Finalizer), so the cluster
 //    runs it serially in pid order; its cost follows the garbage, not the
 //    live heap.
 // collect() == mark() + scan() + apply() and is what single-process callers

@@ -27,8 +27,6 @@ std::vector<Finding> check_image(const std::string& bytes,
             "checksum valid but the record structure does not decode");
       case gc::ImageStatus::kChecksumMismatch:
         return image_error("image_checksum", gc::to_string(status));
-      case gc::ImageStatus::kMalformed:
-        return image_error("image_structure", gc::to_string(status));
       case gc::ImageStatus::kTruncated:
       case gc::ImageStatus::kBadMagic:
       case gc::ImageStatus::kBadVersion:

@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <ostream>
 
-#include "gc/adgc/adgc.h"
-#include "rm/messages.h"
+#include "gc/cycle/cdm.h"
 
 namespace rgc::obs {
 
@@ -95,10 +94,10 @@ std::string LedgerEntry::to_json() const {
   return out;
 }
 
-Ledger::Ledger(LedgerConfig config) : config_(config) {
+Ledger::Ledger(LedgerConfig config, std::uint64_t transit_floor)
+    : config_(config), transit_floor_(transit_floor) {
   if (config_.capacity == 0) config_.capacity = 1;
-  if (config_.max_live == 0) config_.max_live = 1;
-  live_.resize(config_.max_live);
+  live_.resize(kLedgerMaxLive);
   for (LiveRec& rec : live_) rec.hops.reserve(kLedgerMaxHops);
   done_.reserve(config_.capacity);
   tracked_ = metrics_.counter("ledger.detections_tracked");
@@ -132,25 +131,14 @@ Ledger::Ledger(LedgerConfig config) : config_(config) {
   }
 }
 
-std::uint64_t Ledger::clock(std::uint64_t fallback) const noexcept {
-  return net_ != nullptr ? net_->now() : fallback;
+int Ledger::slot_of(std::uint64_t id) const {
+  const auto it = live_index_.find(id);
+  return it == live_index_.end() ? -1 : static_cast<int>(it->second);
 }
 
-std::uint64_t Ledger::transit_floor() const noexcept {
-  return net_ != nullptr ? net_->config().min_delay : 1;
-}
-
-std::size_t Ledger::live() const noexcept {
-  std::size_t n = 0;
-  for (const LiveRec& rec : live_) n += rec.used ? 1 : 0;
-  return n;
-}
-
-int Ledger::slot_of(std::uint64_t id, bool create, const gc::Cdm* cdm) {
-  if (const auto it = live_index_.find(id); it != live_index_.end()) {
-    return static_cast<int>(it->second);
-  }
-  if (!create || cdm == nullptr) return -1;
+int Ledger::track(std::uint64_t id, ObjectId candidate,
+                  std::uint64_t started_step) {
+  if (const int slot = slot_of(id); slot >= 0) return slot;
   int slot = -1;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (!live_[i].used) {
@@ -179,9 +167,9 @@ int Ledger::slot_of(std::uint64_t id, bool create, const gc::Cdm* cdm) {
   LiveRec& rec = live_[static_cast<std::size_t>(slot)];
   rec.used = true;
   rec.entry.detection_id = id;
-  rec.entry.candidate = cdm->candidate.object;
-  rec.entry.candidate_process = cdm->candidate.process;
-  rec.entry.started_step = cdm->started_step;
+  rec.entry.candidate = candidate;
+  rec.entry.candidate_process = gc::detection_initiator(id);
+  rec.entry.started_step = started_step;
   live_index_[id] = static_cast<std::uint32_t>(slot);
   tracked_.inc();
   live_gauge_.set(live());
@@ -196,30 +184,66 @@ void Ledger::release(int slot) {
     it = it->second == static_cast<std::uint32_t>(slot) ? awaiting_.erase(it)
                                                         : std::next(it);
   }
-  rec.entry = LedgerEntry{};
-  rec.hops.clear();  // keeps the reserved capacity
-  rec.last_delivered.clear();
-  rec.used = false;
-  rec.proven = false;
-  rec.verdict_hop = kNoHop;
-  rec.cut_seq = 0;
-  rec.cut_seen = false;
-  rec.cut_src = kNoProcess;
-  rec.hop_overflow = false;
+  std::vector<HopRec> hops = std::move(rec.hops);
+  hops.clear();  // keeps the reserved capacity
+  rec = LiveRec{};
+  rec.hops = std::move(hops);
   live_gauge_.set(live());
 }
 
-// ---- Transport hooks ------------------------------------------------------
+// ---- The event stream -----------------------------------------------------
 
-void Ledger::cdm_send(const net::Envelope& env, const gc::CdmMsg& msg) {
-  const int slot = slot_of(msg.cdm.detection_id, /*create=*/true, &msg.cdm);
-  if (slot < 0) return;
+void Ledger::consume(const RecEvent& e) {
+  switch (static_cast<RecKind>(e.kind)) {
+    case RecKind::kSend:
+      on_send(e);
+      return;
+    case RecKind::kDeliver:
+      on_deliver(e);
+      return;
+    case RecKind::kDrop:
+      if (static_cast<RecMsg>(e.msg) == RecMsg::kCdm) {
+        cdm_dropped_.inc();
+        if (const int slot = slot_of(e.b); slot >= 0) {
+          ++live_[static_cast<std::size_t>(slot)].entry.cdm_dropped;
+        }
+      }
+      return;
+    case RecKind::kDuplicate:
+      if (static_cast<RecMsg>(e.msg) == RecMsg::kCdm) cdm_duplicated_.inc();
+      return;
+    case RecKind::kVerdict:
+      cycle_proven(e);
+      return;
+    case RecKind::kVerdictMember:
+      if (e.b == members_for_) await_member(slot_of(e.b), ObjectId{e.a});
+      return;
+    case RecKind::kCutApplied:
+      if (const int slot = slot_of(e.b); slot >= 0) {
+        LedgerEntry& entry = live_[static_cast<std::size_t>(slot)].entry;
+        entry.scions_cut += e.a;
+        entry.props_cut += e.c;
+        entry.cuts_stale += e.d;
+      }
+      return;
+    case RecKind::kFreed:
+      object_reclaimed(ProcessId{e.pid}, ObjectId{e.a}, e.step);
+      return;
+    default:
+      return;
+  }
+}
+
+// Transport events: pid is the ring's process (the sender of a send, drop
+// or duplicate, the receiver of a delivery) and peer the other end.
+
+void Ledger::cdm_send(const RecEvent& e) {
+  const int slot = track(e.b, ObjectId{e.c}, e.d);
   LiveRec& rec = live_[static_cast<std::size_t>(slot)];
-  const std::uint64_t weight = msg.weight();
   ++rec.entry.cdm_msgs;
-  rec.entry.cdm_weight += weight;
+  rec.entry.cdm_weight += e.weight;
   cdm_msgs_.inc();
-  cdm_weight_.inc(weight);
+  cdm_weight_.inc(e.weight);
   if (rec.hops.size() >= kLedgerMaxHops) {
     if (!rec.hop_overflow) {
       rec.hop_overflow = true;
@@ -228,98 +252,50 @@ void Ledger::cdm_send(const net::Envelope& env, const gc::CdmMsg& msg) {
     return;
   }
   HopRec hop;
-  hop.src = env.src;
-  hop.dst = env.dst;
-  hop.seq = env.seq;
-  hop.sent_step = clock(env.sent_at);
-  hop.weight = weight;
-  if (const auto it = rec.last_delivered.find(env.src);
+  hop.src = ProcessId{e.pid};
+  hop.dst = ProcessId{e.peer};
+  hop.seq = e.a;
+  hop.sent_step = e.step;
+  hop.weight = e.weight;
+  if (const auto it = rec.last_delivered.find(hop.src);
       it != rec.last_delivered.end()) {
     hop.parent = it->second;
   }
   rec.hops.push_back(hop);
 }
 
-void Ledger::cdm_deliver(const net::Envelope& env, const gc::CdmMsg& msg) {
-  const int slot = slot_of(msg.cdm.detection_id, /*create=*/false, nullptr);
-  if (slot < 0) return;
-  LiveRec& rec = live_[static_cast<std::size_t>(slot)];
-  // Newest-first scan: the matching send is almost always recent, and a
-  // duplicated message must latch onto the same hop as its original.
-  for (std::size_t i = rec.hops.size(); i-- > 0;) {
-    HopRec& hop = rec.hops[i];
-    if (hop.src != env.src || hop.dst != env.dst || hop.seq != env.seq) {
-      continue;
+void Ledger::on_send(const RecEvent& e) {
+  switch (static_cast<RecMsg>(e.msg)) {
+    case RecMsg::kCdm:
+      cdm_send(e);
+      return;
+    case RecMsg::kCut:
+    case RecMsg::kPropCut: {
+      cut_msgs_.inc();
+      cut_weight_.inc(e.weight);
+      const bool cut = static_cast<RecMsg>(e.msg) == RecMsg::kCut;
+      const int slot = slot_of(cut ? e.b : e.d);
+      if (slot < 0) return;
+      LiveRec& rec = live_[static_cast<std::size_t>(slot)];
+      ++rec.entry.cut_msgs;
+      rec.entry.cut_weight += e.weight;
+      if (cut && !rec.cut_seen) {  // the first Cut, matched on delivery
+        rec.cut_seen = true;
+        rec.cut_seq = e.a;
+        rec.cut_src = ProcessId{e.pid};
+        rec.entry.cut_sent_step = e.step;
+      }
+      return;
     }
-    if (hop.deliver_step == 0) {
-      hop.deliver_step = clock(env.sent_at);
-      ++rec.entry.hops;
-    }
-    rec.last_delivered[env.dst] = static_cast<std::uint32_t>(i);
-    return;
-  }
-}
-
-void Ledger::on_send(const net::Envelope& env) {
-  const net::Message* m = env.msg;
-  switch (m->kind()[0]) {
-    case 'C':
-      if (const auto* cdm = dynamic_cast<const gc::CdmMsg*>(m)) {
-        cdm_send(env, *cdm);
-      } else if (const auto* cut = dynamic_cast<const gc::CutMsg*>(m)) {
-        const int slot = slot_of(cut->detection_id, false, nullptr);
-        cut_msgs_.inc();
-        cut_weight_.inc(cut->weight());
-        if (slot < 0) return;
-        LiveRec& rec = live_[static_cast<std::size_t>(slot)];
-        ++rec.entry.cut_msgs;
-        rec.entry.cut_weight += cut->weight();
-        if (!rec.cut_seen) {
-          rec.cut_seen = true;
-          rec.cut_seq = env.seq;
-          rec.cut_src = env.src;
-          rec.entry.cut_sent_step = clock(env.sent_at);
-        }
-      }
+    case RecMsg::kPropagate:
+    case RecMsg::kInvoke:
+      attribute_member(ObjectId{e.c}, /*adgc=*/false, e.weight);
       return;
-    case 'P':
-      if (const auto* pc = dynamic_cast<const gc::PropCutMsg*>(m)) {
-        cut_msgs_.inc();
-        cut_weight_.inc(pc->weight());
-        if (const int slot = slot_of(pc->detection_id, false, nullptr);
-            slot >= 0) {
-          LiveRec& rec = live_[static_cast<std::size_t>(slot)];
-          ++rec.entry.cut_msgs;
-          rec.entry.cut_weight += pc->weight();
-        }
-      } else if (!awaiting_.empty()) {
-        if (const auto* p = dynamic_cast<const rm::PropagateMsg*>(m)) {
-          attribute_member(p->object, /*adgc=*/false, p->weight());
-        }
-      }
+    case RecMsg::kUnreachable:
+    case RecMsg::kReclaim:
+      attribute_member(ObjectId{e.c}, /*adgc=*/true, e.weight);
       return;
-    case 'I':
-      if (!awaiting_.empty()) {
-        if (const auto* p = dynamic_cast<const rm::InvokeMsg*>(m)) {
-          attribute_member(p->target, /*adgc=*/false, p->weight());
-        }
-      }
-      return;
-    case 'U':
-      if (!awaiting_.empty()) {
-        if (const auto* p = dynamic_cast<const gc::UnreachableMsg*>(m)) {
-          attribute_member(p->object, /*adgc=*/true, p->weight());
-        }
-      }
-      return;
-    case 'R':
-      if (!awaiting_.empty()) {
-        if (const auto* p = dynamic_cast<const gc::ReclaimMsg*>(m)) {
-          attribute_member(p->object, /*adgc=*/true, p->weight());
-        }
-      }
-      return;
-    default:
+    case RecMsg::kOther:
       return;
   }
 }
@@ -342,53 +318,41 @@ void Ledger::attribute_member(ObjectId object, bool adgc,
   }
 }
 
-void Ledger::on_deliver(const net::Envelope& env) {
-  const net::Message* m = env.msg;
-  if (m->kind()[0] != 'C') return;
-  if (const auto* cdm = dynamic_cast<const gc::CdmMsg*>(m)) {
-    cdm_deliver(env, *cdm);
-  } else if (const auto* cut = dynamic_cast<const gc::CutMsg*>(m)) {
-    const int slot = slot_of(cut->detection_id, false, nullptr);
-    if (slot < 0) return;
-    LiveRec& rec = live_[static_cast<std::size_t>(slot)];
-    if (rec.cut_seen && rec.entry.cut_delivered_step == 0 &&
-        rec.cut_src == env.src && rec.cut_seq == env.seq) {
-      rec.entry.cut_delivered_step = clock(env.sent_at);
-    }
-  }
-}
-
-void Ledger::on_drop(const net::Envelope& env) {
-  const auto* cdm = dynamic_cast<const gc::CdmMsg*>(env.msg);
-  if (cdm == nullptr) return;
-  cdm_dropped_.inc();
-  const int slot = slot_of(cdm->cdm.detection_id, false, nullptr);
+void Ledger::on_deliver(const RecEvent& e) {
+  const auto msg = static_cast<RecMsg>(e.msg);
+  if (msg != RecMsg::kCdm && msg != RecMsg::kCut) return;
+  const int slot = slot_of(e.b);
   if (slot < 0) return;
   LiveRec& rec = live_[static_cast<std::size_t>(slot)];
-  ++rec.entry.cdm_dropped;
+  const ProcessId src{e.peer};
+  const ProcessId dst{e.pid};
+  if (msg == RecMsg::kCut) {
+    if (rec.cut_seen && rec.entry.cut_delivered_step == 0 &&
+        rec.cut_src == src && rec.cut_seq == e.a) {
+      rec.entry.cut_delivered_step = e.step;
+    }
+    return;
+  }
+  // Newest-first scan: the matching send is almost always recent, and a
+  // duplicated message must latch onto the same hop as its original.
   for (std::size_t i = rec.hops.size(); i-- > 0;) {
     HopRec& hop = rec.hops[i];
-    if (hop.src == env.src && hop.dst == env.dst && hop.seq == env.seq &&
-        hop.deliver_step == 0) {
-      hop.dropped = true;
-      return;
+    if (hop.src != src || hop.dst != dst || hop.seq != e.a) continue;
+    if (hop.deliver_step == 0) {
+      hop.deliver_step = e.step;
+      ++rec.entry.hops;
     }
+    rec.last_delivered[dst] = static_cast<std::uint32_t>(i);
+    return;
   }
 }
 
-void Ledger::on_duplicate(const net::Envelope& env) {
-  if (dynamic_cast<const gc::CdmMsg*>(env.msg) != nullptr) {
-    cdm_duplicated_.inc();
-  }
-}
+// ---- Lifecycle events -----------------------------------------------------
 
-// ---- Lifecycle hooks ------------------------------------------------------
-
-void Ledger::cycle_proven(ProcessId at, const gc::Cdm& cdm,
-                          std::uint64_t unlinked_step) {
-  const int slot = slot_of(cdm.detection_id, /*create=*/true, &cdm);
-  if (slot < 0) return;
+void Ledger::cycle_proven(const RecEvent& v) {
+  const int slot = track(v.b, ObjectId{v.a}, v.c);
   LiveRec& rec = live_[static_cast<std::size_t>(slot)];
+  members_for_ = 0;
   if (rec.proven) {
     duplicate_verdicts_.inc();
     return;
@@ -396,19 +360,20 @@ void Ledger::cycle_proven(ProcessId at, const gc::Cdm& cdm,
   rec.proven = true;
   proven_.inc();
   LedgerEntry& e = rec.entry;
+  const ProcessId at{v.pid};
   e.verdict_process = at;
-  e.unlinked_step = unlinked_step;
+  e.unlinked_step = v.d;
   if (const auto it = rec.last_delivered.find(at);
       it != rec.last_delivered.end()) {
     rec.verdict_hop = it->second;
   }
   // The verdict concludes inside the closing delivery's handler, so the
   // detected step IS that hop's delivery step; pinning it there (instead of
-  // reading the clock) keeps the telescoping identity exact even if a
+  // the verdict's own step) keeps the telescoping identity exact even if a
   // duplicated delivery re-examined the track later.
   e.detected_step = rec.verdict_hop != kNoHop
                         ? rec.hops[rec.verdict_hop].deliver_step
-                        : clock(e.started_step);
+                        : v.step;
   e.detect_steps = e.detected_step - e.started_step;
 
   // Causal critical path: the verdict hop's ancestry, start-most first.
@@ -418,7 +383,6 @@ void Ledger::cycle_proven(ProcessId at, const gc::Cdm& cdm,
     chain.push_back(h);
   }
   std::reverse(chain.begin(), chain.end());
-  const std::uint64_t floor = transit_floor();
   e.path.reserve(chain.size());
   for (const std::uint32_t idx : chain) {
     const HopRec& h = rec.hops[idx];
@@ -433,7 +397,7 @@ void Ledger::cycle_proven(ProcessId at, const gc::Cdm& cdm,
     out.digest_steps = h.sent_step >= prev ? h.sent_step - prev : 0;
     const std::uint64_t latency =
         h.deliver_step >= h.sent_step ? h.deliver_step - h.sent_step : 0;
-    out.transit_steps = std::min(floor, latency);
+    out.transit_steps = std::min(transit_floor_, latency);
     out.wait_steps = latency - out.transit_steps;
     out.weight = h.weight;
     e.digest_steps += out.digest_steps;
@@ -442,28 +406,21 @@ void Ledger::cycle_proven(ProcessId at, const gc::Cdm& cdm,
     e.path.push_back(out);
   }
 
-  // Track the cycle's members for reclaim completion and for attributing
-  // ADGC/coherence traffic that names them during the cut→sweep window.
-  const auto track = [&](ObjectId obj) {
-    if (e.members >= kLedgerMaxMembers) return;
-    if (awaiting_.emplace(obj, static_cast<std::uint32_t>(slot)).second) {
-      ++e.members;
-    }
-  };
-  track(e.candidate);
-  for (const gc::Element& el : cdm.targets) {
-    if (el.tag == gc::Element::Kind::kReplica) track(el.replica.object);
-  }
+  // Track the cycle's members — the candidate here, the rest from the
+  // kVerdictMember events that follow — for reclaim completion and for
+  // attributing ADGC/coherence traffic that names them during the
+  // cut→sweep window.
+  await_member(slot, e.candidate);
+  members_for_ = v.b;
 }
 
-void Ledger::cut_applied(std::uint64_t detection_id, std::uint64_t scions_cut,
-                         std::uint64_t props_cut, std::uint64_t stale) {
-  const int slot = slot_of(detection_id, false, nullptr);
+void Ledger::await_member(int slot, ObjectId object) {
   if (slot < 0) return;
   LedgerEntry& e = live_[static_cast<std::size_t>(slot)].entry;
-  e.scions_cut += scions_cut;
-  e.props_cut += props_cut;
-  e.cuts_stale += stale;
+  if (e.members >= kLedgerMaxMembers) return;
+  if (awaiting_.emplace(object, static_cast<std::uint32_t>(slot)).second) {
+    ++e.members;
+  }
 }
 
 void Ledger::object_reclaimed(ProcessId pid, ObjectId object,
@@ -489,7 +446,7 @@ void Ledger::object_reclaimed(ProcessId pid, ObjectId object,
 void Ledger::finalize(int slot, std::uint64_t step) {
   LiveRec& rec = live_[static_cast<std::size_t>(slot)];
   LedgerEntry& e = rec.entry;
-  const std::uint64_t floor = transit_floor();
+  const std::uint64_t floor = transit_floor_;
   if (e.cut_delivered_step > e.detected_step) {
     const std::uint64_t cut_latency = e.cut_delivered_step - e.detected_step;
     e.cut_transit_steps = std::min(floor, cut_latency);

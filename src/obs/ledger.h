@@ -27,14 +27,18 @@
 // objects during the verdict→reclaim window are charged to that cycle's
 // adgc/coherence component.  All totals are in Message::weight() units.
 //
-// Determinism contract: the ledger is fed only from serial phases (network
-// send/deliver, serial dispatch verdict/cut paths, the serial LGC sweep), so
-// its contents — entries, JSONL bytes, every ledger.* metric — are identical
-// for any ClusterConfig::threads and for event-skip vs per-step schedules.
-// Unlike the flight recorder, its registry is deterministic and therefore
-// *included* in the cluster report.
+// Input: the ledger is a function of the flight recorder's event stream
+// (obs/recorder.h), fed at each append or from a decoded `.rgcrec`.  A hop's
+// parent is the latest CDM delivery of its detection at the sending process
+// (the detection start when none): the timeline's lineage rule.
 //
-// Allocation bounds: at most `max_live` concurrently tracked detections
+// Determinism contract: the stream is appended only from serial phases, so
+// the ledger's contents — entries, JSONL bytes, every ledger.* metric — are
+// identical for any ClusterConfig::threads and for event-skip vs per-step
+// schedules.  Unlike the flight recorder's, its registry is deterministic
+// and therefore *included* in the cluster report.
+//
+// Allocation bounds: at most kLedgerMaxLive concurrently tracked detections
 // (oldest unproven evicted first), kLedgerMaxHops hop records per detection
 // and `capacity` retained completed entries; overflow is counted, never
 // grown.
@@ -46,8 +50,7 @@
 #include <string>
 #include <vector>
 
-#include "gc/cycle/cdm.h"
-#include "net/network.h"
+#include "obs/recorder.h"
 #include "util/ids.h"
 #include "util/metrics.h"
 
@@ -56,10 +59,10 @@ namespace rgc::obs {
 struct LedgerConfig {
   /// Completed entries retained (ring; oldest overwritten).
   std::size_t capacity{256};
-  /// Concurrently tracked live detections.
-  std::size_t max_live{64};
 };
 
+/// Concurrently tracked live detections.
+inline constexpr std::size_t kLedgerMaxLive = 64;
 /// Hop records per detection (the CDM tree, not just the chain).
 inline constexpr std::size_t kLedgerMaxHops = 256;
 /// Cycle members tracked for reclaim/traffic attribution per entry.
@@ -142,36 +145,20 @@ struct LedgerEntry {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// The ledger.  Owned by core::Cluster (ClusterConfig::ledger_capacity),
-/// fed via Network::add_observer plus direct hooks from the serial verdict,
-/// cut and sweep paths.
-class Ledger final : public net::Network::Observer {
+/// The ledger.  Owned by core::Cluster (ClusterConfig::ledger_capacity) and
+/// fed by its flight recorder; rebuild one from a recording by consuming
+/// the decoded events in seq order.
+class Ledger final {
  public:
-  explicit Ledger(LedgerConfig config = {});
+  /// `transit_floor` is NetworkConfig::min_delay (RecStamp::min_delay of a
+  /// recording): the in-flight share of every hop's latency.
+  explicit Ledger(LedgerConfig config = {}, std::uint64_t transit_floor = 1);
 
-  /// Supplies the clock and delay floor (borrowed, may be null in tests —
-  /// steps then fall back to envelope stamps and transit to 1).
-  void bind(const net::Network* net) noexcept { net_ = net; }
-
-  // ---- Transport hooks (net::Network::Observer) -------------------------
-  void on_send(const net::Envelope& env) override;
-  void on_deliver(const net::Envelope& env) override;
-  void on_drop(const net::Envelope& env) override;
-  void on_duplicate(const net::Envelope& env) override;
-
-  // ---- Lifecycle hooks (serial phases only) -----------------------------
-  /// Verdict: `at` proved the cycle `cdm` describes.  `unlinked_step` is
-  /// the candidate object's unlinked_at stamp (0 when unknown).  First
-  /// verdict wins; duplicates are counted and ignored.
-  void cycle_proven(ProcessId at, const gc::Cdm& cdm,
-                    std::uint64_t unlinked_step);
-  /// A closure member's process applied (or skipped) one of a verdict's
-  /// Cuts; a verdict's cuts accumulate on its entry.
-  void cut_applied(std::uint64_t detection_id, std::uint64_t scions_cut,
-                   std::uint64_t props_cut, std::uint64_t stale);
-  /// The LGC sweep on `pid` freed `object` at `step`.  The candidate's
-  /// reclaim completes its entry; member reclaims are counted.
-  void object_reclaimed(ProcessId pid, ObjectId object, std::uint64_t step);
+  /// Folds in the next event of the stream.  A verdict proves its cycle
+  /// (first verdict wins; duplicates are counted and ignored), a cut
+  /// applied accumulates on its entry, and the candidate's kFreed completes
+  /// the entry (member reclaims are counted).
+  void consume(const RecEvent& event);
 
   // ---- Queries ----------------------------------------------------------
   /// Completed entries, oldest first (the retained ring).
@@ -186,7 +173,9 @@ class Ledger final : public net::Network::Observer {
   /// One JSON object per completed entry, oldest first.
   void write_jsonl(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t live() const noexcept;
+  [[nodiscard]] std::size_t live() const noexcept {
+    return live_index_.size();
+  }
   [[nodiscard]] std::uint64_t completed() const noexcept {
     return completed_total_;
   }
@@ -208,7 +197,6 @@ class Ledger final : public net::Network::Observer {
     std::uint64_t deliver_step{0};  // 0 while in flight (or dropped)
     std::uint64_t weight{0};
     std::uint32_t parent{kNoHop};  // hop whose delivery caused this send
-    bool dropped{false};
   };
 
   struct LiveRec {
@@ -226,25 +214,32 @@ class Ledger final : public net::Network::Observer {
     bool hop_overflow{false};
   };
 
-  [[nodiscard]] std::uint64_t clock(std::uint64_t fallback) const noexcept;
-  [[nodiscard]] std::uint64_t transit_floor() const noexcept;
-
-  /// Live record for `id`, creating (evicting if needed) when absent and
-  /// `create` is set; -1 when untracked.
-  int slot_of(std::uint64_t id, bool create, const gc::Cdm* cdm);
+  /// Live record for `id`; -1 when untracked.
+  [[nodiscard]] int slot_of(std::uint64_t id) const;
+  /// Live record for `id`, created (evicting if needed) when absent from
+  /// the detection's candidate and start step.
+  int track(std::uint64_t id, ObjectId candidate, std::uint64_t started_step);
+  /// Awaits `object`'s reclaim on `slot`'s entry, up to kLedgerMaxMembers.
+  void await_member(int slot, ObjectId object);
   void release(int slot);
   void finalize(int slot, std::uint64_t step);
   void attribute_member(ObjectId object, bool adgc, std::uint64_t weight);
 
-  void cdm_send(const net::Envelope& env, const gc::CdmMsg& msg);
-  void cdm_deliver(const net::Envelope& env, const gc::CdmMsg& msg);
+  void on_send(const RecEvent& e);
+  void on_deliver(const RecEvent& e);
+  void cdm_send(const RecEvent& e);
+  void cycle_proven(const RecEvent& e);
+  void object_reclaimed(ProcessId pid, ObjectId object, std::uint64_t step);
 
   LedgerConfig config_;
-  const net::Network* net_{nullptr};
+  std::uint64_t transit_floor_;
   std::vector<LiveRec> live_;
   std::map<std::uint64_t, std::uint32_t> live_index_;  // detection -> slot
   /// Proven cycles' member objects awaiting reclaim -> live slot.
   std::map<ObjectId, std::uint32_t> awaiting_;
+  /// Detection whose verdict the next kVerdictMember events belong to (0
+  /// after a duplicate verdict: its members are ignored).
+  std::uint64_t members_for_{0};
   /// Completed-entry ring, plus the count ever completed.
   std::vector<LedgerEntry> done_;
   std::size_t done_next_{0};

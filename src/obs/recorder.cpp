@@ -7,7 +7,10 @@
 #include <string_view>
 #include <utility>
 
+#include "gc/adgc/adgc.h"
 #include "gc/cycle/cdm.h"
+#include "obs/ledger.h"
+#include "rm/messages.h"
 #include "util/bytes.h"
 #include "util/log.h"
 
@@ -18,8 +21,10 @@ namespace {
 // `.rgcrec` framing: util/bytes.h fields, a magic+version header, and a
 // trailing FNV-1a checksum over everything before it.
 constexpr std::uint32_t kRecMagic = 0x52474352;  // "RCGR"
-constexpr std::uint32_t kRecVersion = 2;  // v2: + kDetectStart, kVerdict
-constexpr std::size_t kEventBytes = 44;
+// v2: + kDetectStart, kVerdict.  v3: + RecEvent c/d/weight/msg,
+// kVerdictMember, kCutApplied, kFreed and RecStamp::min_delay.
+constexpr std::uint32_t kRecVersion = 3;
+constexpr std::size_t kEventBytes = 64;
 
 using util::put_u16;
 using util::put_u32;
@@ -32,12 +37,32 @@ RecEvent read_event(util::ByteReader& r) {
   e.step = r.u64();
   e.a = r.u64();
   e.b = r.u64();
+  e.c = r.u64();
+  e.d = r.u64();
   e.pid = r.u32();
   e.peer = r.u32();
+  e.weight = r.u32();
   e.detail = r.u16();
   e.kind = r.u8();
-  e.pad = r.u8();
+  e.msg = r.u8();
   return e;
+}
+
+RecEvent make_event(RecKind kind, std::uint32_t pid, std::uint32_t peer,
+                    std::uint64_t a, std::uint64_t b, std::uint64_t step) {
+  return {.step = step, .a = a, .b = b, .pid = pid, .peer = peer,
+          .kind = static_cast<std::uint8_t>(kind)};
+}
+
+RecMsg msg_of(std::string_view kind) {
+  if (kind == "CDM") return RecMsg::kCdm;
+  if (kind == "Cut") return RecMsg::kCut;
+  if (kind == "PropCut") return RecMsg::kPropCut;
+  if (kind == "Propagate") return RecMsg::kPropagate;
+  if (kind == "Invoke") return RecMsg::kInvoke;
+  if (kind == "Unreachable") return RecMsg::kUnreachable;
+  if (kind == "Reclaim") return RecMsg::kReclaim;
+  return RecMsg::kOther;
 }
 
 }  // namespace
@@ -60,16 +85,23 @@ const char* to_string(RecKind kind) {
     case RecKind::kAuditError: return "audit_error";
     case RecKind::kDetectStart: return "detect_start";
     case RecKind::kVerdict: return "verdict";
+    case RecKind::kVerdictMember: return "verdict_member";
+    case RecKind::kCutApplied: return "cut_applied";
+    case RecKind::kFreed: return "freed";
   }
   return "?";
 }
 
 FlightRecorder::FlightRecorder(RecorderConfig config)
-    : capacity_(config.capacity == 0 ? 1 : config.capacity) {
-  depth_gauge_ = metrics_.gauge("recorder.depth");
-  appended_gauge_ = metrics_.gauge("recorder.appended_total");
-  dropped_gauge_ = metrics_.gauge("recorder.dropped_total");
-  metrics_.gauge("recorder.capacity").set(capacity_);
+    : capacity_(config.capacity) {}
+
+util::Metrics FlightRecorder::metrics() const {
+  util::Metrics m;
+  m.gauge("recorder.depth").set(retained_);
+  m.gauge("recorder.appended_total").set(appended_);
+  m.gauge("recorder.dropped_total").set(dropped_);
+  m.gauge("recorder.capacity").set(capacity_);
+  return m;
 }
 
 std::uint64_t FlightRecorder::clock(std::uint64_t fallback) const noexcept {
@@ -82,38 +114,25 @@ std::uint16_t FlightRecorder::intern(const char* kind) {
   const auto id = static_cast<std::uint16_t>(kinds_.size());
   kinds_.emplace_back(kind);
   kind_ids_.emplace(kinds_.back(), id);
-  if (kinds_.back() == "CDM") cdm_kind_ = id;
-  if (kinds_.back() == "Cut") cut_kind_ = id;
+  kind_msgs_.push_back(msg_of(kinds_.back()));
   return id;
 }
 
-void FlightRecorder::record(RecKind kind, std::uint32_t pid,
-                            std::uint32_t peer, std::uint16_t detail,
-                            std::uint64_t a, std::uint64_t b,
-                            std::uint64_t step) {
-  RecEvent ev;
+void FlightRecorder::record(RecEvent ev) {
   ev.seq = next_seq_++;
-  ev.step = step;
-  ev.a = a;
-  ev.b = b;
-  ev.pid = pid;
-  ev.peer = peer;
-  ev.detail = detail;
-  ev.kind = static_cast<std::uint8_t>(kind);
+  if (ledger_ != nullptr) ledger_->consume(ev);
+  if (capacity_ == 0) return;
 
-  Ring& ring = rings_[pid];
+  Ring& ring = rings_[ev.pid];
   if (ring.buf.empty()) ring.buf.resize(capacity_);  // first event: allocate
   if (ring.count >= capacity_) {
     ++dropped_;
-    dropped_gauge_.set(dropped_);
   } else {
     ++retained_;
-    depth_gauge_.set(retained_);
   }
   ring.buf[ring.count % capacity_] = ev;
   ++ring.count;
   ++appended_;
-  appended_gauge_.set(appended_);
 
   if (reference_ != nullptr && !divergence_.found) {
     const auto& evs = reference_->events;
@@ -135,20 +154,53 @@ void FlightRecorder::record(RecKind kind, std::uint32_t pid,
 
 void FlightRecorder::transport(RecKind kind, std::uint32_t ring_pid,
                                const net::Envelope& env) {
-  const std::uint16_t k = intern(env.msg->kind());
-  std::uint64_t lineage = 0;
-  if (k == cdm_kind_) {
-    if (const auto* m = dynamic_cast<const gc::CdmMsg*>(env.msg)) {
-      lineage = m->cdm.detection_id;
-    }
-  } else if (k == cut_kind_) {
-    if (const auto* m = dynamic_cast<const gc::CutMsg*>(env.msg)) {
-      lineage = m->detection_id;
-    }
-  }
   const std::uint32_t peer =
       ring_pid == raw(env.src) ? raw(env.dst) : raw(env.src);
-  record(kind, ring_pid, peer, k, env.seq, lineage, clock(env.sent_at));
+  RecEvent ev = make_event(kind, ring_pid, peer, env.seq, 0,
+                           clock(env.sent_at));
+  ev.detail = intern(env.msg->kind());
+  ev.weight = static_cast<std::uint32_t>(env.msg->weight());
+  const RecMsg msg = kind_msgs_[ev.detail];
+  ev.msg = static_cast<std::uint8_t>(msg);
+  // Each message type has its own kind() name, so the type msg_of picked
+  // for the name is the message's dynamic type.
+  const net::Message& m = *env.msg;
+  switch (msg) {
+    case RecMsg::kCdm: {
+      const gc::Cdm& cdm = static_cast<const gc::CdmMsg&>(m).cdm;
+      ev.b = cdm.detection_id;
+      ev.c = raw(cdm.candidate.object);
+      ev.d = cdm.started_step;
+      break;
+    }
+    case RecMsg::kCut: {
+      const auto& cut = static_cast<const gc::CutMsg&>(m);
+      ev.b = cut.detection_id;
+      ev.c = raw(cut.candidate);
+      break;
+    }
+    case RecMsg::kPropCut: {
+      const auto& cut = static_cast<const gc::PropCutMsg&>(m);
+      ev.c = raw(cut.object);
+      ev.d = cut.detection_id;
+      break;
+    }
+    case RecMsg::kPropagate:
+      ev.c = raw(static_cast<const rm::PropagateMsg&>(m).object);
+      break;
+    case RecMsg::kInvoke:
+      ev.c = raw(static_cast<const rm::InvokeMsg&>(m).target);
+      break;
+    case RecMsg::kUnreachable:
+      ev.c = raw(static_cast<const gc::UnreachableMsg&>(m).object);
+      break;
+    case RecMsg::kReclaim:
+      ev.c = raw(static_cast<const gc::ReclaimMsg&>(m).object);
+      break;
+    case RecMsg::kOther:
+      break;
+  }
+  record(ev);
 }
 
 void FlightRecorder::on_send(const net::Envelope& env) {
@@ -168,40 +220,53 @@ void FlightRecorder::on_duplicate(const net::Envelope& env) {
 }
 
 void FlightRecorder::phase(RecPhase code, std::uint64_t a, std::uint64_t b) {
-  record(RecKind::kPhase, raw(kNoProcess), raw(kNoProcess), code, a, b,
-         clock(0));
+  RecEvent ev = make_event(RecKind::kPhase, raw(kNoProcess), raw(kNoProcess),
+                           a, b, clock(0));
+  ev.detail = code;
+  record(ev);
 }
 
-void FlightRecorder::sweep(ProcessId pid, std::uint64_t reclaimed,
-                           std::uint64_t traced) {
-  record(RecKind::kSweep, raw(pid), raw(kNoProcess), 0, reclaimed, traced,
-         clock(0));
+void FlightRecorder::append(RecKind kind, ProcessId pid, std::uint64_t a,
+                            std::uint64_t b, ProcessId peer) {
+  record(make_event(kind, raw(pid), raw(peer), a, b, clock(0)));
 }
 
-void FlightRecorder::reclaim_decision(ProcessId pid, ProcessId from,
-                                      ObjectId object) {
-  record(RecKind::kReclaim, raw(pid), raw(from), 0, raw(object), 0, clock(0));
+void FlightRecorder::verdict(ProcessId at, const gc::Cdm& cdm,
+                             std::uint64_t unlinked) {
+  const std::uint64_t now = clock(0);
+  RecEvent ev = make_event(RecKind::kVerdict, raw(at), raw(kNoProcess),
+                           raw(cdm.candidate.object), cdm.detection_id, now);
+  ev.c = cdm.started_step;
+  ev.d = unlinked;
+  record(ev);
+  // Replica elements sort first and by object, so one object's replicas
+  // are adjacent.
+  std::size_t members = 0;
+  ObjectId last = kNoObject;
+  for (const gc::Element& el : cdm.targets) {
+    if (el.tag != gc::Element::Kind::kReplica ||
+        members == kLedgerMaxMembers) {
+      break;
+    }
+    const ObjectId object = el.replica.object;
+    if (object == last || object == cdm.candidate.object) continue;
+    last = object;
+    ++members;
+    record(make_event(RecKind::kVerdictMember, raw(at),
+                      raw(el.replica.process), raw(object), cdm.detection_id,
+                      now));
+  }
 }
 
-void FlightRecorder::lease_expiry(ProcessId pid, std::uint64_t retired) {
-  record(RecKind::kLeaseExpiry, raw(pid), raw(kNoProcess), 0, retired, 0,
-         clock(0));
-}
-
-void FlightRecorder::fault(RecKind kind, ProcessId pid, std::uint64_t a,
-                           std::uint64_t b) {
-  record(kind, raw(pid), raw(kNoProcess), 0, a, b, clock(0));
-}
-
-void FlightRecorder::audit_error(std::uint64_t errors) {
-  record(RecKind::kAuditError, raw(kNoProcess), raw(kNoProcess), 0, errors, 0,
-         clock(0));
-}
-
-void FlightRecorder::detection(RecKind kind, ProcessId pid,
-                               std::uint64_t detection_id, ObjectId candidate) {
-  record(kind, raw(pid), raw(kNoProcess), 0, raw(candidate), detection_id,
-         clock(0));
+void FlightRecorder::cut_applied(ProcessId pid, std::uint64_t detection_id,
+                                 std::uint64_t scions_cut,
+                                 std::uint64_t props_cut,
+                                 std::uint64_t stale) {
+  RecEvent ev = make_event(RecKind::kCutApplied, raw(pid), raw(kNoProcess),
+                           scions_cut, detection_id, clock(0));
+  ev.c = props_cut;
+  ev.d = stale;
+  record(ev);
 }
 
 void encode_event(std::string& out, const RecEvent& e) {
@@ -209,11 +274,14 @@ void encode_event(std::string& out, const RecEvent& e) {
   put_u64(out, e.step);
   put_u64(out, e.a);
   put_u64(out, e.b);
+  put_u64(out, e.c);
+  put_u64(out, e.d);
   put_u32(out, e.pid);
   put_u32(out, e.peer);
+  put_u32(out, e.weight);
   put_u16(out, e.detail);
   put_u8(out, e.kind);
-  put_u8(out, e.pad);
+  put_u8(out, e.msg);
 }
 
 std::string FlightRecorder::encode(const RecStamp& stamp) const {
@@ -229,6 +297,7 @@ std::string FlightRecorder::encode(const RecStamp& stamp) const {
   put_u64(out, stamp.lease_timeout);
   put_u32(out, stamp.rounds);
   put_u32(out, stamp.capacity);
+  put_u32(out, stamp.min_delay);
   put_u64(out, next_seq_);
   put_u64(out, appended_);
   put_u64(out, dropped_);
@@ -273,6 +342,7 @@ std::optional<RecordedRun> FlightRecorder::decode(const std::string& bytes) {
   run.stamp.lease_timeout = r.u64();
   run.stamp.rounds = r.u32();
   run.stamp.capacity = r.u32();
+  run.stamp.min_delay = r.u32();
   run.next_seq = r.u64();
   run.appended = r.u64();
   run.dropped = r.u64();
@@ -306,76 +376,6 @@ std::optional<RecordedRun> FlightRecorder::decode(const std::string& bytes) {
   std::sort(run.events.begin(), run.events.end(),
             [](const RecEvent& a, const RecEvent& b) { return a.seq < b.seq; });
   return run;
-}
-
-std::string describe(const RecEvent& event,
-                     const std::vector<std::string>& kinds) {
-  const auto kind = static_cast<RecKind>(event.kind);
-  std::string out = "seq=" + std::to_string(event.seq) +
-                    " step=" + std::to_string(event.step) + " ";
-  const auto pid_str = [](std::uint32_t pid) {
-    return pid == raw(kNoProcess) ? std::string{"cluster"}
-                                  : to_string(ProcessId{pid});
-  };
-  out += pid_str(event.pid);
-  out += ' ';
-  out += to_string(kind);
-  switch (kind) {
-    case RecKind::kSend:
-    case RecKind::kDrop:
-    case RecKind::kDuplicate:
-      out += ' ';
-      out += event.detail < kinds.size() ? kinds[event.detail] : "?";
-      out += " to " + pid_str(event.peer) + " link=" + std::to_string(event.a);
-      if (event.b != 0) out += " lineage=" + std::to_string(event.b);
-      break;
-    case RecKind::kDeliver:
-      out += ' ';
-      out += event.detail < kinds.size() ? kinds[event.detail] : "?";
-      out += " from " + pid_str(event.peer) +
-             " link=" + std::to_string(event.a);
-      if (event.b != 0) out += " lineage=" + std::to_string(event.b);
-      break;
-    case RecKind::kPhase:
-      out += event.detail == kPhaseCollectRound ? " collect_round"
-             : event.detail == kPhaseSnapshotAll ? " snapshot_all"
-                                                 : " ?";
-      out += " a=" + std::to_string(event.a) + " b=" + std::to_string(event.b);
-      break;
-    case RecKind::kSweep:
-      out += " reclaimed=" + std::to_string(event.a) +
-             " traced=" + std::to_string(event.b);
-      break;
-    case RecKind::kReclaim:
-      out += " object=" + std::to_string(event.a) + " from " +
-             pid_str(event.peer);
-      break;
-    case RecKind::kLeaseExpiry:
-      out += " retired=" + std::to_string(event.a);
-      break;
-    case RecKind::kRestart:
-      out += " incarnation=" + std::to_string(event.a) +
-             (event.b != 0 ? " rehydrated" : " empty");
-      break;
-    case RecKind::kPersist:
-      out += " bytes=" + std::to_string(event.a);
-      break;
-    case RecKind::kPartition:
-      out += " groups=" + std::to_string(event.a);
-      break;
-    case RecKind::kAuditError:
-      out += " errors=" + std::to_string(event.a);
-      break;
-    case RecKind::kDetectStart:
-    case RecKind::kVerdict:
-      out += " detection=" + std::to_string(event.b) +
-             " candidate=" + std::to_string(event.a);
-      break;
-    case RecKind::kKill:
-    case RecKind::kHeal:
-      break;
-  }
-  return out;
 }
 
 bool dump_recording(const FlightRecorder& recorder, const RecStamp& stamp,

@@ -2,16 +2,19 @@
 // debugging of chaos runs (docs/OBSERVABILITY.md "Flight recorder & replay").
 //
 // Every transport event (send/deliver/drop/duplicate, via the
-// net::Network::Observer hooks), GC phase transition, sweep, reclaim
-// decision, lease expiry, fault (kill/restart/persist/partition/heal), and
-// detection start and verdict lands in a per-process binary ring of
-// fixed-layout RecEvents.  Appends are O(1) and allocation-free in steady
-// state (each ring is preallocated the first time its pid appears), so the
-// recorder can stay on for every run like the HealthAuditor.  When
-// something goes wrong — an audit ERROR, or SIGABRT — the rings dump to a
-// versioned, checksummed `.rgcrec` file that obs::replay (replay.h)
-// re-executes and diffs event-for-event.  The same stream, live or
-// post-mortem, renders as a lineage timeline (obs/timeline.h).
+// net::Network::Observer hooks), GC phase transition, sweep, reclaimed
+// object, reclaim decision, lease expiry, fault (kill/restart/persist/
+// partition/heal), detection start, verdict and applied cut lands in a
+// per-process binary ring of fixed-layout RecEvents.  Appends are O(1) and
+// allocation-free in steady state (each ring is preallocated the first time
+// its pid appears), so the recorder can stay on for every run like the
+// HealthAuditor.  When something goes wrong — an audit ERROR, or SIGABRT —
+// the rings dump to a versioned, checksummed `.rgcrec` file that
+// obs::replay (replay.h) re-executes and diffs event-for-event.
+//
+// The same stream, live or decoded from a recording, renders as a lineage
+// timeline (obs/timeline.h) and feeds the cycle cost ledger (obs/ledger.h),
+// which each append calls; capacity 0 keeps no rings and only feeds it.
 //
 // Determinism contract: the recorder is only fed from the simulation's
 // serial phases (network step/send, serial sweep/digest, cluster fault
@@ -31,16 +34,26 @@
 #include "util/ids.h"
 #include "util/metrics.h"
 
+namespace rgc::gc {
+struct Cdm;
+}  // namespace rgc::gc
+
 namespace rgc::obs {
+
+class Ledger;
 
 /// Typed event classes.  Values are part of the `.rgcrec` format — append
 /// only, never renumber.
 enum class RecKind : std::uint8_t {
-  // Transport events: b = detection id of a CDM or Cut message, else 0.
+  // Transport events: b = detection id of a CDM or Cut message, else 0;
+  // weight = Message::weight(); msg = the message's RecMsg; c = the object
+  // the message names (a CDM's candidate, a Cut's member, a PropCut's,
+  // Propagate's, Unreachable's or Reclaim's object, an Invoke's target);
+  // d = a CDM's detection start step or a PropCut's detection id.
   kSend = 1,       // pid=src, peer=dst, detail=msg kind, a=link seq, b
   kDeliver = 2,    // pid=dst, peer=src, detail=msg kind, a=link seq, b
-  kDrop = 3,       // pid=src, peer=dst, detail=msg kind, a=link seq
-  kDuplicate = 4,  // pid=src, peer=dst, detail=msg kind, a=link seq
+  kDrop = 3,       // pid=src, peer=dst, detail=msg kind, a=link seq, b
+  kDuplicate = 4,  // pid=src, peer=dst, detail=msg kind, a=link seq, b
   kPhase = 5,      // global; detail=RecPhase, a/b=phase payload
   kSweep = 6,      // pid=collector, a=objects reclaimed, b=objects traced
   kReclaim = 7,    // pid=unlinker, peer=Reclaim sender, a=object id
@@ -52,7 +65,18 @@ enum class RecKind : std::uint8_t {
   kHeal = 13,      // global
   kAuditError = 14,  // global, a=total audit errors so far
   kDetectStart = 15,  // pid=initiator, a=candidate object, b=detection id
-  kVerdict = 16,      // pid=proving process, a=candidate object, b=detection id
+  kVerdict = 16,  // pid=prover, a, b as kDetectStart; c=start, d=unlinked_at
+  // After its kVerdict, one per distinct target object but the candidate
+  // (at most kLedgerMaxMembers): a=object, peer=its replica's process, b.
+  kVerdictMember = 17,
+  kCutApplied = 18,  // a=scions cut, b=detection id, c=props cut, d=stale
+  kFreed = 19,       // pid=sweeping process, a=object reclaimed
+};
+
+/// A transport event's message type (RecEvent::msg), for the types whose
+/// fields the stream carries.  Part of the `.rgcrec` format.
+enum class RecMsg : std::uint8_t {
+  kOther, kCdm, kCut, kPropCut, kPropagate, kInvoke, kUnreachable, kReclaim
 };
 
 /// kPhase detail codes.
@@ -63,19 +87,23 @@ enum RecPhase : std::uint16_t {
 
 [[nodiscard]] const char* to_string(RecKind kind);
 
-/// One recorded event.  Fixed 44-byte wire layout (field by field, little
-/// endian); `seq` is a recorder-global append counter, so the merge of all
-/// rings by seq reproduces the exact global event order.
+/// One recorded event.  Fixed 64-byte wire layout (field by field, little
+/// endian), the same size in memory; `seq` is a recorder-global append
+/// counter, so the merge of all rings by seq reproduces the exact global
+/// event order.
 struct RecEvent {
   std::uint64_t seq{0};
   std::uint64_t step{0};
   std::uint64_t a{0};
   std::uint64_t b{0};
+  std::uint64_t c{0};
+  std::uint64_t d{0};
   std::uint32_t pid{0};
   std::uint32_t peer{0};
+  std::uint32_t weight{0};
   std::uint16_t detail{0};
   std::uint8_t kind{0};
-  std::uint8_t pad{0};
+  std::uint8_t msg{0};
 
   friend bool operator==(const RecEvent&, const RecEvent&) = default;
 };
@@ -92,6 +120,7 @@ struct RecStamp {
   std::uint64_t lease_timeout{0};
   std::uint32_t rounds{0};
   std::uint32_t capacity{0};
+  std::uint32_t min_delay{1};  // NetworkConfig::min_delay: the transit floor
 
   friend bool operator==(const RecStamp&, const RecStamp&) = default;
 };
@@ -116,10 +145,6 @@ struct RecordedRun {
   std::vector<RecRing> rings;
   /// All ring events merged by global seq (ascending) — the causal order.
   std::vector<RecEvent> events;
-
-  [[nodiscard]] const char* kind_name(std::uint16_t id) const {
-    return id < kinds.size() ? kinds[id].c_str() : "?";
-  }
 };
 
 /// First point where a live event stream stopped matching a reference
@@ -134,13 +159,15 @@ struct Divergence {
 };
 
 struct RecorderConfig {
-  /// Events retained per ring (per process + one global ring).
+  /// Events retained per ring (per process + one global ring); 0 keeps no
+  /// rings (the stream then only feeds the ledger).
   std::size_t capacity{4096};
 };
 
 /// The recorder itself.  Owned by core::Cluster (ClusterConfig::
-/// record_capacity), fed via Network::add_observer plus direct hook calls
-/// from the cluster/GC serial phases.
+/// record_capacity, or ledger_capacity alone), fed via
+/// Network::add_observer plus direct hook calls from the cluster/GC serial
+/// phases.
 class FlightRecorder final : public net::Network::Observer {
  public:
   explicit FlightRecorder(RecorderConfig config = {});
@@ -148,6 +175,8 @@ class FlightRecorder final : public net::Network::Observer {
   /// Supplies the clock used to stamp events (borrowed, may be null —
   /// events then stamp with the envelope send step or 0).
   void bind(const net::Network* net) noexcept { net_ = net; }
+  /// Hands every appended event to `ledger` (borrowed, may be null).
+  void set_ledger(Ledger* ledger) noexcept { ledger_ = ledger; }
 
   // ---- Transport hooks (net::Network::Observer) -------------------------
   void on_send(const net::Envelope& env) override;
@@ -156,17 +185,19 @@ class FlightRecorder final : public net::Network::Observer {
   void on_duplicate(const net::Envelope& env) override;
 
   // ---- GC / cluster hooks (serial phases only — see header comment) -----
+  /// Appends a `kind` event whose fields follow RecKind's field map (pid
+  /// kNoProcess for a global event).
+  void append(RecKind kind, ProcessId pid, std::uint64_t a = 0,
+              std::uint64_t b = 0, ProcessId peer = kNoProcess);
   void phase(RecPhase code, std::uint64_t a = 0, std::uint64_t b = 0);
-  void sweep(ProcessId pid, std::uint64_t reclaimed, std::uint64_t traced);
-  void reclaim_decision(ProcessId pid, ProcessId from, ObjectId object);
-  void lease_expiry(ProcessId pid, std::uint64_t retired);
-  void fault(RecKind kind, ProcessId pid, std::uint64_t a = 0,
-             std::uint64_t b = 0);
-  void audit_error(std::uint64_t errors);
-  /// kDetectStart (a detector accepted a candidate) or kVerdict (a cycle
-  /// was proven): the roots and leaves of a detection's CDM lineage.
-  void detection(RecKind kind, ProcessId pid, std::uint64_t detection_id,
-                 ObjectId candidate);
+  /// `at` proved the cycle `cdm` describes (the leaf of its lineage): one
+  /// kVerdict, then its kVerdictMember events.  `unlinked` is the
+  /// candidate's unlinked_at stamp (0 when unknown).
+  void verdict(ProcessId at, const gc::Cdm& cdm, std::uint64_t unlinked);
+  /// A process applied (or found stale) one of a verdict's Cuts.
+  void cut_applied(ProcessId pid, std::uint64_t detection_id,
+                   std::uint64_t scions_cut, std::uint64_t props_cut,
+                   std::uint64_t stale);
 
   // ---- Serialization ----------------------------------------------------
   /// Encodes every ring into the versioned `.rgcrec` byte format
@@ -195,15 +226,11 @@ class FlightRecorder final : public net::Network::Observer {
   /// Events ever appended / lost to ring overwrite.
   [[nodiscard]] std::uint64_t appended() const noexcept { return appended_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] const std::vector<std::string>& kinds() const noexcept {
-    return kinds_;
-  }
   /// Recorder-local gauges (recorder.depth, recorder.appended_total,
-  /// recorder.dropped_total, recorder.capacity, recorder.rings).  A private
-  /// registry, deliberately outside the deterministic cluster report.
-  [[nodiscard]] const util::Metrics& metrics() const noexcept {
-    return metrics_;
-  }
+  /// recorder.dropped_total, recorder.capacity), read off the counters
+  /// above.  A private registry, deliberately outside the deterministic
+  /// cluster report.
+  [[nodiscard]] util::Metrics metrics() const;
 
  private:
   struct Ring {
@@ -211,9 +238,8 @@ class FlightRecorder final : public net::Network::Observer {
     std::uint64_t count{0};     // events ever appended to this ring
   };
 
-  void record(RecKind kind, std::uint32_t pid, std::uint32_t peer,
-              std::uint16_t detail, std::uint64_t a, std::uint64_t b,
-              std::uint64_t step);
+  /// Stamps `ev` with the next seq and appends it.
+  void record(RecEvent ev);
   void transport(RecKind kind, std::uint32_t ring_pid,
                  const net::Envelope& env);
   std::uint16_t intern(const char* kind);
@@ -221,30 +247,22 @@ class FlightRecorder final : public net::Network::Observer {
 
   std::size_t capacity_;
   const net::Network* net_{nullptr};
+  Ledger* ledger_{nullptr};
   std::map<std::uint32_t, Ring> rings_;
   std::vector<std::string> kinds_;
   std::map<std::string, std::uint16_t, std::less<>> kind_ids_;
-  std::uint16_t cdm_kind_{0xffff};
-  std::uint16_t cut_kind_{0xffff};
+  /// RecMsg of each interned kind, by kind id.
+  std::vector<RecMsg> kind_msgs_;
   std::uint64_t next_seq_{0};
   std::uint64_t appended_{0};
   std::uint64_t dropped_{0};
   std::uint64_t retained_{0};
   const RecordedRun* reference_{nullptr};
   Divergence divergence_{};
-  util::Metrics metrics_;
-  util::Gauge depth_gauge_;
-  util::Gauge appended_gauge_;
-  util::Gauge dropped_gauge_;
 };
 
-/// Appends the fixed 44-byte wire layout of `event`.
+/// Appends the fixed 64-byte wire layout of `event`.
 void encode_event(std::string& out, const RecEvent& event);
-
-/// Human-readable one-liner for an event ("seq=91 step=40 P3 deliver CDM
-/// from P1 link=17 lineage=5"); `kinds` is the recording's intern table.
-[[nodiscard]] std::string describe(const RecEvent& event,
-                                   const std::vector<std::string>& kinds);
 
 /// Encodes and writes the recording to `path`; returns false on I/O error.
 bool dump_recording(const FlightRecorder& recorder, const RecStamp& stamp,

@@ -5,6 +5,7 @@
 
 #include "core/cluster.h"
 #include "core/daemon.h"
+#include "obs/timeline.h"
 #include "util/bytes.h"
 #include "util/log.h"
 #include "workload/fault_plan.h"
@@ -13,6 +14,9 @@
 namespace rgc::obs {
 
 namespace {
+
+/// The chaos workload's delay floor (NetworkConfig::min_delay).
+constexpr std::uint32_t kChaosMinDelay = 1;
 
 /// Runs the canonical chaos workload (the shape of chaos_test's
 /// run_fault_chaos, minus the oracle/GC-until-dry tail) with recording on.
@@ -25,7 +29,7 @@ std::string run_chaos(const ChaosRunSpec& spec, const RecordedRun* reference,
   cfg.net.seed = spec.seed;
   cfg.net.drop_probability = spec.drop;
   cfg.net.duplicate_probability = spec.dup;
-  cfg.net.min_delay = 1;
+  cfg.net.min_delay = kChaosMinDelay;
   cfg.net.max_delay = spec.max_delay;
   cfg.lease_timeout = spec.lease_timeout;
   cfg.threads = spec.threads;
@@ -93,6 +97,7 @@ RecStamp stamp_of(const ChaosRunSpec& spec) {
   stamp.lease_timeout = spec.lease_timeout;
   stamp.rounds = spec.rounds;
   stamp.capacity = spec.ring_capacity;
+  stamp.min_delay = kChaosMinDelay;
   return stamp;
 }
 

@@ -3,6 +3,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
@@ -34,7 +35,8 @@ const char* name_of(const RecEvent& e, bool cdm) {
 }
 
 /// (key, value) annotations of a recorded event, per RecKind's field map.
-void write_args(std::ostream& os, const RecordedRun& run, const RecEvent& e) {
+void write_args(std::ostream& os, const std::vector<std::string>& kinds,
+                const RecEvent& e) {
   bool first = true;
   const auto arg = [&](const char* key, std::uint64_t v) {
     os << (first ? "" : ",") << "\"" << key << "\":" << v;
@@ -46,7 +48,8 @@ void write_args(std::ostream& os, const RecordedRun& run, const RecEvent& e) {
     case RecKind::kDeliver:
     case RecKind::kDrop:
     case RecKind::kDuplicate:
-      os << "\"kind\":\"" << util::json_escape(run.kind_name(e.detail))
+      os << "\"kind\":\""
+         << util::json_escape(e.detail < kinds.size() ? kinds[e.detail] : "?")
          << "\"";
       first = false;
       arg("peer", e.peer);
@@ -87,6 +90,18 @@ void write_args(std::ostream& os, const RecordedRun& run, const RecEvent& e) {
     case RecKind::kPersist: arg("bytes", e.a); break;
     case RecKind::kPartition: arg("groups", e.a); break;
     case RecKind::kAuditError: arg("errors", e.a); break;
+    case RecKind::kVerdictMember:
+      arg("detection", e.b);
+      arg("member", e.a);
+      arg("process", e.peer);
+      break;
+    case RecKind::kCutApplied:
+      arg("detection", e.b);
+      arg("scions", e.a);
+      arg("props", e.c);
+      arg("stale", e.d);
+      break;
+    case RecKind::kFreed: arg("object", e.a); break;
     case RecKind::kHeal: break;
   }
   os << "}";
@@ -103,11 +118,6 @@ std::uint32_t chrome_pid(const ViewEvent& ev) {
 }  // namespace
 
 std::vector<ViewEvent> timeline_events(const RecordedRun& run) {
-  std::uint16_t cdm_kind = 0xffff;
-  for (std::size_t i = 0; i < run.kinds.size(); ++i) {
-    if (run.kinds[i] == "CDM") cdm_kind = static_cast<std::uint16_t>(i);
-  }
-
   std::vector<ViewEvent> out;
   out.reserve(run.events.size() + run.events.size() / 4);
   // (src, dst, link seq) -> the send's id.
@@ -140,7 +150,7 @@ std::vector<ViewEvent> timeline_events(const RecordedRun& run) {
       sample_depth(out.back().step);
     }
     const auto kind = static_cast<RecKind>(e.kind);
-    const bool cdm = e.detail == cdm_kind && kind <= RecKind::kDuplicate;
+    const bool cdm = e.msg == static_cast<std::uint8_t>(RecMsg::kCdm);
     ViewEvent ev;
     ev.name = name_of(e, cdm);
     ev.step = e.step;
@@ -182,6 +192,17 @@ std::vector<ViewEvent> timeline_events(const RecordedRun& run) {
   return out;
 }
 
+std::string describe(const RecEvent& event,
+                     const std::vector<std::string>& kinds) {
+  std::ostringstream os;
+  os << "seq=" << event.seq << " step=" << event.step << ' '
+     << (event.pid == kCluster ? std::string{"cluster"}
+                               : to_string(ProcessId{event.pid}))
+     << ' ' << to_string(static_cast<RecKind>(event.kind)) << ' ';
+  write_args(os, kinds, event);
+  return os.str();
+}
+
 void write_timeline_jsonl(const RecordedRun& run, std::ostream& os) {
   for (const ViewEvent& ev : timeline_events(run)) {
     os << "{\"type\":\"" << (ev.source != nullptr ? "instant" : "counter")
@@ -191,7 +212,7 @@ void write_timeline_jsonl(const RecordedRun& run, std::ostream& os) {
     if (ev.parent != 0) os << ",\"parent\":" << ev.parent;
     if (ev.source != nullptr) {
       os << ",\"args\":";
-      write_args(os, run, *ev.source);
+      write_args(os, run.kinds, *ev.source);
     } else {
       os << ",\"value\":" << ev.value;
     }
@@ -245,7 +266,7 @@ void write_timeline_chrome(const RecordedRun& run, std::ostream& os) {
        << category_of(ev.name) << "\",\"ts\":" << ts
        << ",\"dur\":" << kTicksPerStep / 2 << ",\"pid\":" << pid
        << ",\"tid\":0,\"args\":";
-    write_args(os, run, *ev.source);
+    write_args(os, run.kinds, *ev.source);
     os << "}";
 
     // One flow arrow per causal edge, from the parent's slice to this one;

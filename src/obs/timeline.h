@@ -10,8 +10,9 @@
 //     same (src, dst, link seq);
 //   - a CDM or Cut send's parent is the latest detection start, CDM
 //     delivery or verdict at the sending process with the same detection
-//     id — the event whose handler sent it (obs::Ledger parents its hops
-//     the same way);
+//     id — the event whose handler sent it (obs::Ledger parents its
+//     critical-path hops by the same rule over the same events;
+//     tests/ledger_test.cpp pins the agreement);
 //   - a verdict's parent is the latest detection start or CDM delivery of
 //     its detection at the proving process.
 // Edges whose parent the ring overwrote are omitted.  Because the view takes
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -52,6 +54,12 @@ struct ViewEvent {
 /// recording whose rings overwrote traffic reads low.
 [[nodiscard]] std::vector<ViewEvent> timeline_events(
     const RecordedRun& run);
+
+/// One-line rendering of `event` for divergence reports ("seq=91 step=40 P3
+/// deliver {"kind":"CDM","peer":1,"link":17,"detection":5}"); `kinds` is
+/// the recording's intern table.
+[[nodiscard]] std::string describe(const RecEvent& event,
+                                   const std::vector<std::string>& kinds);
 
 /// One JSON object per line with keys type/name/step/proc/id/parent (proc,
 /// id and parent omitted when absent), args for instants and value for

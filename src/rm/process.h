@@ -29,7 +29,6 @@
 
 namespace rgc::obs {
 class FlightRecorder;
-class Ledger;
 }  // namespace rgc::obs
 
 namespace rgc::rm {
@@ -408,7 +407,8 @@ class Process {
 
   /// Flight-recorder sink for this process's GC events (obs/recorder.h) —
   /// borrowed from the owning Cluster, null in standalone use.  The LGC
-  /// sweep and ADGC reclaim/lease paths record through it.
+  /// sweep, the ADGC reclaim/lease paths and the detector's start and cut
+  /// paths record through it.
   void set_recorder(obs::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
   }
@@ -416,11 +416,6 @@ class Process {
     return recorder_;
   }
 
-  /// Per-cycle cost ledger (obs/ledger.h) — same borrowing rules as the
-  /// recorder.  The LGC sweep reports reclaims and the detector reports
-  /// cut application through it.
-  void set_ledger(obs::Ledger* ledger) noexcept { ledger_ = ledger; }
-  [[nodiscard]] obs::Ledger* ledger() const noexcept { return ledger_; }
 
   // ---- LGC marking support --------------------------------------------
 
@@ -514,7 +509,6 @@ class Process {
   std::map<ProcessId, std::uint64_t> last_heard_;
   bool fault_tolerant_{false};
   obs::FlightRecorder* recorder_{nullptr};
-  obs::Ledger* ledger_{nullptr};
   util::Metrics metrics_;
   ProcessCounters counters_{metrics_};
 };

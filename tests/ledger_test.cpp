@@ -1,8 +1,10 @@
 // Per-cycle cost ledger tests (obs/ledger.h): the critical-path
 // decomposition identity on jittered mesh runs, byte-identical JSONL across
 // worker-pool widths and across event-skip vs per-step schedules, the
-// explain() drill-down, report/Prometheus surfacing, and the allocation
-// bounds (completed ring overwrite, live-slot eviction).
+// explain() drill-down, report/Prometheus surfacing, the event stream (a
+// recording rebuilds the live ledger; hop parents agree with the timeline's
+// lineage), and the allocation bounds (completed ring overwrite, live-slot
+// eviction).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,9 +15,10 @@
 
 #include "core/cluster.h"
 #include "core/report.h"
-#include "gc/cycle/cdm.h"
 #include "obs/ledger.h"
 #include "obs/prom.h"
+#include "obs/recorder.h"
+#include "obs/timeline.h"
 #include "workload/figures.h"
 #include "workload/mesh.h"
 
@@ -26,6 +29,8 @@ using obs::Ledger;
 using obs::LedgerConfig;
 using obs::LedgerEntry;
 using obs::LedgerHop;
+using obs::RecEvent;
+using obs::RecKind;
 
 core::ClusterConfig jittered_config(std::uint64_t seed) {
   core::ClusterConfig cfg;
@@ -241,15 +246,141 @@ TEST(LedgerTest, DisabledWhenCapacityZero) {
   EXPECT_TRUE(core::make_report(cluster).slowest_cycles.empty());
 }
 
-// ---- Allocation bounds (direct unit tests) ---------------------------------
+// ---- The event stream -----------------------------------------------------
 
-gc::Cdm make_cdm(std::uint64_t id, std::uint64_t candidate,
-                 std::uint64_t started) {
-  gc::Cdm cdm;
-  cdm.detection_id = id;
-  cdm.candidate = Replica{ObjectId{candidate}, ProcessId{0}};
-  cdm.started_step = started;
-  return cdm;
+std::string ledger_prometheus(const Ledger& ledger) {
+  std::ostringstream os;
+  ledger.metrics().to_prometheus(os);
+  return os.str();
+}
+
+TEST(LedgerTest, RecordingRebuildsTheLiveLedger) {
+  core::ClusterConfig cfg = jittered_config(11);
+  cfg.net.drop_probability = 0.02;
+  cfg.net.duplicate_probability = 0.1;
+  cfg.record_capacity = std::size_t{1} << 16;  // no ring wraps
+  core::Cluster cluster{cfg};
+  run_mesh_gc(cluster, /*processes=*/5, /*deps=*/12);
+  const Ledger& live = *cluster.ledger();
+  ASSERT_GT(live.completed(), 0u);
+  ASSERT_GT(live.metrics().get("ledger.cdm_duplicated"), 0u);
+  ASSERT_EQ(cluster.recorder()->dropped(), 0u);
+
+  const auto run = obs::FlightRecorder::decode(
+      cluster.recorder()->encode(cluster.recorder_stamp()));
+  ASSERT_TRUE(run.has_value());
+  Ledger rebuilt{LedgerConfig{}, run->stamp.min_delay};
+  for (const obs::RecEvent& e : run->events) rebuilt.consume(e);
+
+  std::ostringstream jsonl;
+  rebuilt.write_jsonl(jsonl);
+  EXPECT_EQ(jsonl.str(), ledger_jsonl(cluster));
+  EXPECT_EQ(rebuilt.explain(0), live.explain(0));
+  EXPECT_EQ(ledger_prometheus(rebuilt), ledger_prometheus(live));
+}
+
+TEST(LedgerTest, RunsWithoutARecording) {
+  // record_capacity 0 keeps no rings, but the event stream still feeds
+  // the ledger.
+  const auto run = [](std::size_t record_capacity) {
+    core::ClusterConfig cfg = jittered_config(8);
+    cfg.record_capacity = record_capacity;
+    core::Cluster cluster{cfg};
+    run_mesh_gc(cluster);
+    EXPECT_EQ(cluster.recorder() == nullptr, record_capacity == 0);
+    return ledger_jsonl(cluster);
+  };
+  const std::string unrecorded = run(0);
+  ASSERT_FALSE(unrecorded.empty());
+  EXPECT_EQ(unrecorded, run(4096));
+}
+
+TEST(LedgerTest, CriticalPathMatchesTimelineLineage) {
+  core::ClusterConfig cfg = jittered_config(6);
+  cfg.record_capacity = std::size_t{1} << 16;
+  core::Cluster cluster{cfg};
+  run_mesh_gc(cluster, /*processes=*/5, /*deps=*/12);
+  const auto run = obs::FlightRecorder::decode(
+      cluster.recorder()->encode(cluster.recorder_stamp()));
+  ASSERT_TRUE(run.has_value());
+  const std::vector<obs::ViewEvent> timeline = obs::timeline_events(*run);
+  const auto by_id = [&](std::uint64_t id) -> const obs::RecEvent* {
+    for (const obs::ViewEvent& v : timeline) {
+      if (v.id == id) return v.source;
+    }
+    return nullptr;
+  };
+  // The timeline view of a hop: its CDM send, and that send's parent.
+  const auto send_of = [&](std::uint64_t detection, const LedgerHop& hop)
+      -> const obs::ViewEvent* {
+    for (const obs::ViewEvent& v : timeline) {
+      const obs::RecEvent* e = v.source;
+      if (e != nullptr &&
+          e->kind == static_cast<std::uint8_t>(RecKind::kSend) &&
+          e->msg == static_cast<std::uint8_t>(obs::RecMsg::kCdm) &&
+          e->b == detection && e->pid == raw(hop.src) &&
+          e->peer == raw(hop.dst) && e->step == hop.sent_step) {
+        return &v;
+      }
+    }
+    return nullptr;
+  };
+
+  std::size_t hops = 0;
+  for (const LedgerEntry* entry : cluster.ledger()->entries()) {
+    const obs::RecEvent* prev_send = nullptr;
+    for (const LedgerHop& hop : entry->path) {
+      const obs::ViewEvent* send = send_of(entry->detection_id, hop);
+      ASSERT_NE(send, nullptr) << "detection " << entry->detection_id;
+      const obs::RecEvent* parent = by_id(send->parent);
+      ASSERT_NE(parent, nullptr) << "detection " << entry->detection_id;
+      EXPECT_EQ(parent->b, entry->detection_id);
+      EXPECT_EQ(parent->pid, raw(hop.src));
+      if (prev_send == nullptr) {
+        // The first hop leaves the detection start.
+        EXPECT_EQ(parent->kind,
+                  static_cast<std::uint8_t>(RecKind::kDetectStart));
+      } else {
+        // Every later hop leaves a delivery of the previous hop's send.
+        EXPECT_EQ(parent->kind, static_cast<std::uint8_t>(RecKind::kDeliver));
+        EXPECT_EQ(parent->peer, prev_send->pid);
+        EXPECT_EQ(parent->a, prev_send->a);
+      }
+      prev_send = send->source;
+      ++hops;
+    }
+  }
+  EXPECT_GT(hops, 0u);
+}
+
+// ---- Allocation bounds (fed events directly) -------------------------------
+
+// Detection ids below 2^32 start on P0 (gc::detection_initiator), so P0 is
+// the candidate's process in every event below.
+
+/// The kVerdict event of a detection proven at `at`, appended at its start
+/// step.
+RecEvent verdict(ProcessId at, std::uint64_t id, std::uint64_t candidate,
+                 std::uint64_t started, std::uint64_t unlinked = 0) {
+  RecEvent e;
+  e.kind = static_cast<std::uint8_t>(RecKind::kVerdict);
+  e.step = started;
+  e.pid = raw(at);
+  e.a = candidate;
+  e.b = id;
+  e.c = started;
+  e.d = unlinked;
+  return e;
+}
+
+/// The kFreed event of `pid`'s sweep reclaiming `object` at `step`.
+RecEvent freed(ProcessId pid, std::uint64_t object, std::uint64_t step) {
+  RecEvent e;
+  e.kind = static_cast<std::uint8_t>(RecKind::kFreed);
+  e.step = step;
+  e.pid = raw(pid);
+  e.a = object;
+  return e;
 }
 
 TEST(LedgerTest, CompletedRingOverwritesOldest) {
@@ -257,8 +388,8 @@ TEST(LedgerTest, CompletedRingOverwritesOldest) {
   cfg.capacity = 2;
   Ledger ledger{cfg};
   for (std::uint64_t i = 1; i <= 3; ++i) {
-    ledger.cycle_proven(ProcessId{0}, make_cdm(i, 100 + i, 10 * i), 0);
-    ledger.object_reclaimed(ProcessId{0}, ObjectId{100 + i}, 10 * i + 5);
+    ledger.consume(verdict(ProcessId{0}, i, 100 + i, 10 * i));
+    ledger.consume(freed(ProcessId{0}, 100 + i, 10 * i + 5));
   }
   EXPECT_EQ(ledger.completed(), 3u);
   EXPECT_EQ(ledger.metrics().get("ledger.entries_overwritten"), 1u);
@@ -271,28 +402,27 @@ TEST(LedgerTest, CompletedRingOverwritesOldest) {
 }
 
 TEST(LedgerTest, LiveSlotsEvictOldestWhenFull) {
-  LedgerConfig cfg;
-  cfg.max_live = 2;
-  Ledger ledger{cfg};
-  // Three concurrent (never reclaimed) detections through two slots.
-  ledger.cycle_proven(ProcessId{0}, make_cdm(1, 101, 10), 0);
-  ledger.cycle_proven(ProcessId{0}, make_cdm(2, 102, 20), 0);
-  EXPECT_EQ(ledger.live(), 2u);
-  ledger.cycle_proven(ProcessId{0}, make_cdm(3, 103, 30), 0);
-  EXPECT_EQ(ledger.live(), 2u);
+  Ledger ledger;
+  // One more concurrent (never reclaimed) detection than there are slots.
+  for (std::uint64_t i = 1; i <= obs::kLedgerMaxLive; ++i) {
+    ledger.consume(verdict(ProcessId{0}, i, 100 + i, 10 * i));
+  }
+  EXPECT_EQ(ledger.live(), obs::kLedgerMaxLive);
+  const std::uint64_t last = obs::kLedgerMaxLive + 1;
+  ledger.consume(verdict(ProcessId{0}, last, 100 + last, 10 * last));
+  EXPECT_EQ(ledger.live(), obs::kLedgerMaxLive);
   EXPECT_EQ(ledger.metrics().get("ledger.evictions"), 1u);
   EXPECT_EQ(ledger.find(1), nullptr);  // the oldest track was evicted
-  ASSERT_NE(ledger.find(3), nullptr);
+  ASSERT_NE(ledger.find(last), nullptr);
   // The evicted detection's member no longer completes anything.
-  ledger.object_reclaimed(ProcessId{0}, ObjectId{101}, 99);
+  ledger.consume(freed(ProcessId{0}, 101, 9999));
   EXPECT_EQ(ledger.completed(), 0u);
 }
 
 TEST(LedgerTest, DuplicateVerdictsAreCountedOnce) {
   Ledger ledger;
-  const gc::Cdm cdm = make_cdm(7, 107, 10);
-  ledger.cycle_proven(ProcessId{0}, cdm, 0);
-  ledger.cycle_proven(ProcessId{1}, cdm, 0);  // racing duplicate verdict
+  ledger.consume(verdict(ProcessId{0}, 7, 107, 10));
+  ledger.consume(verdict(ProcessId{1}, 7, 107, 10));  // racing duplicate
   EXPECT_EQ(ledger.metrics().get("ledger.cycles_proven"), 1u);
   EXPECT_EQ(ledger.metrics().get("ledger.duplicate_verdicts"), 1u);
   ASSERT_NE(ledger.find(7), nullptr);
@@ -301,8 +431,8 @@ TEST(LedgerTest, DuplicateVerdictsAreCountedOnce) {
 
 TEST(LedgerTest, ZeroHopLocalDetectionCompletes) {
   Ledger ledger;
-  ledger.cycle_proven(ProcessId{2}, make_cdm(9, 109, 40), /*unlinked=*/35);
-  ledger.object_reclaimed(ProcessId{0}, ObjectId{109}, 44);
+  ledger.consume(verdict(ProcessId{2}, 9, 109, 40, /*unlinked=*/35));
+  ledger.consume(freed(ProcessId{0}, 109, 44));
   const LedgerEntry* e = ledger.find(9);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->complete);

@@ -49,7 +49,7 @@ const RecordedRun& default_run() {
 TEST(RecorderTest, RingWrapKeepsNewestAndCountsOverwrites) {
   FlightRecorder rec{RecorderConfig{4}};
   for (std::uint64_t i = 0; i < 10; ++i) {
-    rec.fault(RecKind::kKill, ProcessId{1}, i, 0);
+    rec.append(RecKind::kKill, ProcessId{1}, i, 0);
   }
   EXPECT_EQ(rec.appended(), 10u);
   EXPECT_EQ(rec.depth(), 4u);    // one ring, capacity 4
@@ -71,13 +71,14 @@ TEST(RecorderTest, RingWrapKeepsNewestAndCountsOverwrites) {
 
 TEST(RecorderTest, MetricsGaugesTrackRingState) {
   FlightRecorder rec{RecorderConfig{2}};
-  rec.sweep(ProcessId{0}, 3, 30);
-  rec.sweep(ProcessId{1}, 4, 40);
-  rec.sweep(ProcessId{0}, 5, 50);  // overwrites nothing yet (cap 2 per ring)
+  rec.append(RecKind::kSweep, ProcessId{0}, 3, 30);
+  rec.append(RecKind::kSweep, ProcessId{1}, 4, 40);
+  // Overwrites nothing yet (cap 2 per ring).
+  rec.append(RecKind::kSweep, ProcessId{0}, 5, 50);
   EXPECT_EQ(rec.metrics().gauge_value("recorder.capacity"), 2u);
   EXPECT_EQ(rec.metrics().gauge_value("recorder.appended_total"), 3u);
   EXPECT_EQ(rec.metrics().gauge_value("recorder.depth"), 3u);
-  rec.sweep(ProcessId{0}, 6, 60);  // P0's ring wraps
+  rec.append(RecKind::kSweep, ProcessId{0}, 6, 60);  // P0's ring wraps
   EXPECT_EQ(rec.metrics().gauge_value("recorder.dropped_total"), 1u);
 }
 
@@ -154,12 +155,12 @@ RecStamp sample_stamp() {
 TEST(RecorderTest, EncodeDecodeRoundTrip) {
   FlightRecorder rec{RecorderConfig{16}};
   rec.phase(obs::kPhaseSnapshotAll, 3);
-  rec.sweep(ProcessId{0}, 2, 100);
-  rec.reclaim_decision(ProcessId{1}, ProcessId{2}, ObjectId{77});
-  rec.lease_expiry(ProcessId{2}, 4);
-  rec.fault(RecKind::kKill, ProcessId{1});
-  rec.fault(RecKind::kRestart, ProcessId{1}, 2, 1);
-  rec.audit_error(1);
+  rec.append(RecKind::kSweep, ProcessId{0}, 2, 100);
+  rec.append(RecKind::kReclaim, ProcessId{1}, 77, 0, ProcessId{2});
+  rec.append(RecKind::kLeaseExpiry, ProcessId{2}, 4);
+  rec.append(RecKind::kKill, ProcessId{1});
+  rec.append(RecKind::kRestart, ProcessId{1}, 2, 1);
+  rec.append(RecKind::kAuditError, kNoProcess, 1);
 
   const RecStamp stamp = sample_stamp();
   const auto run = FlightRecorder::decode(rec.encode(stamp));
@@ -184,7 +185,7 @@ TEST(RecorderTest, EncodeDecodeRoundTrip) {
 
 TEST(RecorderTest, DecodeRejectsCorruption) {
   FlightRecorder rec{RecorderConfig{8}};
-  rec.sweep(ProcessId{0}, 1, 10);
+  rec.append(RecKind::kSweep, ProcessId{0}, 1, 10);
   std::string bytes = rec.encode(sample_stamp());
   ASSERT_TRUE(FlightRecorder::decode(bytes).has_value());
 
@@ -201,7 +202,7 @@ TEST(RecorderTest, DecodeRejectsCorruption) {
 
 TEST(RecorderTest, DumpRecordingWritesDecodableFile) {
   FlightRecorder rec{RecorderConfig{8}};
-  rec.sweep(ProcessId{2}, 5, 100);
+  rec.append(RecKind::kSweep, ProcessId{2}, 5, 100);
   const std::string path = testing::TempDir() + "recorder_dump.rgcrec";
   ASSERT_TRUE(obs::dump_recording(rec, sample_stamp(), path));
 
@@ -220,36 +221,37 @@ TEST(RecorderTest, DumpRecordingWritesDecodableFile) {
 
 TEST(RecorderTest, ReferenceDiffLatchesFirstMismatch) {
   FlightRecorder first{RecorderConfig{8}};
-  first.sweep(ProcessId{1}, 1, 10);
-  first.sweep(ProcessId{1}, 2, 20);
+  first.append(RecKind::kSweep, ProcessId{1}, 1, 10);
+  first.append(RecKind::kSweep, ProcessId{1}, 2, 20);
   const auto reference = FlightRecorder::decode(first.encode(RecStamp{}));
   ASSERT_TRUE(reference.has_value());
 
   FlightRecorder live{RecorderConfig{8}};
   live.set_reference(&*reference);
-  live.sweep(ProcessId{1}, 1, 10);  // matches
+  live.append(RecKind::kSweep, ProcessId{1}, 1, 10);  // matches
   EXPECT_FALSE(live.divergence().found);
-  live.sweep(ProcessId{1}, 3, 20);  // reclaimed differs
+  live.append(RecKind::kSweep, ProcessId{1}, 3, 20);  // reclaimed differs
   ASSERT_TRUE(live.divergence().found);
   EXPECT_FALSE(live.divergence().extra);
   EXPECT_EQ(live.divergence().seq, 1u);
   EXPECT_EQ(live.divergence().expected.a, 2u);
   EXPECT_EQ(live.divergence().actual.a, 3u);
   // The latch holds the FIRST divergence through later appends.
-  live.sweep(ProcessId{1}, 9, 90);
+  live.append(RecKind::kSweep, ProcessId{1}, 9, 90);
   EXPECT_EQ(live.divergence().seq, 1u);
 }
 
 TEST(RecorderTest, ReferenceDiffFlagsEventsPastRecordedEnd) {
   FlightRecorder first{RecorderConfig{8}};
-  first.sweep(ProcessId{1}, 1, 10);
+  first.append(RecKind::kSweep, ProcessId{1}, 1, 10);
   const auto reference = FlightRecorder::decode(first.encode(RecStamp{}));
   ASSERT_TRUE(reference.has_value());
 
   FlightRecorder live{RecorderConfig{8}};
   live.set_reference(&*reference);
-  live.sweep(ProcessId{1}, 1, 10);
-  live.sweep(ProcessId{1}, 2, 20);  // the reference ended before this
+  live.append(RecKind::kSweep, ProcessId{1}, 1, 10);
+  // The reference ended before this.
+  live.append(RecKind::kSweep, ProcessId{1}, 2, 20);
   ASSERT_TRUE(live.divergence().found);
   EXPECT_TRUE(live.divergence().extra);
   EXPECT_EQ(live.divergence().seq, 1u);
@@ -445,7 +447,7 @@ TEST(RecorderTest, RecoveryProtocolEmitsTypedInstants) {
   std::set<std::string_view> delivered;
   for (const obs::ViewEvent& ev : obs::timeline_events(*run)) {
     if (std::string_view{ev.name} == "net.deliver") {
-      delivered.insert(run->kind_name(ev.source->detail));
+      delivered.insert(run->kinds.at(ev.source->detail));
     }
   }
   EXPECT_TRUE(delivered.contains("Recover"))

@@ -1,6 +1,5 @@
 #include "sweep_reference.h"
 
-#include "obs/ledger.h"
 #include "obs/recorder.h"
 
 namespace rgc::gc {
@@ -32,8 +31,8 @@ LgcResult collect_reference(rm::Process& process, const LgcConfig& config) {
     }
     reclaim_latency.record(obj.unlinked_at == 0 ? 0 : now - obj.unlinked_at);
     process.note_reclaimed(id, now);
-    if (obs::Ledger* ledger = process.ledger(); ledger != nullptr) {
-      ledger->object_reclaimed(process.id(), id, now);
+    if (obs::FlightRecorder* rec = process.recorder()) {
+      rec->append(obs::RecKind::kFreed, process.id(), raw(id));
     }
     result.reclaimed.push_back(id);
     heap.erase(id);
@@ -59,7 +58,8 @@ LgcResult collect_reference(rm::Process& process, const LgcConfig& config) {
       .record(result.reclaimed.size());
   process.metrics().histogram("lgc.traced_per_collection").record(result.traced);
   if (obs::FlightRecorder* rec = process.recorder()) {
-    rec->sweep(process.id(), result.reclaimed.size(), result.traced);
+    rec->append(obs::RecKind::kSweep, process.id(), result.reclaimed.size(),
+                result.traced);
   }
   return result;
 }
