@@ -353,8 +353,12 @@ void Ledger::cycle_proven(const RecEvent& v) {
   const int slot = track(v.b, ObjectId{v.a}, v.c);
   LiveRec& rec = live_[static_cast<std::size_t>(slot)];
   members_for_ = 0;
-  if (rec.proven) {
+  // A second verdict of this detection, or one whose candidate an earlier
+  // entry already awaits (that entry's sweep completes the cycle, so this
+  // one would stay live forever): a duplicate.
+  if (rec.proven || awaiting_.contains(ObjectId{v.a})) {
     duplicate_verdicts_.inc();
+    if (!rec.proven) release(slot);
     return;
   }
   rec.proven = true;

@@ -237,6 +237,27 @@ TEST(LedgerTest, ReportAndPrometheusSurfaceTheLedger) {
   EXPECT_NE(prom.str().find("rgc_ledger_e2e_steps"), std::string::npos);
 }
 
+TEST(LedgerTest, EveryVerdictCompletesOrCountsAsDuplicate) {
+  // A full GC of an `ours` mesh proves its cycle more than once: later
+  // verdicts name a candidate the first verdict's entry already awaits.
+  for (const std::size_t deps : {6u, 20u}) {
+    core::Cluster cluster{core::ClusterConfig{}};
+    workload::build_mesh(cluster, {/*processes=*/3, deps, 0});
+    cluster.run_full_gc();
+    cluster.run_until_quiescent();
+    const Ledger& ledger = *cluster.ledger();
+    const util::Metrics& m = ledger.metrics();
+    EXPECT_GT(m.get("ledger.duplicate_verdicts"), 0u) << "deps " << deps;
+    EXPECT_EQ(m.get("ledger.cycles_proven") +
+                  m.get("ledger.duplicate_verdicts"),
+              cluster.cycles_found().size())
+        << "deps " << deps;
+    EXPECT_EQ(m.get("ledger.cycles_proven"), ledger.completed())
+        << "deps " << deps;
+    EXPECT_EQ(ledger.live(), 0u) << "deps " << deps;
+  }
+}
+
 TEST(LedgerTest, DisabledWhenCapacityZero) {
   core::ClusterConfig cfg = jittered_config(1);
   cfg.ledger_capacity = 0;
