@@ -22,14 +22,12 @@ Cluster::Cluster(ClusterConfig config)
   // One event stream feeds both the recording and the ledger, so it runs
   // whenever either is on.
   if (config_.ledger_capacity > 0) {
-    ledger_ = std::make_unique<obs::Ledger>(
-        obs::LedgerConfig{config_.ledger_capacity}, config_.net.min_delay);
+    ledger_ = std::make_unique<obs::Ledger>(config_.ledger_capacity,
+                                            config_.net.min_delay);
   }
   if (config_.record_capacity > 0 || ledger_ != nullptr) {
     recorder_ = std::make_unique<obs::FlightRecorder>(
-        obs::RecorderConfig{config_.record_capacity});
-    recorder_->bind(&net_);
-    recorder_->set_ledger(ledger_.get());
+        obs::RecorderConfig{config_.record_capacity}, &net_, ledger_.get());
     net_.add_observer(recorder_.get());
   }
   starts_covered_ = net_.metrics().counter("cycle.starts_covered");

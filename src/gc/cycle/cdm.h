@@ -61,13 +61,19 @@ struct Observation {
   std::uint64_t counter{0};
 };
 
+/// Detection ids: the initiator's pid in the high half, a serial local to
+/// it (below 2^32) in the low half.
+constexpr std::uint64_t make_detection_id(ProcessId initiator,
+                                          std::uint64_t serial) noexcept {
+  return (static_cast<std::uint64_t>(raw(initiator)) << 32) | serial;
+}
 /// The process that started detection `id`, whose candidate it is.
 constexpr ProcessId detection_initiator(std::uint64_t id) noexcept {
   return ProcessId{static_cast<std::uint32_t>(id >> 32)};
 }
 
 struct Cdm {
-  /// Unique per detection: initiator's pid (high half) + a local serial.
+  /// Unique per detection (make_detection_id).
   std::uint64_t detection_id{0};
   /// The suspect the detection started from.
   Replica candidate;

@@ -80,7 +80,7 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
   if (!known) return std::nullopt;
 
   Cdm cdm;
-  cdm.detection_id = (static_cast<std::uint64_t>(raw(self)) << 32) | ++next_serial_;
+  cdm.detection_id = make_detection_id(self, ++next_serial_);
   cdm.candidate = Replica{candidate, self};
   cdm.started_step = process_.network().now();
   // The candidate seeds the reference-dependency set (the paper's Alg0:

@@ -94,12 +94,11 @@ std::string LedgerEntry::to_json() const {
   return out;
 }
 
-Ledger::Ledger(LedgerConfig config, std::uint64_t transit_floor)
-    : config_(config), transit_floor_(transit_floor) {
-  if (config_.capacity == 0) config_.capacity = 1;
+Ledger::Ledger(std::size_t capacity, std::uint64_t transit_floor)
+    : capacity_(capacity == 0 ? 1 : capacity), transit_floor_(transit_floor) {
   live_.resize(kLedgerMaxLive);
   for (LiveRec& rec : live_) rec.hops.reserve(kLedgerMaxHops);
-  done_.reserve(config_.capacity);
+  done_.reserve(capacity_);
   tracked_ = metrics_.counter("ledger.detections_tracked");
   proven_ = metrics_.counter("ledger.cycles_proven");
   reclaimed_ = metrics_.counter("ledger.cycles_reclaimed");
@@ -119,7 +118,7 @@ Ledger::Ledger(LedgerConfig config, std::uint64_t transit_floor)
   coherence_weight_ = metrics_.counter("ledger.coherence_weight");
   live_gauge_ = metrics_.gauge("ledger.live");
   completed_gauge_ = metrics_.gauge("ledger.completed");
-  metrics_.gauge("ledger.capacity").set(config_.capacity);
+  metrics_.gauge("ledger.capacity").set(capacity_);
   // Touch the decomposition histograms so the family set is fixed from the
   // start — report/Prometheus output then has identical shape whether or
   // not a run proved any cycle yet.
@@ -476,12 +475,12 @@ void Ledger::finalize(int slot, std::uint64_t step) {
   metrics_.histogram("ledger.sweep_wait_steps").record(e.sweep_wait_steps);
   metrics_.histogram("ledger.critical_hops").record(e.path.size());
 
-  if (done_.size() < config_.capacity) {
+  if (done_.size() < capacity_) {
     done_.push_back(std::move(e));
   } else {
     overwritten_.inc();
     done_[done_next_] = std::move(e);
-    done_next_ = (done_next_ + 1) % config_.capacity;
+    done_next_ = (done_next_ + 1) % capacity_;
   }
   ++completed_total_;
   completed_gauge_.set(completed_total_);
@@ -495,7 +494,7 @@ std::vector<const LedgerEntry*> Ledger::entries() const {
   out.reserve(done_.size());
   // Ring order: done_next_ is the oldest once the ring has wrapped.
   const std::size_t n = done_.size();
-  const std::size_t start = n < config_.capacity ? 0 : done_next_;
+  const std::size_t start = n < capacity_ ? 0 : done_next_;
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(&done_[(start + i) % n]);
   }

@@ -56,11 +56,6 @@
 
 namespace rgc::obs {
 
-struct LedgerConfig {
-  /// Completed entries retained (ring; oldest overwritten).
-  std::size_t capacity{256};
-};
-
 /// Concurrently tracked live detections.
 inline constexpr std::size_t kLedgerMaxLive = 64;
 /// Hop records per detection (the CDM tree, not just the chain).
@@ -150,9 +145,11 @@ struct LedgerEntry {
 /// the decoded events in seq order.
 class Ledger final {
  public:
+  /// Retains `capacity` completed entries (a ring; oldest overwritten).
   /// `transit_floor` is NetworkConfig::min_delay (RecStamp::min_delay of a
   /// recording): the in-flight share of every hop's latency.
-  explicit Ledger(LedgerConfig config = {}, std::uint64_t transit_floor = 1);
+  explicit Ledger(std::size_t capacity = 256,
+                  std::uint64_t transit_floor = 1);
 
   /// Folds in the next event of the stream.  A verdict proves its cycle
   /// (first verdict wins; duplicates are counted and ignored), a cut
@@ -231,7 +228,7 @@ class Ledger final {
   void cycle_proven(const RecEvent& e);
   void object_reclaimed(ProcessId pid, ObjectId object, std::uint64_t step);
 
-  LedgerConfig config_;
+  std::size_t capacity_;
   std::uint64_t transit_floor_;
   std::vector<LiveRec> live_;
   std::map<std::uint64_t, std::uint32_t> live_index_;  // detection -> slot

@@ -92,8 +92,9 @@ const char* to_string(RecKind kind) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(RecorderConfig config)
-    : capacity_(config.capacity) {}
+FlightRecorder::FlightRecorder(RecorderConfig config,
+                               const net::Network* net, Ledger* ledger)
+    : capacity_(config.capacity), net_(net), ledger_(ledger) {}
 
 util::Metrics FlightRecorder::metrics() const {
   util::Metrics m;
@@ -124,13 +125,16 @@ void FlightRecorder::record(RecEvent ev) {
   if (capacity_ == 0) return;
 
   Ring& ring = rings_[ev.pid];
-  if (ring.buf.empty()) ring.buf.resize(capacity_);  // first event: allocate
+  // The first event allocates the ring; its pages become resident only as
+  // the ring fills.
+  if (ring.buf.capacity() == 0) ring.buf.reserve(capacity_);
   if (ring.count >= capacity_) {
     ++dropped_;
+    ring.buf[ring.count % capacity_] = ev;
   } else {
     ++retained_;
+    ring.buf.push_back(ev);
   }
-  ring.buf[ring.count % capacity_] = ev;
   ++ring.count;
   ++appended_;
 

@@ -69,7 +69,7 @@ enum class RecKind : std::uint8_t {
   // After its kVerdict, one per distinct target object but the candidate
   // (at most kLedgerMaxMembers): a=object, peer=its replica's process, b.
   kVerdictMember = 17,
-  kCutApplied = 18,  // a=scions cut, b=detection id, c=props cut, d=stale
+  kCutApplied = 18,  // pid=cutter, b; a=scions, c=props, d=stale cuts
   kFreed = 19,       // pid=sweeping process, a=object reclaimed
 };
 
@@ -170,13 +170,12 @@ struct RecorderConfig {
 /// phases.
 class FlightRecorder final : public net::Network::Observer {
  public:
-  explicit FlightRecorder(RecorderConfig config = {});
-
-  /// Supplies the clock used to stamp events (borrowed, may be null —
-  /// events then stamp with the envelope send step or 0).
-  void bind(const net::Network* net) noexcept { net_ = net; }
-  /// Hands every appended event to `ledger` (borrowed, may be null).
-  void set_ledger(Ledger* ledger) noexcept { ledger_ = ledger; }
+  /// `net` supplies the clock events are stamped with (without one they
+  /// stamp with the envelope send step or 0); every appended event goes to
+  /// `ledger`.  Both are borrowed and may be null.
+  explicit FlightRecorder(RecorderConfig config = {},
+                          const net::Network* net = nullptr,
+                          Ledger* ledger = nullptr);
 
   // ---- Transport hooks (net::Network::Observer) -------------------------
   void on_send(const net::Envelope& env) override;
@@ -234,7 +233,7 @@ class FlightRecorder final : public net::Network::Observer {
 
  private:
   struct Ring {
-    std::vector<RecEvent> buf;  // preallocated to capacity_ on creation
+    std::vector<RecEvent> buf;  // capacity_ reserved on creation
     std::uint64_t count{0};     // events ever appended to this ring
   };
 

@@ -26,7 +26,6 @@ namespace rgc {
 namespace {
 
 using obs::Ledger;
-using obs::LedgerConfig;
 using obs::LedgerEntry;
 using obs::LedgerHop;
 using obs::RecEvent;
@@ -290,7 +289,7 @@ TEST(LedgerTest, RecordingRebuildsTheLiveLedger) {
   const auto run = obs::FlightRecorder::decode(
       cluster.recorder()->encode(cluster.recorder_stamp()));
   ASSERT_TRUE(run.has_value());
-  Ledger rebuilt{LedgerConfig{}, run->stamp.min_delay};
+  Ledger rebuilt{256, run->stamp.min_delay};
   for (const obs::RecEvent& e : run->events) rebuilt.consume(e);
 
   std::ostringstream jsonl;
@@ -405,9 +404,7 @@ RecEvent freed(ProcessId pid, std::uint64_t object, std::uint64_t step) {
 }
 
 TEST(LedgerTest, CompletedRingOverwritesOldest) {
-  LedgerConfig cfg;
-  cfg.capacity = 2;
-  Ledger ledger{cfg};
+  Ledger ledger{/*capacity=*/2};
   for (std::uint64_t i = 1; i <= 3; ++i) {
     ledger.consume(verdict(ProcessId{0}, i, 100 + i, 10 * i));
     ledger.consume(freed(ProcessId{0}, 100 + i, 10 * i + 5));
