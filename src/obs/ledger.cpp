@@ -482,8 +482,7 @@ void Ledger::finalize(int slot, std::uint64_t step) {
     done_[done_next_] = std::move(e);
     done_next_ = (done_next_ + 1) % capacity_;
   }
-  ++completed_total_;
-  completed_gauge_.set(completed_total_);
+  completed_gauge_.set(reclaimed_.value());
   release(slot);
 }
 

@@ -174,7 +174,7 @@ class Ledger final {
     return live_index_.size();
   }
   [[nodiscard]] std::uint64_t completed() const noexcept {
-    return completed_total_;
+    return reclaimed_.value();
   }
   /// Deterministic ledger.* counters/gauges/histograms — folded into the
   /// cluster report and the Prometheus exposition.
@@ -237,10 +237,9 @@ class Ledger final {
   /// Detection whose verdict the next kVerdictMember events belong to (0
   /// after a duplicate verdict: its members are ignored).
   std::uint64_t members_for_{0};
-  /// Completed-entry ring, plus the count ever completed.
+  /// Completed-entry ring (reclaimed_ counts the entries ever completed).
   std::vector<LedgerEntry> done_;
   std::size_t done_next_{0};
-  std::uint64_t completed_total_{0};
 
   util::Metrics metrics_;
   util::Counter tracked_;

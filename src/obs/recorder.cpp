@@ -125,8 +125,7 @@ void FlightRecorder::record(RecEvent ev) {
   if (capacity_ == 0) return;
 
   Ring& ring = rings_[ev.pid];
-  // The first event allocates the ring; its pages become resident only as
-  // the ring fills.
+  // Allocated on its first event; pages become resident as the ring fills.
   if (ring.buf.capacity() == 0) ring.buf.reserve(capacity_);
   if (ring.count >= capacity_) {
     ++dropped_;
