@@ -319,7 +319,9 @@ TEST(LedgerTest, CriticalPathMatchesTimelineLineage) {
   core::ClusterConfig cfg = jittered_config(6);
   cfg.record_capacity = std::size_t{1} << 16;
   core::Cluster cluster{cfg};
-  run_mesh_gc(cluster, /*processes=*/5, /*deps=*/12);
+  // Three processes: the detection passes each one several times, so a
+  // hop's parent must be the latest delivery there, not the first.
+  run_mesh_gc(cluster, /*processes=*/3, /*deps=*/6);
   const auto run = obs::FlightRecorder::decode(
       cluster.recorder()->encode(cluster.recorder_stamp()));
   ASSERT_TRUE(run.has_value());
@@ -330,45 +332,54 @@ TEST(LedgerTest, CriticalPathMatchesTimelineLineage) {
     }
     return nullptr;
   };
-  // The timeline view of a hop: its CDM send, and that send's parent.
-  const auto send_of = [&](std::uint64_t detection, const LedgerHop& hop)
-      -> const obs::ViewEvent* {
+  // The timeline event matching `match`, in stream order.
+  const auto find = [&](const auto& match) -> const obs::ViewEvent* {
     for (const obs::ViewEvent& v : timeline) {
-      const obs::RecEvent* e = v.source;
-      if (e != nullptr &&
-          e->kind == static_cast<std::uint8_t>(RecKind::kSend) &&
-          e->msg == static_cast<std::uint8_t>(obs::RecMsg::kCdm) &&
-          e->b == detection && e->pid == raw(hop.src) &&
-          e->peer == raw(hop.dst) && e->step == hop.sent_step) {
-        return &v;
-      }
+      if (v.source != nullptr && match(*v.source)) return &v;
     }
     return nullptr;
+  };
+  const auto is = [](const obs::RecEvent& e, RecKind kind) {
+    return e.kind == static_cast<std::uint8_t>(kind);
   };
 
   std::size_t hops = 0;
   for (const LedgerEntry* entry : cluster.ledger()->entries()) {
+    const std::uint64_t id = entry->detection_id;
+    // The timeline parent of each hop's send, then of the verdict: the
+    // detection start, or a delivery of the previous hop's send.
     const obs::RecEvent* prev_send = nullptr;
-    for (const LedgerHop& hop : entry->path) {
-      const obs::ViewEvent* send = send_of(entry->detection_id, hop);
-      ASSERT_NE(send, nullptr) << "detection " << entry->detection_id;
-      const obs::RecEvent* parent = by_id(send->parent);
-      ASSERT_NE(parent, nullptr) << "detection " << entry->detection_id;
-      EXPECT_EQ(parent->b, entry->detection_id);
-      EXPECT_EQ(parent->pid, raw(hop.src));
+    const auto expect_parent = [&](const obs::ViewEvent& child,
+                                   ProcessId at) {
+      const obs::RecEvent* parent = by_id(child.parent);
+      ASSERT_NE(parent, nullptr) << "detection " << id;
+      EXPECT_EQ(parent->b, id);
+      EXPECT_EQ(parent->pid, raw(at));
       if (prev_send == nullptr) {
-        // The first hop leaves the detection start.
-        EXPECT_EQ(parent->kind,
-                  static_cast<std::uint8_t>(RecKind::kDetectStart));
+        EXPECT_TRUE(is(*parent, RecKind::kDetectStart)) << "detection " << id;
       } else {
-        // Every later hop leaves a delivery of the previous hop's send.
-        EXPECT_EQ(parent->kind, static_cast<std::uint8_t>(RecKind::kDeliver));
+        EXPECT_TRUE(is(*parent, RecKind::kDeliver)) << "detection " << id;
         EXPECT_EQ(parent->peer, prev_send->pid);
         EXPECT_EQ(parent->a, prev_send->a);
       }
+    };
+    for (const LedgerHop& hop : entry->path) {
+      const obs::ViewEvent* send = find([&](const obs::RecEvent& e) {
+        return is(e, RecKind::kSend) &&
+               e.msg == static_cast<std::uint8_t>(obs::RecMsg::kCdm) &&
+               e.b == id && e.pid == raw(hop.src) &&
+               e.peer == raw(hop.dst) && e.step == hop.sent_step;
+      });
+      ASSERT_NE(send, nullptr) << "detection " << id;
+      expect_parent(*send, hop.src);
       prev_send = send->source;
       ++hops;
     }
+    const obs::ViewEvent* verdict = find([&](const obs::RecEvent& e) {
+      return is(e, RecKind::kVerdict) && e.b == id;
+    });
+    ASSERT_NE(verdict, nullptr) << "detection " << id;
+    expect_parent(*verdict, entry->verdict_process);
   }
   EXPECT_GT(hops, 0u);
 }
