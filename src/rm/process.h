@@ -416,7 +416,6 @@ class Process {
     return recorder_;
   }
 
-
   // ---- LGC marking support --------------------------------------------
 
   /// Starts a fresh mark epoch: bumps the epoch (invalidating every
